@@ -137,27 +137,53 @@ def forcing_rows(x: float, basis: GaussianBasis, weights: np.ndarray) -> np.ndar
 
 
 def design_matrix(xs: np.ndarray, basis: GaussianBasis) -> np.ndarray:
-    """Rows of normalized, phase-gated kernel activations, one per sample."""
-    A = np.empty((len(xs), basis.n_kernels))
-    for k, x in enumerate(xs):
-        psi = basis.kernel_values(x)
-        s = psi.sum()
-        A[k] = psi / s * x if s >= _ACTIVATION_FLOOR else 0.0
+    """Rows of normalized, phase-gated kernel activations, one per sample.
+
+    Row k equals kernel_values(xs[k]) / its sum * xs[k], bit for bit, and
+    is zero where the total activation is below the 1e-300 floor.  Built
+    in place in one (n, N) buffer.
+    """
+    xs = np.asarray(xs, dtype=float)
+    A = np.subtract(xs[:, None], basis.centers)
+    np.square(A, out=A)
+    if basis.scheme == "a":
+        A *= -basis.widths
+        np.exp(A, out=A)
+    else:
+        A *= -0.5
+        A /= basis.widths
+        np.exp(A, out=A)
+        A /= np.sqrt(2.0 * np.pi * basis.widths)
+    s = A.sum(axis=1)
+    live = s >= _ACTIVATION_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A /= s[:, None]
+    A *= xs[:, None]
+    A[~live] = 0.0
     return A
 
 
-def fit_weights(xs: np.ndarray, targets: np.ndarray,
-                basis: GaussianBasis) -> tuple[np.ndarray, float]:
+def fit_weights(xs: np.ndarray, targets: np.ndarray, basis: GaussianBasis
+                ) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimum-norm least-squares kernel weights for per-sample targets.
 
-    Solves design_matrix(xs) @ w ~= targets through a rank-revealing
-    svd with relative cutoff 1e-10, and returns (weights, residual norm).
-    All-zero targets short-circuit to zero weights.
+    targets is (n,) or (n, dims).  Each column is solved on its own
+    against design_matrix(xs), built once, through a rank-revealing svd
+    with relative cutoff 1e-10; an all-zero column short-circuits to zero
+    weights (and no design matrix is built if every column is zero).
+    Returns (weights, residual norm): (N,) and a float for 1-D targets,
+    (dims, N) and (dims,) for 2-D ones.
     """
-    xs = np.asarray(xs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if not np.any(targets):
-        return np.zeros(basis.n_kernels), 0.0
-    A = design_matrix(xs, basis)
-    w, *_ = np.linalg.lstsq(A, targets, rcond=_SV_CUTOFF)
-    return w, float(np.linalg.norm(A @ w - targets))
+    cols = targets[:, None] if targets.ndim == 1 else targets
+    weights = np.zeros((cols.shape[1], basis.n_kernels))
+    residuals = np.zeros(cols.shape[1])
+    active = [j for j in range(cols.shape[1]) if np.any(cols[:, j])]
+    if active:
+        A = design_matrix(xs, basis)
+        for j in active:
+            weights[j], *_ = np.linalg.lstsq(A, cols[:, j], rcond=_SV_CUTOFF)
+            residuals[j] = np.linalg.norm(A @ weights[j] - cols[:, j])
+    if targets.ndim == 1:
+        return weights[0], float(residuals[0])
+    return weights, residuals

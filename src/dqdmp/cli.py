@@ -39,6 +39,7 @@ from .dmp import (
     dq_rollout,
     dq_train,
     load_model,
+    model_frame_rates,
     pose_rollout,
     pose_train,
     quat_rollout,
@@ -46,7 +47,7 @@ from .dmp import (
     save_model,
 )
 from .dualquat import Pose, dq_from_pose, dq_to_pose
-from .quat import quat_normalize, quat_rotate, quat_to_rotmat
+from .quat import quat_normalize, quat_to_rotmat
 from .traj import (
     ScalarDemo,
     Trajectory,
@@ -197,21 +198,14 @@ def fd_residual_report(model, traj: Trajectory | None = None,
               file=sys.stderr)
         return
     xs = phase(traj.t, model.basis.alpha_x, model.tau)
-    der = traj.derived()
     if isinstance(model, QuaternionDmp):
-        omega, omega_dot = der.omega_b, np.gradient(der.omega_b, traj.dt,
-                                                    axis=0, edge_order=2)
-        if model.frame == "inertial":
-            omega = np.array([quat_rotate(traj.quaternions[k], omega[k])
-                              for k in range(len(traj))])
-            omega_dot = np.array([quat_rotate(traj.quaternions[k], omega_dot[k])
-                                  for k in range(len(traj))])
+        omega, omega_dot = model_frame_rates(traj, model.frame)
         fd = quat_target_forcing(traj.quaternions, omega, omega_dot, xs,
                                  model.qd, model.q0, model.tau, model.k_gain,
                                  model.d_gain, model.frame)
     else:
-        dqs = [dq_from_pose(Pose(traj.positions[k], traj.quaternions[k]))
-               for k in range(len(traj))]
+        der = traj.derived()
+        dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
         fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, model.dqd,
                                model.dq0, model.tau, model.k_rot, model.k_pos,
                                model.d_rot, model.d_pos)

@@ -15,8 +15,9 @@ and, for the rotational states, the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
-targets and fits kernel weights per output dimension by least squares,
-all dimensions sharing one phase.
+targets, one array expression per stage over the whole demonstration, and
+fits kernel weights per output dimension by least squares, all dimensions
+sharing one phase and one design matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .dualquat import (
     Twist,
     dq_error,
     dq_from_pose,
+    dq_position,
     dq_to_pose,
 )
 from .quat import (
@@ -190,6 +192,7 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
 
 
 def _quat_error(q: np.ndarray, qd: np.ndarray, frame: str) -> np.ndarray:
+    """Rotation error of q (single or (n, 4) stack) against the goal qd."""
     if frame == BODY:
         return quat_vec(quat_product(quat_conjugate(q), qd))
     return quat_vec(quat_product(qd, quat_conjugate(q)))
@@ -207,12 +210,21 @@ def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
     """
     kinv = np.linalg.inv(k_gain)
     e0 = _quat_error(q0, qd, frame)
-    n = len(quats)
-    fd = np.empty((n, 3))
-    for k in range(n):
-        e = _quat_error(quats[k], qd, frame)
-        fd[k] = kinv @ (tau**2 * omega_dot[k] + tau * d_gain @ omega[k]) - e + e0 * xs[k]
-    return fd
+    e = _quat_error(quats, qd, frame)
+    drive = tau**2 * omega_dot + omega @ (tau * d_gain).T
+    return drive @ kinv.T - e + e0 * xs[:, None]
+
+
+def model_frame_rates(traj: Trajectory, frame: str) -> tuple[np.ndarray, np.ndarray]:
+    """Demonstrated angular rate and its derivative in the model frame."""
+    der = traj.derived()
+    omega, omega_dot = der.omega_b, np.gradient(der.omega_b, traj.dt, axis=0,
+                                                edge_order=2)
+    if frame == INERTIAL:
+        # omega_s = R omega_b; the transport term R(omega x omega) vanishes
+        omega = quat_rotate(traj.quaternions, omega)
+        omega_dot = quat_rotate(traj.quaternions, omega_dot)
+    return omega, omega_dot
 
 
 def quat_train(traj: Trajectory, tau: float, k_gain, d_gain,
@@ -222,22 +234,12 @@ def quat_train(traj: Trajectory, tau: float, k_gain, d_gain,
         raise ValueError(f"unknown frame {frame!r}")
     k_gain = _gain_matrix(k_gain)
     d_gain = _gain_matrix(d_gain)
-    der = traj.derived()
-    omega, omega_dot = der.omega_b, np.gradient(der.omega_b, traj.dt, axis=0,
-                                                edge_order=2)
-    if frame == INERTIAL:
-        # omega_s = R omega_b; the transport term R(omega x omega) vanishes
-        omega = np.array([quat_rotate(traj.quaternions[k], omega[k])
-                          for k in range(len(traj))])
-        omega_dot = np.array([quat_rotate(traj.quaternions[k], omega_dot[k])
-                              for k in range(len(traj))])
+    omega, omega_dot = model_frame_rates(traj, frame)
     xs = phase(traj.t, basis.alpha_x, tau)
     q0, qd = traj.quaternions[0], traj.quaternions[-1]
     fd = quat_target_forcing(traj.quaternions, omega, omega_dot, xs, qd, q0,
                              tau, k_gain, d_gain, frame)
-    weights = np.empty((3, basis.n_kernels))
-    for dim in range(3):
-        weights[dim], _ = fit_weights(xs, fd[:, dim], basis)
+    weights, _ = fit_weights(xs, fd, basis)
     return QuaternionDmp(frame, k_gain, d_gain, basis, weights,
                          q0.copy(), qd.copy(), float(tau))
 
@@ -351,27 +353,24 @@ def _quat_step_raw(q: np.ndarray, zr: np.ndarray, body: bool) -> np.ndarray:
 # dual quaternion variant
 
 
-def dq_target_forcing(dqs: list[DualQuaternion], xi: np.ndarray,
+def dq_target_forcing(dqs: np.ndarray, xi: np.ndarray,
                       xi_dot: np.ndarray, xs: np.ndarray,
                       dqd: DualQuaternion, dq0: DualQuaternion, tau: float,
                       k_rot: np.ndarray, k_pos: np.ndarray,
                       d_rot: np.ndarray, d_pos: np.ndarray) -> np.ndarray:
     """Per-sample 6-vector forcing targets for the coupled pose primitive.
 
-    xi / xi_dot are the demonstration's body twist and twist rate in real
-    time; f_d = K^-1 (tau^2 xi_dot + tau D xi) - e + e_start * x.
+    dqs is the (n, 8) stack of demonstrated poses [real, dual]; xi / xi_dot
+    are the demonstration's body twist and twist rate in real time;
+    f_d = K^-1 (tau^2 xi_dot + tau D xi) - e + e_start * x.
     """
     kinv_r, kinv_p = np.linalg.inv(k_rot), np.linalg.inv(k_pos)
     e0 = dq_error(dq0, dqd)
-    n = len(dqs)
-    fd = np.empty((n, 6))
-    for k in range(n):
-        e = dq_error(dqs[k], dqd)
-        drive_r = tau**2 * xi_dot[k, :3] + tau * d_rot @ xi[k, :3]
-        drive_p = tau**2 * xi_dot[k, 3:] + tau * d_pos @ xi[k, 3:]
-        fd[k, :3] = kinv_r @ drive_r - e[:3] + e0[:3] * xs[k]
-        fd[k, 3:] = kinv_p @ drive_p - e[3:] + e0[3:] * xs[k]
-    return fd
+    e = dq_error(DualQuaternion(dqs[:, :4], dqs[:, 4:]), dqd)
+    drive_r = tau**2 * xi_dot[:, :3] + xi[:, :3] @ (tau * d_rot).T
+    drive_p = tau**2 * xi_dot[:, 3:] + xi[:, 3:] @ (tau * d_pos).T
+    drive = np.concatenate([drive_r @ kinv_r.T, drive_p @ kinv_p.T], axis=1)
+    return drive - e + e0 * xs[:, None]
 
 
 def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
@@ -384,16 +383,15 @@ def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
     k_rot, k_pos = _gain_matrix(k_rot), _gain_matrix(k_pos)
     d_rot, d_pos = _gain_matrix(d_rot), _gain_matrix(d_pos)
     der = traj.derived()
-    dqs = [dq_from_pose(Pose(traj.positions[k], traj.quaternions[k]))
-           for k in range(len(traj))]
+    dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
+    start = DualQuaternion(dqs[0, :4], dqs[0, 4:])
+    goal = DualQuaternion(dqs[-1, :4], dqs[-1, 4:])
     xs = phase(traj.t, basis.alpha_x, tau)
-    fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, dqs[-1], dqs[0], tau,
+    fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, goal, start, tau,
                            k_rot, k_pos, d_rot, d_pos)
-    weights = np.empty((6, basis.n_kernels))
-    for dim in range(6):
-        weights[dim], _ = fit_weights(xs, fd[:, dim], basis)
+    weights, _ = fit_weights(xs, fd, basis)
     return DualQuaternionDmp(k_rot, k_pos, d_rot, d_pos, basis, weights,
-                             dqs[0], dqs[-1], float(tau))
+                             start, goal, float(tau))
 
 
 def lyapunov_value(dq: DualQuaternion, xi, dqd: DualQuaternion,
@@ -437,13 +435,8 @@ class DqRollout:
 
     def poses(self) -> tuple[np.ndarray, np.ndarray]:
         """(positions (n,3), quaternions (n,4)) extracted from the states."""
-        n = len(self.t)
-        pos = np.empty((n, 3))
-        for k in range(n):
-            real, dual = self.dq[k, :4], self.dq[k, 4:]
-            p_b = 2.0 * quat_vec(quat_product(quat_conjugate(real), dual))
-            pos[k] = quat_rotate(real, p_b)
-        return pos, self.dq[:, :4].copy()
+        return (dq_position(DualQuaternion(self.dq[:, :4], self.dq[:, 4:])),
+                self.dq[:, :4].copy())
 
 
 def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
@@ -665,14 +658,16 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     beta_z = float(k_pos) / float(d_pos)
     vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
     acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
-    axes = []
-    for dim in range(3):
-        demo = ScalarDemo(traj.t, traj.positions[:, dim], vel[:, dim],
-                          acc[:, dim])
-        axes.append(classical_train(demo, float(traj.positions[-1, dim]),
-                                    tau, alpha_z, beta_z, pos_basis))
+    # the three axes as one (n, 3) scalar demo: one design matrix for all
+    y0, g = traj.positions[0], traj.positions[-1]
+    fd = classical_target_forcing(ScalarDemo(traj.t, traj.positions, vel, acc),
+                                  g, tau, alpha_z, beta_z)
+    weights, _ = fit_weights(phase(traj.t, pos_basis.alpha_x, tau), fd, pos_basis)
+    axes = tuple(ClassicalDmp(alpha_z, beta_z, pos_basis, weights[dim],
+                              float(y0[dim]), float(g[dim]), float(tau))
+                 for dim in range(3))
     orientation = quat_train(traj, tau, k_rot, d_rot, rot_basis, frame=BODY)
-    return PoseDecoupledDmp(tuple(axes), orientation)
+    return PoseDecoupledDmp(axes, orientation)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,13 @@ which is exactly the convention under which the pose kinematics read
 ``d(q_hat)/dt = 1/2 q_hat (x) xi_b~``.  Mixing frames is treated as a
 programming error and raises.
 
-Everything here is a pure function over immutable values.  The ``_raw``
-helpers at the bottom operate on bare (4,) arrays and are shared with the
-integrator hot loops.
+Everything here is a pure function over immutable values.  The parts of a
+``DualQuaternion`` or ``Pose`` may also be ``(n, 4)`` / ``(n, 3)`` stacks;
+the product, conjugate, encoding (``dq_from_pose``), position, error and
+``twist_body_from_demo`` functions then work row by row with the bits of
+the single-value call.
+The ``_raw`` helpers at the bottom operate on bare (4,) arrays and are
+shared with the integrator hot loops.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ class DualQuaternion:
     dual: np.ndarray
 
     def as_array(self) -> np.ndarray:
-        """Flat length-8 array [real, dual], scalar-first in each part."""
-        return np.concatenate([self.real, self.dual])
+        """Flat length-8 array [real, dual], scalar-first in each part
+        ((n, 8) for stacked parts)."""
+        return np.concatenate([self.real, self.dual], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class Twist:
     frame: str = BODY
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.r, self.v])
+        return np.concatenate([self.r, self.v], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,6 @@ class Pose:
 
 def dq_identity() -> DualQuaternion:
     return DualQuaternion(np.array([1.0, 0, 0, 0]), np.zeros(4))
-
-
-def dq_from_array(a: np.ndarray) -> DualQuaternion:
-    return DualQuaternion(np.asarray(a[:4], dtype=float), np.asarray(a[4:8], dtype=float))
 
 
 def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
@@ -126,11 +127,18 @@ def dq_constraint_errors(q: DualQuaternion) -> tuple[float, float]:
 
 
 def dq_from_pose(pose: Pose) -> DualQuaternion:
-    """Build the unit dual quaternion encoding a pose."""
-    q = pose.orientation
-    p_b = quat_rotate_inverse(q, pose.position)
-    return DualQuaternion(np.asarray(q, dtype=float),
-                          0.5 * quat_product(q, np.array([0.0, *p_b])))
+    """Build the unit dual quaternion encoding a pose (or a stack of poses)."""
+    q = np.asarray(pose.orientation, dtype=float)
+    p_b = quat_rotate_inverse(q, np.asarray(pose.position, dtype=float))
+    pure = np.zeros(p_b.shape[:-1] + (4,))
+    pure[..., 1:] = p_b
+    return DualQuaternion(q, 0.5 * quat_product(q, pure))
+
+
+def dq_position(dq: DualQuaternion) -> np.ndarray:
+    """Inertial position carried by a dual quaternion; no constraint check."""
+    p_b = 2.0 * quat_vec(quat_product(quat_conjugate(dq.real), dq.dual))
+    return quat_rotate(dq.real, p_b)
 
 
 def dq_to_pose(dq: DualQuaternion) -> Pose:
@@ -140,8 +148,7 @@ def dq_to_pose(dq: DualQuaternion) -> Pose:
         raise ValueError(
             f"dual quaternion violates unit constraints (norm err {nerr:.2e}, "
             f"orthogonality err {derr:.2e})")
-    p_b = 2.0 * quat_vec(quat_product(quat_conjugate(dq.real), dq.dual))
-    return Pose(quat_rotate(dq.real, p_b), dq.real.copy())
+    return Pose(dq_position(dq), dq.real.copy())
 
 
 def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
@@ -150,7 +157,8 @@ def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
 
     Forms q_e = dq* (x) dq_d, extracts the carried translation
     p_e = vec(2 q_oe* (x) q_pe), and pairs it with a rotation error that is
-    either the vector part of q_oe (default) or its full logarithm.
+    either the vector part of q_oe (default) or its full logarithm (which
+    takes single values only).
     """
     qe = dq_product(dq_conjugate(dq), dq_d)
     p_e = 2.0 * quat_vec(quat_product(quat_conjugate(qe.real), qe.dual))
@@ -160,7 +168,7 @@ def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
         rot = quat_log(qe.real)
     else:
         raise ValueError(f"unknown rotation_error {rotation_error!r}")
-    return np.concatenate([rot, p_e])
+    return np.concatenate([rot, p_e], axis=-1)
 
 
 def dq_exp(xi: Twist) -> DualQuaternion:

@@ -15,9 +15,15 @@ Conventions used throughout the package:
   trajectory tooling, not by this module.
 
 All functions are pure and allocate fresh arrays; they are safe to call
-concurrently. The products are written out component-wise on purpose:
-the integrators in this package step millions of quaternions, and the
-expanded form is several times faster than stacked numpy expressions.
+concurrently.  The products are written out component-wise on purpose.
+The algebra kernels (product, conjugate, vector part, rotations) unpack
+the last axis with ``a.T``, so one formula serves a single ``(4,)``
+quaternion and an ``(n, 4)`` stack (broadcasting a single operand against
+a stack), with the same bits per row either way; training evaluates them
+once per demonstration.  The exponential, logarithm, norm and step
+functions take single values.  The integrators keep their own float-level
+``_raw`` forms (in ``dmp`` and ``dualquat``), which are several times
+faster per step than any array expression.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import numpy as np
 # Below this vector-part norm the rotation axis is numerically meaningless
 # and the logarithm falls back to the zero vector.
 _AXIS_EPS = 1e-12
+# sign pattern of the conjugate
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_identity() -> np.ndarray:
@@ -40,24 +48,24 @@ def quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Component form of [w1*w2 - v1.v2, w1*v2 + w2*v1 + v1 x v2]; associative,
     not commutative.
     """
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
     return np.array([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + bw * ax + ay * bz - az * by,
         aw * by + bw * ay + az * bx - ax * bz,
         aw * bz + bw * az + ax * by - ay * bx,
-    ])
+    ]).T
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Conjugate [w, -x, -y, -z]; equals the inverse for unit quaternions."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return q * _CONJ
 
 
 def quat_vec(q: np.ndarray) -> np.ndarray:
     """Vector (imaginary) part of q."""
-    return np.array([q[1], q[2], q[3]])
+    return q[..., 1:].copy()
 
 
 def quat_norm(q: np.ndarray) -> float:
@@ -151,24 +159,21 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the body frame to the inertial frame."""
-    # v + 2 w (u x v) + 2 u x (u x v), crosses written out (np.cross has
-    # far too much dispatch overhead for single 3-vectors)
-    w, ux, uy, uz = float(q[0]), float(q[1]), float(q[2]), float(q[3])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    tx = 2.0 * (uy * vz - uz * vy)
-    ty = 2.0 * (uz * vx - ux * vz)
-    tz = 2.0 * (ux * vy - uy * vx)
-    return np.array([
-        vx + w * tx + uy * tz - uz * ty,
-        vy + w * ty + uz * tx - ux * tz,
-        vz + w * tz + ux * ty - uy * tx,
-    ])
+    w, x, y, z = q.T
+    return _rotate(w, x, y, z, v)
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the inertial frame to the body frame."""
-    w, ux, uy, uz = float(q[0]), -float(q[1]), -float(q[2]), -float(q[3])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    w, x, y, z = q.T
+    return _rotate(w, -x, -y, -z, v)
+
+
+def _rotate(w, ux, uy, uz, v: np.ndarray) -> np.ndarray:
+    """Rotate v by the unit quaternion [w, ux, uy, uz]."""
+    # v + 2 w (u x v) + 2 u x (u x v), crosses written out (np.cross has
+    # far too much dispatch overhead for single 3-vectors)
+    vx, vy, vz = v.T
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)
@@ -176,4 +181,4 @@ def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
         vx + w * tx + uy * tz - uz * ty,
         vy + w * ty + uz * tx - ux * tz,
         vz + w * tz + ux * ty - uy * tx,
-    ])
+    ]).T

@@ -2,7 +2,7 @@
 
 A trajectory is a uniformly sampled sequence of inertial positions and
 body-to-inertial quaternions.  On ingestion the quaternion sequence is made
-sign-continuous (<q_k, q_{k+1}> >= 0 for all k) by greedily flipping whole
+sign-continuous (<q_k, q_{k+1}> >= 0 for all k) by flipping whole
 quaternions; rotations are unchanged by this, but differentiation and the
 dual-quaternion encoders need the continuous representative.
 
@@ -60,9 +60,15 @@ class Trajectory:
             raise ValueError("a trajectory needs at least two samples")
         if positions.shape != (len(t), 3) or quaternions.shape != (len(t), 4):
             raise ValueError("inconsistent sample array shapes")
+        finite = (np.isfinite(t) & np.all(np.isfinite(positions), axis=1)
+                  & np.all(np.isfinite(quaternions), axis=1))
+        if not np.all(finite):
+            raise ValueError(f"non-finite value at sample {int(np.argmin(finite))}")
         dt = float(t[1] - t[0])
         if dt <= 0.0:
             raise ValueError("sample times must be increasing")
+        if abs(t[0]) > _UNIFORM_TOL_FACTOR * dt:
+            raise ValueError(f"sample times must start at 0 (sample 0 is at {t[0]:.17g})")
         if np.max(np.abs(np.diff(t) - dt)) > _UNIFORM_TOL_FACTOR * dt:
             raise ValueError("sample times are not uniform")
         norms = np.linalg.norm(quaternions, axis=1)
@@ -70,12 +76,7 @@ class Trajectory:
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"non-unit quaternion at sample {bad} "
                              f"(norm {norms[bad]:.6f})")
-        quaternions = quaternions / norms[:, None]
-        # enforce sign continuity by greedy whole-quaternion flips
-        quaternions = quaternions.copy()
-        for k in range(1, len(t)):
-            if quaternions[k - 1] @ quaternions[k] < 0.0:
-                quaternions[k] = -quaternions[k]
+        quaternions = _sign_continuous(quaternions / norms[:, None])
         self.t = t
         self.positions = positions
         self.quaternions = quaternions
@@ -103,6 +104,23 @@ class Trajectory:
         """Body twist at sample k (frame-tagged view into derived data)."""
         d = self.derived()
         return Twist(d.xi[k, :3].copy(), d.xi[k, 3:].copy(), "body")
+
+
+def _sign_continuous(q: np.ndarray) -> np.ndarray:
+    """Flip whole quaternions so that <q_k, q_{k+1}> >= 0 along the sequence.
+
+    Gives the result of walking the sequence and negating q_k whenever its
+    dot with the already corrected q_{k-1} is negative: the sign of sample
+    k is the product of the signs of the raw dots since the last exactly
+    zero dot, which resets it to +1 (a zero dot is not negative).
+    """
+    # batched matmul takes the same dot per row as q[k-1] @ q[k]
+    d = (q[:-1, None, :] @ q[1:, :, None])[:, 0, 0]
+    flips = np.concatenate([[0], np.cumsum(d < 0.0)])
+    reset = np.concatenate([[True], d == 0.0])
+    base = np.maximum.accumulate(np.where(reset, flips, 0))
+    odd = (flips - base) % 2 == 1
+    return np.where(odd[:, None], -q, q)
 
 
 @dataclass(frozen=True)
@@ -142,23 +160,15 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
     follows the body-frame convention of twist_body_from_demo.  Requires at
     least four samples.
     """
-    n = len(traj)
-    if n < 4:
+    if len(traj) < 4:
         raise ValueError("trajectory too short to differentiate (need >= 4 samples)")
     q = traj.quaternions
     qdot = np.gradient(q, traj.dt, axis=0, edge_order=2)
-    omega_b = np.empty((n, 3))
-    p_b = np.empty((n, 3))
-    for k in range(n):
-        # vec() discards the O(dt^2) scalar part left by differencing unit data
-        omega_b[k] = 2.0 * quat_vec(quat_product(quat_conjugate(q[k]), qdot[k]))
-        p_b[k] = quat_rotate_inverse(q[k], traj.positions[k])
+    # vec() discards the O(dt^2) scalar part left by differencing unit data
+    omega_b = 2.0 * quat_vec(quat_product(quat_conjugate(q), qdot))
+    p_b = quat_rotate_inverse(q, traj.positions)
     p_b_dot = np.gradient(p_b, traj.dt, axis=0, edge_order=2)
-    xi = np.empty((n, 6))
-    for k in range(n):
-        tw = twist_body_from_demo(omega_b[k], p_b[k], p_b_dot[k])
-        xi[k, :3] = tw.r
-        xi[k, 3:] = tw.v
+    xi = twist_body_from_demo(omega_b, p_b, p_b_dot).as_array()
     xi_dot = np.gradient(xi, traj.dt, axis=0, edge_order=2)
     return DerivedChannels(omega_b, p_b, p_b_dot, xi, xi_dot)
 

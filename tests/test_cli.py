@@ -95,6 +95,30 @@ def test_train_rejects_too_short_demo(tmp_path, capsys):
     assert "short" in capsys.readouterr().err
 
 
+BAD_ROWS = {"nan_position": "0.02,nan,0,0,1,0,0,0",
+            "nan_quaternion": "0.02,0,0,0,nan,nan,nan,nan"}
+
+
+def _bad_demo(path, case):
+    t0 = 0.5 if case == "late_start" else 0.0
+    rows = [f"{t0 + 0.01 * k:.2f},{k},0,0,1,0,0,0" for k in range(8)]
+    if case in BAD_ROWS:
+        rows[2] = BAD_ROWS[case]
+    path.write_text("t,px,py,pz,qw,qx,qy,qz\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("case", ["nan_position", "nan_quaternion", "late_start"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_bad_demo_fails_with_exit_code_1(tmp_path, capsys, case, command):
+    demo = tmp_path / "bad.csv"
+    _bad_demo(demo, case)
+    out = tmp_path / "out"
+    assert run([command, "--demo", str(demo), "-o", str(out)]) == 1
+    assert "sample" in capsys.readouterr().err
+    if command == "train":
+        assert not out.exists()
+
+
 def test_train_missing_demo_fails(tmp_path, capsys):
     rc = run(["train", "--variant", "dq", "--demo",
               str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")])

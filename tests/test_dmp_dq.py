@@ -55,7 +55,8 @@ def test_dq_forcing_zero_for_stationary_demo(rng):
     dqs = [goal] * n
     xi = np.zeros((n, 6))
     xs = phase(np.arange(n) * 0.01, 2.0, 1.0)
-    fd = dq_target_forcing(dqs, xi, xi, xs, goal, goal, 1.0, EYE3, EYE3,
+    fd = dq_target_forcing(np.array([q.as_array() for q in dqs]), xi, xi, xs,
+                           goal, goal, 1.0, EYE3, EYE3,
                            2.0 * EYE3, 2.0 * EYE3)
     np.testing.assert_allclose(fd, 0.0, atol=1e-12)
 
@@ -109,7 +110,8 @@ def test_dq_forcing_zero_for_unforced_rollout(rng):
     t, dqs, xis = rk4_unforced_dq_demo(start, goal, k, d, 2.0, 1.0, dt, 4.0)
     xi_dot = np.gradient(xis, dt, axis=0, edge_order=2)
     xs = phase(t, 2.0, 1.0)
-    fd = dq_target_forcing(dqs, xis, xi_dot, xs, goal, start, 1.0, k, k, d, d)
+    fd = dq_target_forcing(np.array([q.as_array() for q in dqs]), xis, xi_dot,
+                           xs, goal, start, 1.0, k, k, d, d)
     assert np.max(np.abs(fd)) <= 1e-5
 
 
@@ -123,8 +125,8 @@ def test_dq_forcing_somersault_initial_sample():
     tau = traj.duration
     xs = phase(traj.t, 0.05, tau)
     k, d = 1.0 * EYE3, 10.0 * EYE3
-    fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, dqs[-1], dqs[0], tau,
-                           k, k, d, d)
+    fd = dq_target_forcing(np.array([q.as_array() for q in dqs]), der.xi,
+                           der.xi_dot, xs, dqs[-1], dqs[0], tau, k, k, d, d)
     e0 = dq_error(dqs[0], dqs[-1])
     np.testing.assert_allclose(e0, 0.0, atol=1e-9)
     expected = tau**2 * der.xi_dot[0] + tau * 10.0 * der.xi[0]

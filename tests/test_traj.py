@@ -90,6 +90,62 @@ def test_sign_continuity_enforced_on_load():
     assert np.all(dots >= 0.0)
 
 
+@pytest.mark.parametrize("row", ["nan,0,0,0,1,0,0,0", "0.2,0,nan,0,1,0,0,0",
+                                 "0.2,0,0,0,nan,0,0,0", "0.2,0,0,0,1,0,inf,0"])
+def test_load_rejects_non_finite_sample(row):
+    # a NaN norm never exceeds the unit-norm tolerance, so only an explicit
+    # finiteness check catches the quaternion case
+    text = MINIMAL + row + "\n"
+    with pytest.raises(ValueError, match="non-finite value at sample 2"):
+        load_trajectory(io.StringIO(text))
+
+
+def test_load_rejects_time_axis_not_starting_at_zero():
+    text = "\n".join(["t,px,py,pz,qw,qx,qy,qz", "1,0,0,0,1,0,0,0",
+                      "1.1,0,0,0,1,0,0,0", "1.2,0,0,0,1,0,0,0"]) + "\n"
+    with pytest.raises(ValueError, match="start at 0.*sample 0"):
+        load_trajectory(io.StringIO(text))
+
+
+def test_start_time_within_rounding_of_zero_is_accepted():
+    t = np.arange(5) * 0.01 + 1e-13
+    traj = Trajectory(t, np.zeros((5, 3)), np.tile([1.0, 0, 0, 0], (5, 1)))
+    assert len(traj) == 5
+
+
+def _greedy_sign_continuity(quats):
+    """The walk the constructor replaces: flip q_k when its dot with the
+    corrected q_{k-1} is negative."""
+    q = quats.copy()
+    for k in range(1, len(q)):
+        if q[k - 1] @ q[k] < 0.0:
+            q[k] = -q[k]
+    return q
+
+
+def test_sign_continuity_matches_greedy_walk(rng):
+    # a slow rotation sampled with long runs of flipped signs, plus one
+    # sample exactly orthogonal to its predecessor: the walk resets the
+    # sign to +1 there, as a zero dot is not negative
+    n = 400
+    angles = np.linspace(0.0, 3.0, n)
+    quats = np.stack([np.cos(angles), np.sin(angles) * 0.6,
+                      np.sin(angles) * 0.8, np.zeros(n)], axis=1)
+    signs = np.ones(n)
+    for start, length in ((20, 70), (120, 3), (130, 150), (300, 1), (320, 79)):
+        signs[start:start + length] = -1.0
+    signs[rng.integers(0, n, size=25)] *= -1.0
+    quats = quats * signs[:, None]
+    quats[200] = [0.0, 0.0, 0.0, 1.0]
+    quats[201] = -quats[201]
+    assert quats[199] @ quats[200] == 0.0
+    t = np.arange(n) * 0.01
+    traj = Trajectory(t, np.zeros((n, 3)), quats)
+    expected = _greedy_sign_continuity(quats / np.linalg.norm(quats, axis=1)[:, None])
+    assert np.array_equal(traj.quaternions, expected)
+    assert np.array_equal(traj.quaternions[200], [0.0, 0.0, 0.0, 1.0])
+
+
 def test_constructor_requires_two_samples():
     with pytest.raises(ValueError):
         Trajectory([0.0], np.zeros((1, 3)), np.array([[1.0, 0, 0, 0]]))
