@@ -120,11 +120,7 @@ def forcing(x: float, basis: GaussianBasis, weights: np.ndarray) -> float:
     total activation underflows the forcing is reported as exactly zero
     rather than NaN.
     """
-    psi = basis.kernel_values(x)
-    s = psi.sum()
-    if s < _ACTIVATION_FLOOR:
-        return 0.0
-    return float(weights @ psi) / s * x
+    return float(forcing_rows(x, basis, weights[None, :])[0])
 
 
 def forcing_rows(x: float, basis: GaussianBasis, weights: np.ndarray) -> np.ndarray:

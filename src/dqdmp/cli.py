@@ -20,6 +20,7 @@ decoupled baseline alpha_x 0.1, 30/50 kernels, stiffness 10/1; damping
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 
@@ -47,7 +48,7 @@ from .dmp import (
     save_model,
 )
 from .dualquat import Pose, dq_from_pose, dq_to_pose
-from .quat import quat_normalize, quat_to_rotmat
+from .quat import quat_normalize, quat_rotate, quat_rotate_inverse
 from .traj import (
     ScalarDemo,
     Trajectory,
@@ -58,6 +59,7 @@ from .traj import (
 )
 
 _ROLLOUT_HEADER = ("t,x,px,py,pz,qw,qx,qy,qz,wx,wy,wz,vx,vy,vz,V,V1,V2")
+_TABLE_BLOCK = 1024     # rows per formatting call of _write_table
 
 
 def _fail(msg: str) -> int:
@@ -65,14 +67,24 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _write_lines(path: str | None, lines) -> None:
+def _write_table(path: str | None, header: str, table: np.ndarray) -> None:
+    """Header line, then one line per row of full-precision ('%.17g') values.
+
+    Rows are formatted a block at a time, one '%' per block, so that only one
+    block's values are ever held as Python floats.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    blocks = np.split(table, range(_TABLE_BLOCK, len(table), _TABLE_BLOCK))
+    _write_text(path, itertools.chain(
+        [header + "\n"], (row * len(b) % tuple(b.ravel().tolist()) for b in blocks)))
+
+
+def _write_text(path: str | None, chunks) -> None:
     if path is None or path == "-":
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +102,8 @@ def cmd_gen(args) -> int:
         print(f"wrote {len(traj)} samples to {args.output}", file=sys.stderr)
         return 0
     demo = gen_min_jerk(args.start, args.to, args.duration, args.dt)
-    lines = ["t,y,yd,ydd"]
-    for k in range(len(demo.t)):
-        lines.append(",".join(f"{v:.17g}" for v in
-                              (demo.t[k], demo.y[k], demo.yd[k], demo.ydd[k])))
-    _write_lines(args.output, lines)
+    _write_table(args.output, "t,y,yd,ydd",
+                 np.column_stack([demo.t, demo.y, demo.yd, demo.ydd]))
     print(f"wrote {len(demo.t)} samples to {args.output}", file=sys.stderr)
     return 0
 
@@ -233,93 +242,61 @@ def _parse_goal(text: str):
 def cmd_rollout(args) -> int:
     try:
         model = load_model(args.model)
+        goal_pos = goal_quat = None
+        if args.goal is not None:
+            goal_pos, goal_quat = _parse_goal(args.goal)
+        table = _rollout_table(model, args.dt, args.duration, args.tau,
+                               goal_pos, goal_quat)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    goal_pos = goal_quat = None
-    if args.goal is not None:
-        try:
-            goal_pos, goal_quat = _parse_goal(args.goal)
-        except ValueError as exc:
-            return _fail(str(exc))
-    duration = args.duration
+    _write_table(args.output, _ROLLOUT_HEADER, table)
+    print(f"rollout table: {len(table)} rows", file=sys.stderr)
+    return 0
+
+
+def _rollout_table(model, dt: float, duration: float | None,
+                   tau_override: float | None, goal_pos, goal_quat):
+    """Roll a model out and lay its states out in the _ROLLOUT_HEADER
+    columns, with the physical (not tau-scaled) twist."""
+    tau = tau_override
+    if tau is None:
+        tau = model.orientation.tau if isinstance(model, PoseDecoupledDmp) else model.tau
+    if duration is None:
+        duration = 1.5 * tau
     if isinstance(model, ClassicalDmp):
-        tau = args.tau if args.tau is not None else model.tau
-        if duration is None:
-            duration = 1.5 * tau
-        m = model
-        if args.tau is not None:
-            m = replace(m, tau=args.tau)
+        m = replace(model, tau=tau)
         if goal_pos is not None:
             m = replace(m, goal=float(goal_pos[0]))
-        roll = classical_rollout(m, m.y0, args.dt, duration)
-        k_cl = m.alpha_z * m.beta_z
-        lines = [_ROLLOUT_HEADER]
-        for k in range(len(roll.t)):
-            err = m.goal - roll.y[k]
-            v = roll.z[k] / m.tau
-            v2 = 0.5 * err * err + 0.5 * v * v / k_cl
-            row = [roll.t[k], roll.x[k], roll.y[k], 0.0, 0.0,
-                   1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v, 0.0, 0.0,
-                   v2, 0.0, v2]
-            lines.append(",".join(f"{val:.17g}" for val in row))
-    elif isinstance(model, QuaternionDmp):
-        tau = args.tau if args.tau is not None else model.tau
-        if duration is None:
-            duration = 1.5 * tau
-        roll = quat_rollout(model, dt=args.dt, duration=duration,
-                            goal_override=goal_quat, tau_override=args.tau)
-        lines = [_ROLLOUT_HEADER]
-        for k in range(len(roll.t)):
-            om = roll.omega[k] / tau
-            row = [roll.t[k], roll.x[k], 0.0, 0.0, 0.0, *roll.q[k], *om,
-                   0.0, 0.0, 0.0, roll.v1[k], roll.v1[k], 0.0]
-            lines.append(",".join(f"{val:.17g}" for val in row))
-    elif isinstance(model, DualQuaternionDmp):
-        tau = args.tau if args.tau is not None else model.tau
-        if duration is None:
-            duration = 1.5 * tau
+        roll = classical_rollout(m, m.y0, dt, duration)
+        zero, one = np.zeros(len(roll.t)), np.ones(len(roll.t))
+        return np.column_stack([roll.t, roll.x, roll.y, zero, zero,
+                                one, zero, zero, zero, zero, zero, zero,
+                                roll.z / tau, zero, zero,
+                                roll.energy, zero, roll.energy])
+    if isinstance(model, QuaternionDmp):
+        roll = quat_rollout(model, dt=dt, duration=duration,
+                            goal_override=goal_quat, tau_override=tau_override)
+        zero = np.zeros(len(roll.t))
+        return np.column_stack([roll.t, roll.x, zero, zero, zero, roll.q,
+                                roll.omega / tau, zero, zero, zero,
+                                roll.v1, roll.v1, zero])
+    if isinstance(model, DualQuaternionDmp):
         goal_dq = None
         if goal_pos is not None:
             base = dq_to_pose(model.dqd)
             goal_dq = dq_from_pose(Pose(
                 goal_pos, goal_quat if goal_quat is not None else base.orientation))
-        roll = dq_rollout(model, dt=args.dt, duration=duration,
-                          goal_override=goal_dq, tau_override=args.tau)
+        roll = dq_rollout(model, dt=dt, duration=duration,
+                          goal_override=goal_dq, tau_override=tau_override)
         pos, quat = roll.poses()
-        lines = [_ROLLOUT_HEADER]
-        for k in range(len(roll.t)):
-            tw = roll.xi[k] / tau
-            row = [roll.t[k], roll.x[k], *pos[k], *quat[k], *tw,
-                   *roll.lyap[k]]
-            lines.append(",".join(f"{val:.17g}" for val in row))
-    elif isinstance(model, PoseDecoupledDmp):
-        tau = args.tau if args.tau is not None else model.orientation.tau
-        if duration is None:
-            duration = 1.5 * tau
-        roll = pose_rollout(model, args.dt, duration, goal_position=goal_pos,
-                            goal_quat=goal_quat, tau_override=args.tau)
-        k_rot = model.orientation.k_gain
-        k_cl = model.position[0].alpha_z * model.position[0].beta_z
-        goals = np.array([m.goal for m in model.position]) \
-            if goal_pos is None else goal_pos
-        qd = model.orientation.qd if goal_quat is None else goal_quat
-        lines = [_ROLLOUT_HEADER]
-        for k in range(len(roll.t)):
-            om = roll.omega[k] / tau
-            dqq = qd - roll.q[k]
-            v1 = float(dqq @ dqq
-                       + 0.5 * roll.omega[k] @ np.linalg.solve(k_rot, roll.omega[k]))
-            dp = goals - roll.positions[k]
-            vel = roll.velocities[k] * tau
-            v2 = float(0.5 * dp @ dp + 0.5 * vel @ vel / k_cl)
-            row = [roll.t[k], roll.x[k], *roll.positions[k], *roll.q[k],
-                   *om, *roll.velocities[k], v1 + v2, v1, v2]
-            lines.append(",".join(f"{val:.17g}" for val in row))
-    else:
-        return _fail("unsupported model type")
-    _write_lines(args.output, lines)
-    print(f"rollout table: {len(lines) - 1} rows", file=sys.stderr)
-    return 0
+        return np.column_stack([roll.t, roll.x, pos, quat, roll.xi / tau,
+                                roll.lyap])
+    if isinstance(model, PoseDecoupledDmp):
+        roll = pose_rollout(model, dt, duration, goal_position=goal_pos,
+                            goal_quat=goal_quat, tau_override=tau_override)
+        return np.column_stack([roll.t, roll.x, roll.positions, roll.q,
+                                roll.omega / tau, roll.velocities, roll.energy])
+    raise ValueError("unsupported model type")
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +349,7 @@ def compare_on_demo(traj: Trajectory, dt: float | None = None,
         term_pos = float(np.linalg.norm(pos[n - 1] - traj.positions[n - 1]))
         term_ang = float(ang[n - 1])
         pdot_fd = np.gradient(pos[:n], dt, axis=0, edge_order=2)
-        resid = np.array([
-            np.linalg.norm(pdot_fd[k] - quat_to_rotmat(quat[k]) @ v_body[k])
-            for k in range(n)])
+        resid = np.linalg.norm(pdot_fd - quat_rotate(quat[:n], v_body[:n]), axis=1)
         return {
             "position_rmse_m": pos_rmse,
             "orientation_rmse_rad": ori_rmse,
@@ -384,9 +359,7 @@ def compare_on_demo(traj: Trajectory, dt: float | None = None,
             "kinematic_residual_max_mps": float(resid.max()),
         }
 
-    pvel_body = np.array([
-        quat_to_rotmat(proll.q[k]).T @ proll.velocities[k]
-        for k in range(len(proll.t))])
+    pvel_body = quat_rotate_inverse(proll.q, proll.velocities)
     return {
         "dq": metrics(dpos, dquat, dvel_body),
         "pose_decoupled": metrics(proll.positions, proll.q, pvel_body),
@@ -408,7 +381,7 @@ def cmd_compare(args) -> int:
     for name in ("dq", "pose_decoupled"):
         lines.append(name + "," +
                      ",".join(f"{report[name][f]:.17g}" for f in fields))
-    _write_lines(args.output, lines)
+    _write_text(args.output, (line + "\n" for line in lines))
     print("comparison on", args.demo, file=sys.stderr)
     for name in ("dq", "pose_decoupled"):
         m = report[name]

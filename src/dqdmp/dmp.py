@@ -13,6 +13,14 @@ the pose advances by the exact exponential step with the new velocity.
 The pose never leaves its manifold (unit norms are re-enforced each step)
 and, for the rotational states, the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.
+The quaternion and dual-quaternion rollouts run on one driver,
+``_integrate``, which owns the time grid, the forcing, the full-matrix gain
+update and the output arrays; each variant passes only its error and pose
+step, the component kernels of ``quat`` and ``dualquat``, which run on
+plain floats in the loop over time.  The error rows and the energies are
+computed after the loop, in one array pass over the stored states.  The
+scalar primitive keeps its own short float loop: its position step is
+Euler, its forcing unscaled and it has no start-error term.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -35,21 +43,25 @@ from .canonical import (
     phase,
 )
 from .dualquat import (
+    _UNIT_TOL,
     BODY,
     DualQuaternion,
     Pose,
     Twist,
+    _error as _dq_error,
+    _step as _dq_step,
     dq_error,
     dq_from_pose,
     dq_position,
     dq_to_pose,
 )
 from .quat import (
-    quat_conjugate,
+    _conj,
+    _product,
+    _step as _quat_step,
+    quat_norm,
     quat_normalize,
-    quat_product,
     quat_rotate,
-    quat_vec,
 )
 from .traj import ScalarDemo, Trajectory
 
@@ -150,52 +162,127 @@ def classical_train(demo: ScalarDemo, g: float, tau: float, alpha_z: float,
 
 @dataclass(frozen=True)
 class ClassicalRollout:
-    """Row k holds the state at t[k]; z is the tau-scaled velocity."""
+    """Row k holds the state at t[k]; z is the tau-scaled velocity.
+
+    energy is 0.5 (g - y)^2 + 0.5 z^2 / (alpha_z beta_z); it does not rise
+    along unforced rollouts at a stable step size.
+    """
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     forcing: np.ndarray
+    energy: np.ndarray
 
 
 def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
                       duration: float | None = None, z0: float = 0.0,
                       t_start: float = 0.0) -> ClassicalRollout:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if duration is None:
-        duration = 1.5 * model.tau
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, model.tau)
-    y = np.empty(n + 1)
-    z = np.empty(n + 1)
-    f = np.empty(n + 1)
+    """Integrate the scalar primitive: semi-implicit Euler on plain floats."""
+    ts, xs = _clock(model.basis.alpha_x, model.tau, dt, duration, t_start)
+    f = _forcing(xs, model.basis, model.weights[None, :])[:, 0]
+    az, bz = float(model.alpha_z), float(model.beta_z)
+    g, tau = float(model.goal), float(model.tau)
+    y, z = np.empty(len(xs)), np.empty(len(xs))
     yk, zk = float(y0), float(z0)
     y[0], z[0] = yk, zk
-    az, bz, g, tau = model.alpha_z, model.beta_z, model.goal, model.tau
-    w = model.weights[None, :]
-    forcing_active = bool(np.any(w))
-    for k in range(n):
-        fk = float(forcing_rows(xs[k], model.basis, w)[0]) if forcing_active else 0.0
-        f[k] = fk
+    for k, fk in enumerate(f[:-1].tolist()):
         zk += dt * (az * (bz * (g - yk) - zk) + fk) / tau
         yk += dt * zk / tau
         y[k + 1], z[k + 1] = yk, zk
-    f[n] = float(forcing_rows(xs[n], model.basis, w)[0]) if forcing_active else 0.0
-    return ClassicalRollout(ts, xs, y, z, f)
+    energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / (az * bz)
+    return ClassicalRollout(ts, xs, y, z, f, energy)
+
+
+# ---------------------------------------------------------------------------
+# the shared integrator
+
+
+def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
+           t_start: float) -> tuple[np.ndarray, np.ndarray]:
+    """Time grid t_start + k dt over duration (default 1.5 tau) and its phase."""
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    if duration is None:
+        duration = 1.5 * tau
+    if not (duration >= 0.0 and np.isfinite(duration)):
+        raise ValueError("duration must be non-negative and finite")
+    ts = t_start + np.arange(int(round(duration / dt)) + 1) * dt
+    return ts, phase(ts, alpha_x, tau)
+
+
+def _forcing(xs: np.ndarray, basis: GaussianBasis, weights: np.ndarray) -> np.ndarray:
+    """Forcing rows over the phase grid; zero weights skip the kernels."""
+    out = np.zeros((len(xs), len(weights)))
+    if np.any(weights):
+        for k, x in enumerate(xs):
+            out[k] = forcing_rows(x, basis, weights)
+    return out
+
+
+def _integrate(model, tau: float, dt: float, duration: float | None,
+               t_start: float, k_gain: np.ndarray, d_gain: np.ndarray,
+               anchor: np.ndarray, start: np.ndarray, vel: np.ndarray, error, step):
+    """Semi-implicit Euler driver of the quaternion and dual-quaternion
+    primitives.
+
+    Poses are sequences of float components.  error(pose) gives the goal
+    error and step(pose, z) the pose moved by the exponential step of the
+    displacement z; error also takes the columns of the stacked poses.
+    Each step drives the tau-scaled velocity with u = e - e0 x + f, e0 the
+    error of the trained start pose (anchor), then steps the pose by
+    dt / (2 tau) times the new velocity (the half-angle convention).
+    Returns (t, x, poses, velocities, forcing, errors), one row per sample.
+    """
+    ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
+    forcing = _forcing(xs, model.basis, model.weights)
+    # start-error shaping anchored at the trained start pose: the term is
+    # part of the learned model, so resuming or restarting elsewhere must
+    # not change the vector field
+    e0 = np.array(error(anchor))
+    dt_tau, half = dt / tau, dt / (2.0 * tau)
+    poses, vels = np.empty((len(xs), len(start))), np.empty((len(xs), len(vel)))
+    poses[0], vels[0] = start, vel
+    pose = start.tolist()
+    for k in range(len(xs) - 1):
+        u = np.array(error(pose)) - e0 * xs[k] + forcing[k]
+        vel = vel + dt_tau * (k_gain @ u - d_gain @ vel)
+        pose = step(pose, (half * vel).tolist())
+        poses[k + 1], vels[k + 1] = pose, vel
+    return ts, xs, poses, vels, forcing, np.array(error(poses.T)).T
+
+
+def _rotation_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
+                     kinv: np.ndarray) -> np.ndarray:
+    """V1 per row: chordal distance ||qd - q||^2 plus 0.5 omega^T K^-1 omega."""
+    d = qd - q
+    return np.sum(d * d, axis=-1) + _rate_energy(omega, kinv)
+
+
+def _rate_energy(vel: np.ndarray, kinv: np.ndarray) -> np.ndarray:
+    """0.5 v^T K^-1 v per row of tau-scaled velocities."""
+    return 0.5 * np.sum(vel * (vel @ kinv.T), axis=-1)
+
+
+def _unit_quat(q, what: str) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,) or not abs(quat_norm(q) - 1.0) <= _UNIT_TOL:
+        raise ValueError(f"{what} must be a unit quaternion [w, x, y, z]")
+    return q
 
 
 # ---------------------------------------------------------------------------
 # quaternion variant
 
 
-def _quat_error(q: np.ndarray, qd: np.ndarray, frame: str) -> np.ndarray:
-    """Rotation error of q (single or (n, 4) stack) against the goal qd."""
+def _quat_error(q, qd, frame: str):
+    """Rotation error components of q against the goal qd: vec(q* (x) qd)
+    in the body frame, vec(qd (x) q*) in the inertial frame.  q and qd are
+    4-sequences of floats or of stack columns."""
     if frame == BODY:
-        return quat_vec(quat_product(quat_conjugate(q), qd))
-    return quat_vec(quat_product(qd, quat_conjugate(q)))
+        return _product(_conj(q), qd)[1:]
+    return _product(qd, _conj(q))[1:]
 
 
 def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
@@ -209,8 +296,8 @@ def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
     f_d = K^-1 (tau^2 omega_dot + tau D omega) - e + e_start * x.
     """
     kinv = np.linalg.inv(k_gain)
-    e0 = _quat_error(q0, qd, frame)
-    e = _quat_error(quats, qd, frame)
+    e0 = np.array(_quat_error(q0, qd, frame))
+    e = np.array(_quat_error(quats.T, qd, frame)).T
     drive = tau**2 * omega_dot + omega @ (tau * d_gain).T
     return drive @ kinv.T - e + e0 * xs[:, None]
 
@@ -264,89 +351,28 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
                  goal_override: np.ndarray | None = None,
                  tau_override: float | None = None,
                  t_start: float = 0.0) -> QuatRollout:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    """Integrate the orientation primitive with the shared driver.
+
+    goal_override retargets the attractor (a unit quaternion; anything
+    else raises), tau_override rescales time and t_start offsets the
+    clock so a rollout can resume from a previous endpoint.
+
+    The double cover is not resolved: the goal's sign picks the direction
+    of turn, so a start in the opposite hemisphere (q0 . qd < 0) unwinds
+    the long way, turning through more than half a revolution to reach
+    qd rather than -qd.  A signed goal is part of the model: a loop
+    demonstration ends at -q0, and its model must rotate all the way round.
+    """
     tau = float(tau_override) if tau_override is not None else model.tau
-    qd = np.asarray(goal_override, dtype=float) if goal_override is not None else model.qd
-    if duration is None:
-        duration = 1.5 * tau
-    q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0.copy()
-    om = np.asarray(omega0, dtype=float).copy() if omega0 is not None else np.zeros(3)
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, tau)
-    out_q = np.empty((n + 1, 4))
-    out_om = np.empty((n + 1, 3))
-    out_f = np.empty((n + 1, 3))
-    out_e = np.empty((n + 1, 3))
-    out_v1 = np.empty(n + 1)
-    kinv = np.linalg.inv(model.k_gain)
-    kinv_diag = tuple(np.diag(kinv)) if _diag_gains(model.k_gain) is not None else None
-    e0 = _quat_error(model.q0, qd, model.frame)
-    body = model.frame == BODY
-    K, D, W = model.k_gain, model.d_gain, model.weights
-    K3 = _diag_gains(K)
-    D3 = _diag_gains(D)
-    diag = K3 is not None and D3 is not None
-    dt_tau = dt / tau
-    half = dt / (2.0 * tau)
-    forcing_active = bool(np.any(W))
-    zero3 = np.zeros(3)
-    out_q[0], out_om[0] = q, om
-    out_v1[0] = _rot_energy(q, qd, om, kinv, kinv_diag)
-    for k in range(n):
-        e = _quat_error_raw(q, qd, body)
-        f = forcing_rows(xs[k], model.basis, W) if forcing_active else zero3
-        out_e[k], out_f[k] = e, f
-        u = e - e0 * xs[k] + f
-        if diag:
-            om = om + dt_tau * (K3 * u - D3 * om)
-        else:
-            om = om + dt_tau * (K @ u - D @ om)
-        q = _quat_step_raw(q, half * om, body)
-        out_q[k + 1], out_om[k + 1] = q, om
-        out_v1[k + 1] = _rot_energy(q, qd, om, kinv, kinv_diag)
-    out_e[n] = _quat_error(q, qd, model.frame)
-    out_f[n] = forcing_rows(xs[n], model.basis, W)
-    return QuatRollout(ts, xs, out_q, out_om, out_f, out_e, out_v1)
-
-
-def _rot_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
-                kinv: np.ndarray, kinv_diag=None) -> float:
-    d = qd - q
-    return float(d @ d) + _quad_energy(float(omega[0]), float(omega[1]),
-                                       float(omega[2]), kinv, kinv_diag)
-
-
-def _quat_error_raw(q: np.ndarray, qd: np.ndarray, body: bool) -> np.ndarray:
-    """_quat_error on plain floats (hot path)."""
-    aw, ax, ay, az = float(q[0]), float(q[1]), float(q[2]), float(q[3])
-    bw, bx, by, bz = float(qd[0]), float(qd[1]), float(qd[2]), float(qd[3])
-    if body:
-        _, ex, ey, ez = _conj_product(aw, ax, ay, az, bw, bx, by, bz)
-    else:
-        # vec(qd (x) q*) = -vec(q (x) qd*) = -vec(conj(conj(q)) ...) --
-        # expand qd (x) conj(q) directly
-        _, ex, ey, ez = _product(bw, bx, by, bz, aw, -ax, -ay, -az)
-    return np.array([ex, ey, ez])
-
-
-def _quat_step_raw(q: np.ndarray, zr: np.ndarray, body: bool) -> np.ndarray:
-    """normalize(q (x) exp(z)) (or exp(z) (x) q) on plain floats (hot path)."""
-    rx, ry, rz = float(zr[0]), float(zr[1]), float(zr[2])
-    th = (rx * rx + ry * ry + rz * rz) ** 0.5
-    if th < 1e-12:
-        sw, sx, sy, sz = 1.0, rx, ry, rz
-    else:
-        st = np.sin(th) / th
-        sw, sx, sy, sz = np.cos(th), st * rx, st * ry, st * rz
-    aw, ax, ay, az = float(q[0]), float(q[1]), float(q[2]), float(q[3])
-    if body:
-        w, x, y, z = _product(aw, ax, ay, az, sw, sx, sy, sz)
-    else:
-        w, x, y, z = _product(sw, sx, sy, sz, aw, ax, ay, az)
-    inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
-    return np.array([w * inv, x * inv, y * inv, z * inv])
+    qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
+    q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
+    om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
+    frame, body, goal = model.frame, model.frame == BODY, qd.tolist()
+    ts, xs, qs, oms, f, e = _integrate(
+        model, tau, dt, duration, t_start, model.k_gain, model.d_gain, model.q0, q,
+        om, lambda p: _quat_error(p, goal, frame), lambda p, z: _quat_step(p, z, body))
+    v1 = _rotation_energy(qs, qd, oms, np.linalg.inv(model.k_gain))
+    return QuatRollout(ts, xs, qs, oms, f, e, v1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +429,24 @@ def lyapunov_value(dq: DualQuaternion, xi, dqd: DualQuaternion,
     with the linear-rate energy through K_pos^-1.  Nonnegative; zero only
     at the goal with zero twist.  Along unforced rollouts V1 is
     non-increasing; V is convergent but not monotone (the rotation-
-    translation coupling term is sign-indefinite).
+    translation coupling term is sign-indefinite).  Both poses must hold
+    their unit constraints.
     """
     xi = xi.as_array() if isinstance(xi, Twist) else np.asarray(xi, dtype=float)
     k_rot, k_pos = _gain_matrix(k_rot), _gain_matrix(k_pos)
-    d = dqd.real - dq.real
-    v1 = float(d @ d + 0.5 * xi[:3] @ np.linalg.solve(k_rot, xi[:3]))
-    p = dq_to_pose(dq).position
-    pd = dq_to_pose(dqd).position
+    v = _pose_energy(dq.real, dq_to_pose(dq).position, xi, dqd.real,
+                     dq_to_pose(dqd).position, np.linalg.inv(k_rot),
+                     np.linalg.inv(k_pos))
+    return float(v[0]), float(v[1]), float(v[2])
+
+
+def _pose_energy(q, p, xi, qd, pd, kinv_r, kinv_p) -> np.ndarray:
+    """(V, V1, V2) per row from the attitudes q, inertial positions p and
+    tau-scaled twists xi, against the goal attitude qd and position pd."""
+    v1 = _rotation_energy(q, qd, xi[..., :3], kinv_r)
     dp = pd - p
-    v2 = float(0.5 * dp @ dp + 0.5 * xi[3:] @ np.linalg.solve(k_pos, xi[3:]))
-    return v1 + v2, v1, v2
+    v2 = 0.5 * np.sum(dp * dp, axis=-1) + _rate_energy(xi[..., 3:], kinv_p)
+    return np.stack([v1 + v2, v1, v2], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -444,20 +477,22 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
                goal_override: DualQuaternion | None = None,
                tau_override: float | None = None,
                t_start: float = 0.0) -> DqRollout:
-    """Integrate the coupled pose primitive.
+    """Integrate the coupled pose primitive with the shared driver.
 
     Semi-implicit Euler on the twist state followed by the exact
     exponential pose step; unit constraints re-enforced every step.
     goal_override retargets the attractor (and the start-error shaping
-    term) without retraining; tau_override rescales time.  t_start offsets
-    the clock so a rollout can be resumed from a previous endpoint.
+    term) without retraining; a goal off the unit constraints raises.
+    tau_override rescales time.  t_start offsets the clock so a rollout
+    can be resumed from a previous endpoint.
+
+    As in quat_rollout, the goal's sign picks the direction of turn: a
+    start whose real part lies in the opposite hemisphere of the goal's
+    unwinds the long way, and converges more slowly for it.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     tau = float(tau_override) if tau_override is not None else model.tau
     goal = goal_override if goal_override is not None else model.dqd
-    if duration is None:
-        duration = 1.5 * tau
+    goal_position = dq_to_pose(goal).position
     start = dq0 if dq0 is not None else model.dq0
     if xi0 is None:
         xi = np.zeros(6)
@@ -466,177 +501,23 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             raise ValueError("dq_rollout expects a body-frame start twist")
         xi = xi0.as_array()
     else:
-        xi = np.asarray(xi0, dtype=float).copy()
-
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, tau)
-    out_dq = np.empty((n + 1, 8))
-    out_xi = np.empty((n + 1, 6))
-    out_f = np.empty((n + 1, 6))
-    out_e = np.empty((n + 1, 6))
-    out_l = np.empty((n + 1, 3))
-
-    qr = start.real.copy()
-    qd_ = start.dual.copy()
-    gr, gd = goal.real, goal.dual
-    gp = dq_to_pose(goal).position
-    K_r, K_p, D_r, D_p = model.k_rot, model.k_pos, model.d_rot, model.d_pos
-    kinv_r, kinv_p = np.linalg.inv(K_r), np.linalg.inv(K_p)
-    K6 = _diag_gains(K_r, K_p)
-    D6 = _diag_gains(D_r, D_p)
-    diag = K6 is not None and D6 is not None
-    kinv_r_diag = tuple(np.diag(kinv_r)) if _diag_gains(K_r) is not None else None
-    kinv_p_diag = tuple(np.diag(kinv_p)) if _diag_gains(K_p) is not None else None
-    W = model.weights
-    basis = model.basis
-    forcing_active = bool(np.any(W))
-    zero6 = np.zeros(6)
-    # start-error shaping anchored at the trained start pose: the term is
-    # part of the learned model, so resuming or restarting elsewhere must
-    # not change the vector field
-    e0 = _dq_error_raw(model.dq0.real, model.dq0.dual, gr, gd)
-    half = dt / (2.0 * tau)
-    dt_tau = dt / tau
-
-    out_dq[0, :4], out_dq[0, 4:] = qr, qd_
-    out_xi[0] = xi
-    out_l[0] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p,
-                         kinv_r_diag, kinv_p_diag)
-    for k in range(n):
-        e = _dq_error_raw(qr, qd_, gr, gd)
-        f = forcing_rows(xs[k], basis, W) if forcing_active else zero6
-        out_e[k], out_f[k] = e, f
-        u = e - e0 * xs[k] + f
-        if diag:
-            xi = xi + dt_tau * (K6 * u - D6 * xi)
-        else:
-            rhs = np.empty(6)
-            rhs[:3] = K_r @ u[:3] - D_r @ xi[:3]
-            rhs[3:] = K_p @ u[3:] - D_p @ xi[3:]
-            xi = xi + dt_tau * rhs
-        qr, qd_ = _dq_step_raw(qr, qd_, half * xi[:3], half * xi[3:])
-        out_dq[k + 1, :4], out_dq[k + 1, 4:] = qr, qd_
-        out_xi[k + 1] = xi
-        out_l[k + 1] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p,
-                                 kinv_r_diag, kinv_p_diag)
-    out_e[n] = _dq_error_raw(qr, qd_, gr, gd)
-    out_f[n] = forcing_rows(xs[n], basis, W)
-    return DqRollout(ts, xs, out_dq, out_xi, out_f, out_e, out_l)
+        xi = np.asarray(xi0, dtype=float)
+    g = goal.as_array().tolist()
+    ts, xs, dqs, xis, f, e = _integrate(
+        model, tau, dt, duration, t_start,
+        _block_diag(model.k_rot, model.k_pos), _block_diag(model.d_rot, model.d_pos),
+        model.dq0.as_array(), start.as_array(), xi, lambda p: _dq_error(p, g)[1:], _dq_step)
+    positions = dq_position(DualQuaternion(dqs[:, :4], dqs[:, 4:]))
+    lyap = _pose_energy(dqs[:, :4], positions, xis, goal.real, goal_position,
+                        np.linalg.inv(model.k_rot), np.linalg.inv(model.k_pos))
+    return DqRollout(ts, xs, dqs, xis, f, e, lyap)
 
 
-def _conj_product(aw, ax, ay, az, bw, bx, by, bz):
-    """Components of conj(a) (x) b on plain floats (hot path)."""
-    return (aw * bw + ax * bx + ay * by + az * bz,
-            aw * bx - bw * ax - ay * bz + az * by,
-            aw * by - bw * ay - az * bx + ax * bz,
-            aw * bz - bw * az - ax * by + ay * bx)
-
-
-def _product(aw, ax, ay, az, bw, bx, by, bz):
-    """Components of a (x) b on plain floats (hot path)."""
-    return (aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + bw * ax + ay * bz - az * by,
-            aw * by + bw * ay + az * bx - ax * bz,
-            aw * bz + bw * az + ax * by - ay * bx)
-
-
-def _diag_gains(*mats) -> np.ndarray | None:
-    """Stacked diagonal of gain matrices, or None if any is non-diagonal."""
-    diags = []
-    for m in mats:
-        if np.any(m != np.diag(np.diag(m))):
-            return None
-        diags.append(np.diag(m))
-    return np.concatenate(diags)
-
-
-def _dq_step_raw(qr, qd_, zr, zv) -> tuple[np.ndarray, np.ndarray]:
-    """One exact exponential pose step (hot path).
-
-    Computes normalize(q_hat (x) exp(z)) for the half-step twist
-    displacement z = (zr, zv) on plain floats.
-    """
-    rx, ry, rz = float(zr[0]), float(zr[1]), float(zr[2])
-    ux, uy, uz = float(zv[0]), float(zv[1]), float(zv[2])
-    th = (rx * rx + ry * ry + rz * rz) ** 0.5
-    if th < 1e-12:
-        sw, sx, sy, sz = 1.0, 0.0, 0.0, 0.0
-        tw, tx, ty, tz = 0.0, ux, uy, uz
-    else:
-        if th >= np.pi:
-            raise ValueError(f"step rotation magnitude {th:.6f} outside the exp domain")
-        nx, ny, nz = rx / th, ry / th, rz / th
-        d = nx * ux + ny * uy + nz * uz
-        mx, my, mz = (ux - d * nx) / th, (uy - d * ny) / th, (uz - d * nz) / th
-        st, ct = np.sin(th), np.cos(th)
-        sw, sx, sy, sz = ct, st * nx, st * ny, st * nz
-        tw = -d * st
-        tx, ty, tz = st * mx + d * ct * nx, st * my + d * ct * ny, st * mz + d * ct * nz
-    aw, ax, ay, az = float(qr[0]), float(qr[1]), float(qr[2]), float(qr[3])
-    bw, bx, by, bz = float(qd_[0]), float(qd_[1]), float(qd_[2]), float(qd_[3])
-    rw2, rx2, ry2, rz2 = _product(aw, ax, ay, az, sw, sx, sy, sz)
-    d1 = _product(aw, ax, ay, az, tw, tx, ty, tz)
-    d2 = _product(bw, bx, by, bz, sw, sx, sy, sz)
-    dw2, dx2, dy2, dz2 = d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2], d1[3] + d2[3]
-    # re-enforce the unit constraints
-    inv = 1.0 / (rw2 * rw2 + rx2 * rx2 + ry2 * ry2 + rz2 * rz2) ** 0.5
-    rw2, rx2, ry2, rz2 = rw2 * inv, rx2 * inv, ry2 * inv, rz2 * inv
-    dw2, dx2, dy2, dz2 = dw2 * inv, dx2 * inv, dy2 * inv, dz2 * inv
-    dot = rw2 * dw2 + rx2 * dx2 + ry2 * dy2 + rz2 * dz2
-    return (np.array([rw2, rx2, ry2, rz2]),
-            np.array([dw2 - dot * rw2, dx2 - dot * rx2,
-                      dy2 - dot * ry2, dz2 - dot * rz2]))
-
-
-def _dq_error_raw(qr, qd_, gr, gd) -> np.ndarray:
-    """dq_error on bare arrays (hot path): [vec(q_oe), vec(p_e)]."""
-    aw, ax, ay, az = float(qr[0]), float(qr[1]), float(qr[2]), float(qr[3])
-    dw, dx, dy, dz = float(qd_[0]), float(qd_[1]), float(qd_[2]), float(qd_[3])
-    gw, gx, gy, gz = float(gr[0]), float(gr[1]), float(gr[2]), float(gr[3])
-    hw, hx, hy, hz = float(gd[0]), float(gd[1]), float(gd[2]), float(gd[3])
-    ew, ex, ey, ez = _conj_product(aw, ax, ay, az, gw, gx, gy, gz)
-    f1 = _conj_product(aw, ax, ay, az, hw, hx, hy, hz)
-    f2 = _conj_product(dw, dx, dy, dz, gw, gx, gy, gz)
-    fw, fx, fy, fz = (f1[0] + f2[0], f1[1] + f2[1], f1[2] + f2[2], f1[3] + f2[3])
-    _, px, py, pz = _conj_product(ew, ex, ey, ez, fw, fx, fy, fz)
-    return np.array([ex, ey, ez, 2.0 * px, 2.0 * py, 2.0 * pz])
-
-
-def _quad_energy(u0, u1, u2, kinv, kinv_diag) -> float:
-    """0.5 u^T K^-1 u with a float fast path for diagonal gains."""
-    if kinv_diag is not None:
-        return 0.5 * (u0 * u0 * kinv_diag[0] + u1 * u1 * kinv_diag[1]
-                      + u2 * u2 * kinv_diag[2])
-    u = np.array([u0, u1, u2])
-    return 0.5 * float(u @ (kinv @ u))
-
-
-def _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p,
-              kinv_r_diag=None, kinv_p_diag=None) -> tuple[float, float, float]:
-    """(V, V1, V2) on bare arrays (hot path)."""
-    aw, ax, ay, az = float(qr[0]), float(qr[1]), float(qr[2]), float(qr[3])
-    d0 = float(gr[0]) - aw
-    d1 = float(gr[1]) - ax
-    d2 = float(gr[2]) - ay
-    d3 = float(gr[3]) - az
-    v1 = (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-          + _quad_energy(float(xi[0]), float(xi[1]), float(xi[2]),
-                         kinv_r, kinv_r_diag))
-    _, bx, by, bz = _conj_product(aw, ax, ay, az, float(qd_[0]), float(qd_[1]),
-                                  float(qd_[2]), float(qd_[3]))
-    # p_s = R(qr) @ (2 p_b-half): rotate via the expanded double cross
-    bx, by, bz = 2.0 * bx, 2.0 * by, 2.0 * bz
-    tx = 2.0 * (ay * bz - az * by)
-    ty = 2.0 * (az * bx - ax * bz)
-    tz = 2.0 * (ax * by - ay * bx)
-    dpx = float(gp[0]) - (bx + aw * tx + ay * tz - az * ty)
-    dpy = float(gp[1]) - (by + aw * ty + az * tx - ax * tz)
-    dpz = float(gp[2]) - (bz + aw * tz + ax * ty - ay * tx)
-    v2 = (0.5 * (dpx * dpx + dpy * dpy + dpz * dpz)
-          + _quad_energy(float(xi[3]), float(xi[4]), float(xi[5]),
-                         kinv_p, kinv_p_diag))
-    return v1 + v2, v1, v2
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 6x6 gain of the rotation block a and the translation block b."""
+    out = np.zeros((6, 6))
+    out[:3, :3], out[3:, 3:] = a, b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +559,7 @@ class PoseRollout:
     velocities: np.ndarray  # (n, 3) physical inertial velocity
     q: np.ndarray           # (n, 4)
     omega: np.ndarray       # (n, 3) tau-scaled body rate state
+    energy: np.ndarray      # (n, 3) (V, V1, V2): orientation V1, position axes V2
 
 
 def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float,
@@ -697,8 +579,10 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float,
     tau = tau_override if tau_override is not None else model.orientation.tau
     positions = np.stack([r.y for r in rolls], axis=1)
     velocities = np.stack([r.z for r in rolls], axis=1) / tau
+    v2 = rolls[0].energy + rolls[1].energy + rolls[2].energy
+    energy = np.stack([qroll.v1 + v2, qroll.v1, v2], axis=1)
     return PoseRollout(rolls[0].t, rolls[0].x, positions, velocities,
-                       qroll.q, qroll.omega)
+                       qroll.q, qroll.omega, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +607,8 @@ def _basis_doc(basis: GaussianBasis) -> dict:
 
 def _basis_from_doc(doc: dict) -> GaussianBasis:
     return GaussianBasis(doc["scheme"], doc["alpha_x"],
-                         np.array(doc["centers"]), np.array(doc["widths"]),
+                         np.array(doc["centers"], dtype=float),
+                         np.array(doc["widths"], dtype=float),
                          total_time=doc.get("total_time"), dt=doc.get("dt"))
 
 
@@ -774,6 +659,9 @@ def _model_doc(model) -> dict:
 
 
 def _model_from_doc(doc: dict):
+    """Rebuild a model from its document, checking what a rollout relies on:
+    a positive tau, weights of shape (dims, n_kernels), symmetric positive
+    definite gains, positive scalar gains and unit boundary poses."""
     version = doc.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
@@ -782,30 +670,42 @@ def _model_from_doc(doc: dict):
         return PoseDecoupledDmp(
             tuple(_model_from_doc(d) for d in doc["position"]),
             _model_from_doc(doc["orientation"]))
+    dims = {"classical": 1, "quaternion": 3, "dual_quaternion": 6}.get(variant)
+    if dims is None:
+        raise ValueError(f"unknown model variant {variant!r}")
+    if not doc["tau"] > 0.0:
+        raise ValueError("tau must be positive")
     basis = _basis_from_doc(doc["basis"])
-    weights = np.array(doc["weights"])
+    weights = np.array(doc["weights"], dtype=float)
+    if weights.shape != (dims, basis.n_kernels):
+        raise ValueError(f"{variant} weights have shape {weights.shape}, "
+                         f"expected {(dims, basis.n_kernels)}")
+    g = doc["gains"]
+    b = doc["boundary"]
     if variant == "classical":
-        g = doc["gains"]
-        b = doc["boundary"]
+        if not (g["alpha_z"] > 0.0 and g["beta_z"] > 0.0):
+            raise ValueError("classical gains alpha_z and beta_z must be positive")
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
                             b["y0"], b["goal"], doc["tau"])
     if variant == "quaternion":
-        g = doc["gains"]
-        b = doc["boundary"]
-        return QuaternionDmp(doc["frame"], np.array(g["k"]), np.array(g["d"]),
-                             basis, weights, np.array(b["q0"]),
-                             np.array(b["qd"]), doc["tau"])
-    if variant == "dual_quaternion":
-        g = doc["gains"]
-        b = doc["boundary"]
-        dq0 = np.array(b["dq0"])
-        dqd = np.array(b["dqd"])
-        return DualQuaternionDmp(
-            np.array(g["k_rot"]), np.array(g["k_pos"]),
-            np.array(g["d_rot"]), np.array(g["d_pos"]), basis, weights,
-            DualQuaternion(dq0[:4], dq0[4:]), DualQuaternion(dqd[:4], dqd[4:]),
-            doc["tau"])
-    raise ValueError(f"unknown model variant {variant!r}")
+        if doc["frame"] not in (BODY, INERTIAL):
+            raise ValueError(f"unknown frame {doc['frame']!r}")
+        return QuaternionDmp(doc["frame"], _gain_matrix(g["k"]), _gain_matrix(g["d"]),
+                             basis, weights, _unit_quat(b["q0"], "q0"),
+                             _unit_quat(b["qd"], "qd"), doc["tau"])
+    return DualQuaternionDmp(
+        _gain_matrix(g["k_rot"]), _gain_matrix(g["k_pos"]),
+        _gain_matrix(g["d_rot"]), _gain_matrix(g["d_pos"]), basis, weights,
+        _unit_dq(b["dq0"], "dq0"), _unit_dq(b["dqd"], "dqd"), doc["tau"])
+
+
+def _unit_dq(a, what: str) -> DualQuaternion:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (8,):
+        raise ValueError(f"{what} must be a dual quaternion [real, dual]")
+    dq = DualQuaternion(a[:4], a[4:])
+    dq_to_pose(dq)  # refuses a pose off the unit constraints
+    return dq
 
 
 def save_model(model, sink) -> None:
@@ -826,4 +726,8 @@ def load_model(source):
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_model(fh)
-    return _model_from_doc(json.load(source))
+    doc = json.load(source)
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed model file ({type(exc).__name__}: {exc})") from exc

@@ -19,9 +19,13 @@ Everything here is a pure function over immutable values.  The parts of a
 ``DualQuaternion`` or ``Pose`` may also be ``(n, 4)`` / ``(n, 3)`` stacks;
 the product, conjugate, encoding (``dq_from_pose``), position, error and
 ``twist_body_from_demo`` functions then work row by row with the bits of
-the single-value call.
-The ``_raw`` helpers at the bottom operate on bare (4,) arrays and are
-shared with the integrator hot loops.
+the single-value call.  As in ``quat``, each formula of the integrator is
+written once, in component form over the flat ``[real, dual]`` 8-sequence:
+``_error`` (the goal-relative pose), ``_exp`` (the screw exponential),
+``_normalize`` and ``_step``.  ``_error`` takes floats or stack columns;
+the other three take floats.  The integrator's loop in ``dmp`` calls them
+directly, and ``dq_error``, ``dq_exp``, ``dq_normalize`` and
+``dq_step_body`` are thin calls into them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quat import (
+    _conj,
+    _floats,
+    _product,
     quat_conjugate,
     quat_log,
     quat_norm,
@@ -117,8 +124,7 @@ def dq_normalize(q: DualQuaternion) -> DualQuaternion:
     part along it is removed.  Called after every integration step; keeps
     constraint drift at rounding level over arbitrarily long rollouts.
     """
-    real, dual = _dq_normalize_raw(q.real.copy(), q.dual.copy())
-    return DualQuaternion(real, dual)
+    return _from_parts(_normalize(_parts(q)))
 
 
 def dq_constraint_errors(q: DualQuaternion) -> tuple[float, float]:
@@ -160,15 +166,14 @@ def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
     either the vector part of q_oe (default) or its full logarithm (which
     takes single values only).
     """
-    qe = dq_product(dq_conjugate(dq), dq_d)
-    p_e = 2.0 * quat_vec(quat_product(quat_conjugate(qe.real), qe.dual))
+    e = _error(_parts(dq), _parts(dq_d))
     if rotation_error == "vec":
-        rot = quat_vec(qe.real)
+        rot = e[1:4]
     elif rotation_error == "log":
-        rot = quat_log(qe.real)
+        rot = quat_log(np.array(e[:4]))
     else:
         raise ValueError(f"unknown rotation_error {rotation_error!r}")
-    return np.concatenate([rot, p_e], axis=-1)
+    return np.array((*rot, *e[4:])).T
 
 
 def dq_exp(xi: Twist) -> DualQuaternion:
@@ -179,8 +184,7 @@ def dq_exp(xi: Twist) -> DualQuaternion:
     d(q_hat)/ds = q_hat (x) (r~ + eps v~) from the identity over unit s.
     Requires ||r|| < pi.
     """
-    real, dual = _dq_exp_raw(np.asarray(xi.r, dtype=float), np.asarray(xi.v, dtype=float))
-    return DualQuaternion(real, dual)
+    return _from_parts(_exp(_floats(xi.r), _floats(xi.v)))
 
 
 def dq_log(dq: DualQuaternion) -> Twist:
@@ -264,11 +268,8 @@ def dq_step_body(dq: DualQuaternion, xi_b: Twist, dt: float) -> DualQuaternion:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     _require_frame(xi_b, BODY)
-    sr, sd = _dq_exp_raw(0.5 * dt * xi_b.r, 0.5 * dt * xi_b.v)
-    real = quat_product(dq.real, sr)
-    dual = quat_product(dq.real, sd) + quat_product(dq.dual, sr)
-    real, dual = _dq_normalize_raw(real, dual)
-    return DualQuaternion(real, dual)
+    return _from_parts(_step(_floats(dq.as_array()),
+                             _floats(0.5 * dt * xi_b.as_array())))
 
 
 def _require_frame(xi: Twist, frame: str) -> None:
@@ -277,29 +278,67 @@ def _require_frame(xi: Twist, frame: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# raw-array helpers shared with the integrator hot loops
+# component kernels over the flat [real, dual] 8-sequence
 
 
-def _dq_exp_raw(r: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    th = float(np.sqrt(r @ r))
+def _parts(dq: DualQuaternion) -> tuple:
+    """The 8 components of a dual quaternion (scalars, or stack columns)."""
+    return (*dq.real.T, *dq.dual.T)
+
+
+def _from_parts(p) -> DualQuaternion:
+    return DualQuaternion(np.array(p[:4]), np.array(p[4:]))
+
+
+def _error(p, g):
+    """Components [q_oe, p_e] of the pose g relative to the pose p.
+
+    q_oe = p_real* (x) g_real is the rotation between them and
+    p_e = vec(2 q_oe* (x) q_pe), with q_pe the dual part of p* (x) g, the
+    translation it carries.  p and g are 8-sequences of floats or columns.
+    """
+    pr, pd = _conj(p[:4]), _conj(p[4:])
+    qe = _product(pr, g[:4])
+    f1, f2 = _product(pr, g[4:]), _product(pd, g[:4])
+    _, px, py, pz = _product(_conj(qe), (f1[0] + f2[0], f1[1] + f2[1],
+                                         f1[2] + f2[2], f1[3] + f2[3]))
+    return (*qe, 2.0 * px, 2.0 * py, 2.0 * pz)
+
+
+def _exp(r, v):
+    """Components [real, dual] of the screw exponential of the float
+    3-sequences r (rotation) and v (translation); requires ||r|| < pi."""
+    rx, ry, rz = r
+    ux, uy, uz = v
+    th = (rx * rx + ry * ry + rz * rz) ** 0.5
+    if th < 1e-12:
+        return 1.0, 0.0, 0.0, 0.0, 0.0, ux, uy, uz
     if th >= np.pi:
         raise ValueError(f"twist rotation magnitude {th:.6f} outside the exp domain")
-    if th < 1e-12:
-        return np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, u[0], u[1], u[2]])
-    n = r / th
-    d = float(n @ u)
-    m = (u - d * n) / th
-    st, ct = np.sin(th), np.cos(th)
-    real = np.array([ct, st * n[0], st * n[1], st * n[2]])
-    dual = np.empty(4)
-    dual[0] = -d * st
-    dual[1:] = st * m + d * ct * n
-    return real, dual
+    nx, ny, nz = rx / th, ry / th, rz / th
+    d = nx * ux + ny * uy + nz * uz
+    mx, my, mz = (ux - d * nx) / th, (uy - d * ny) / th, (uz - d * nz) / th
+    st, ct = float(np.sin(th)), float(np.cos(th))
+    return (ct, st * nx, st * ny, st * nz,
+            -d * st, st * mx + d * ct * nx, st * my + d * ct * ny, st * mz + d * ct * nz)
 
 
-def _dq_normalize_raw(real: np.ndarray, dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = float(np.sqrt(real @ real))
-    real = real / n
-    dual = dual / n
-    dual = dual - float(real @ dual) * real
-    return real, dual
+def _normalize(p):
+    """Components of p re-projected onto the unit constraints: the real
+    part rescaled to unit norm, the dual part's component along it removed."""
+    rw, rx, ry, rz, dw, dx, dy, dz = p
+    inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
+    rw, rx, ry, rz = rw * inv, rx * inv, ry * inv, rz * inv
+    dw, dx, dy, dz = dw * inv, dx * inv, dy * inv, dz * inv
+    dot = rw * dw + rx * dx + ry * dy + rz * dz
+    return (rw, rx, ry, rz, dw - dot * rw, dx - dot * rx, dy - dot * ry, dz - dot * rz)
+
+
+def _step(p, z):
+    """Components of normalize(p (x) exp(z)) for a float 8-sequence pose p
+    and a float 6-sequence twist displacement z = (r, v)."""
+    s = _exp(z[:3], z[3:])
+    real, dual, sr = p[:4], p[4:], s[:4]
+    d1, d2 = _product(real, s[4:]), _product(dual, sr)
+    return _normalize((*_product(real, sr), d1[0] + d2[0], d1[1] + d2[1],
+                       d1[2] + d2[2], d1[3] + d2[3]))

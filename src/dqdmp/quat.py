@@ -15,23 +15,25 @@ Conventions used throughout the package:
   trajectory tooling, not by this module.
 
 All functions are pure and allocate fresh arrays; they are safe to call
-concurrently.  The products are written out component-wise on purpose.
-The algebra kernels (product, conjugate, vector part, rotations) unpack
-the last axis with ``a.T``, so one formula serves a single ``(4,)``
-quaternion and an ``(n, 4)`` stack (broadcasting a single operand against
-a stack), with the same bits per row either way; training evaluates them
-once per demonstration.  The exponential, logarithm, norm and step
-functions take single values.  The integrators keep their own float-level
-``_raw`` forms (in ``dmp`` and ``dualquat``), which are several times
-faster per step than any array expression.
+concurrently.  Each formula is written once, in component form, by a
+private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
+exponential) and ``_step`` (the exact exponential step with its
+renormalization).  The kernels run the integrator's loop over time in
+``dmp`` on plain floats, and the public functions here are thin calls
+into them.  ``_product`` also takes the columns ``a.T`` of an ``(n, 4)``
+stack and gives the same bits per row either way, because both run the
+same IEEE operations in the same order; so the product, conjugate,
+vector part and rotations serve one value or a stack (broadcasting a
+single operand against a stack).  The exponential, logarithm, norm and
+step functions take single values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Below this vector-part norm the rotation axis is numerically meaningless
-# and the logarithm falls back to the zero vector.
+# Below this norm the rotation axis is numerically meaningless: the
+# logarithm falls back to the zero vector, the exponential to [1, r].
 _AXIS_EPS = 1e-12
 # sign pattern of the conjugate
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
@@ -42,20 +44,30 @@ def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _product(a, b):
+    """Components of a (x) b for 4-sequences of floats or of stack columns.
+    Negation is exact: ``_product(_conj(a), b)`` has the expanded bits."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + bw * ax + ay * bz - az * by,
+            aw * by + bw * ay + az * bx - ax * bz,
+            aw * bz + bw * az + ax * by - ay * bx)
+
+
+def _conj(a):
+    """Components of the conjugate [w, -x, -y, -z]."""
+    aw, ax, ay, az = a
+    return aw, -ax, -ay, -az
+
+
 def quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a (x) b.
 
     Component form of [w1*w2 - v1.v2, w1*v2 + w2*v1 + v1 x v2]; associative,
     not commutative.
     """
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + bw * ax + ay * bz - az * by,
-        aw * by + bw * ay + az * bx - ax * bz,
-        aw * bz + bw * az + ax * by - ay * bx,
-    ]).T
+    return np.array(_product(a.T, b.T)).T
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -80,16 +92,36 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
+def _exp(r):
+    """Components of quat_exp for a float 3-sequence r."""
+    rx, ry, rz = r
+    th = (rx * rx + ry * ry + rz * rz) ** 0.5
+    if th < _AXIS_EPS:
+        return 1.0, rx, ry, rz
+    st = float(np.sin(th)) / th
+    return float(np.cos(th)), st * rx, st * ry, st * rz
+
+
+def _step(q, r, body: bool):
+    """Components of normalize(q (x) exp(r)) (body) or normalize(exp(r) (x) q)
+    (inertial) for a float 4-sequence q and a float 3-sequence r."""
+    s = _exp(r)
+    w, x, y, z = _product(q, s) if body else _product(s, q)
+    inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
+    return w * inv, x * inv, y * inv, z * inv
+
+
+def _floats(a) -> list:
+    return np.asarray(a, dtype=float).tolist()
+
+
 def quat_exp(r: np.ndarray) -> np.ndarray:
     """Exponential map of a rotation vector to a unit quaternion.
 
-    Returns [cos||r||, sin||r||* r/||r||]; the zero vector maps to the
-    identity.  sin(n)/n is evaluated through np.sinc so the r -> 0 limit
-    needs no branch.
+    Returns [cos||r||, sin||r||* r/||r||]; below ||r|| = 1e-12 it returns
+    the first-order [1, r], which is the identity for the zero vector.
     """
-    n = float(np.sqrt(r @ r))
-    s = np.sinc(n / np.pi)  # sin(n)/n, exactly 1.0 at n = 0
-    return np.array([np.cos(n), s * r[0], s * r[1], s * r[2]])
+    return np.array(_exp(_floats(r)))
 
 
 def quat_log(q: np.ndarray) -> np.ndarray:
@@ -117,14 +149,7 @@ def orientation_error(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
 def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
     """Kinematic derivative 1/2 q (x) [0, omega] for a body-frame rate."""
-    ox, oy, oz = float(omega_body[0]), float(omega_body[1]), float(omega_body[2])
-    qw, qx, qy, qz = q
-    return 0.5 * np.array([
-        -qx * ox - qy * oy - qz * oz,
-        qw * ox + qy * oz - qz * oy,
-        qw * oy + qz * ox - qx * oz,
-        qw * oz + qx * oy - qy * ox,
-    ])
+    return 0.5 * np.array(_product(_floats(q), (0.0, *_floats(omega_body))))
 
 
 def quat_step_body(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarray:
@@ -133,12 +158,12 @@ def quat_step_body(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
     Exact for constant omega; the result is renormalized to absorb
     floating-point drift.
     """
-    return quat_normalize(quat_product(q, quat_exp(0.5 * dt * omega_body)))
+    return np.array(_step(_floats(q), _floats(0.5 * dt * np.asarray(omega_body)), True))
 
 
 def quat_step_inertial(q: np.ndarray, omega_inertial: np.ndarray, dt: float) -> np.ndarray:
     """Advance q by a constant inertial rate: exp(dt/2 * omega) (x) q."""
-    return quat_normalize(quat_product(quat_exp(0.5 * dt * omega_inertial), q))
+    return np.array(_step(_floats(q), _floats(0.5 * dt * np.asarray(omega_inertial)), False))
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:

@@ -226,3 +226,19 @@ def test_cli_deterministic_training(tmp_path, demo_file):
     run(args + ["-o", str(a)])
     run(args + ["-o", str(b)])
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("tau", [0.4, 1.0, 3.0])
+def test_classical_rollout_energy_never_rises(tmp_path, tau):
+    # V = 0.5 e^2 + 0.5 z^2 / (alpha_z beta_z) with the tau-scaled z is an
+    # energy of the unforced scalar system for any tau
+    from dqdmp import ClassicalDmp, basis_scheme_a, save_model
+    model = tmp_path / "classical.json"
+    save_model(ClassicalDmp(25.0, 6.25, basis_scheme_a(20, 2.0), np.zeros(20),
+                            0.0, 1.0, 1.0), str(model))
+    out = tmp_path / "roll.csv"
+    assert run(["rollout", "--model", str(model), "--tau", str(tau),
+                "--duration", str(3 * tau), "-o", str(out)]) == 0
+    v = np.loadtxt(out, delimiter=",", skiprows=1)[:, 15]
+    assert v[0] == 0.5
+    assert np.max(np.diff(v)) <= 1e-12 * v[0]

@@ -283,3 +283,11 @@ def test_gain_validation():
     with pytest.raises(ValueError):
         _gain_matrix(np.ones((2, 2)))
     np.testing.assert_allclose(_gain_matrix(2.0), 2.0 * np.eye(3))
+
+
+def test_quat_rollout_rejects_non_unit_goal(rng):
+    q = random_unit_quat(rng)
+    m = QuaternionDmp("body", np.eye(3), np.eye(3), BASIS,
+                      np.zeros((3, 30)), q, q, 1.0)
+    with pytest.raises(ValueError, match="unit quaternion"):
+        quat_rollout(m, dt=0.01, duration=1.0, goal_override=[2.0, 0.0, 0.0, 0.0])

@@ -1,6 +1,7 @@
 """Model file round trips: field fidelity and byte-exact re-serialization."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -108,3 +109,72 @@ def test_load_rejects_unknown_variant():
             ' "basis": {"scheme": "a", "alpha_x": 1.0, "n_kernels": 2,'
             ' "centers": [1.0, 0.5], "widths": [1.0, 1.0]},'
             ' "weights": [[0.0, 0.0]]}'))
+
+
+# -- malformed model files --------------------------------------------------------
+
+
+def _docs():
+    """One small valid document per variant, as save_model writes it."""
+    from dqdmp import ClassicalDmp, DualQuaternionDmp, QuaternionDmp, dq_identity
+    basis = basis_scheme_a(5, 1.0)
+    eye = np.eye(3)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    models = {
+        "classical": ClassicalDmp(25.0, 6.25, basis, np.zeros(5), 0.0, 1.0, 1.0),
+        "quaternion": QuaternionDmp("body", eye, 2 * eye, basis, np.zeros((3, 5)),
+                                    q, q, 1.0),
+        "dual_quaternion": DualQuaternionDmp(eye, eye, 2 * eye, 2 * eye, basis,
+                                             np.zeros((6, 5)), dq_identity(),
+                                             dq_identity(), 1.0),
+    }
+    docs = {}
+    for name, m in models.items():
+        buf = io.StringIO()
+        save_model(m, buf)
+        docs[name] = json.loads(buf.getvalue())
+    return docs
+
+
+def _rename_weights(d):
+    d["wieghts"] = d.pop("weights")
+
+
+def _scale(key, factor):
+    def edit(d):
+        d["boundary"][key] = [factor * v for v in d["boundary"][key]]
+    return edit
+
+
+BAD_FILES = {
+    "missing key": ("dual_quaternion", lambda d: d.pop("gains")),
+    "mistyped key": ("quaternion", _rename_weights),
+    "weights columns": ("dual_quaternion", lambda d: [w.pop() for w in d["weights"]]),
+    "weights rows": ("quaternion", lambda d: d["weights"].pop()),
+    "gains not positive definite": ("dual_quaternion",
+                                    lambda d: d["gains"].update(k_rot=(-np.eye(3)).tolist())),
+    "gains not symmetric": ("quaternion",
+                            lambda d: d["gains"].update(d=[[1, 2, 0], [0, 1, 0], [0, 0, 1]])),
+    "tau not positive": ("quaternion", lambda d: d.update(tau=0.0)),
+    "alpha_z not positive": ("classical", lambda d: d["gains"].update(alpha_z=0.0)),
+    "beta_z not positive": ("classical", lambda d: d["gains"].update(beta_z=-6.25)),
+    "q0 off unit": ("quaternion", _scale("q0", 1.0 + 1e-5)),
+    "dqd off unit": ("dual_quaternion", _scale("dqd", 1.0 + 1e-5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_malformed_model_file_is_rejected(tmp_path, capsys, case):
+    from dqdmp.cli import main
+    variant, edit = BAD_FILES[case]
+    doc = _docs()[variant]
+    load_model(io.StringIO(json.dumps(doc)))
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(ValueError):
+        load_model(io.StringIO(text))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["rollout", "--model", str(path), "-o", str(tmp_path / "r.csv")]) == 1
+    assert "error" in capsys.readouterr().err
+
