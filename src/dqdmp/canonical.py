@@ -14,6 +14,8 @@ Two kernel layouts are supported:
   The width recipe for this scheme is taken literally from its source with
   the grouping documented in basis_scheme_b; its fit quality is checked
   against scheme "a" in the tests rather than asserted from the formula.
+
+Both are written only in kernel_values, which takes a whole phase grid.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import numpy as np
 _SV_CUTOFF = 1e-10
 # Total kernel activation below this is treated as extinguished forcing.
 _ACTIVATION_FLOOR = 1e-300
+_GRID_BLOCK = 1024      # phases per kernel evaluation of forcing_rows
 
 
 def phase(t, alpha_x: float, tau: float):
     """Clock signal x = exp(-alpha_x t / tau); x(0) = 1, strictly decreasing."""
-    if alpha_x <= 0.0 or tau <= 0.0:
+    if not (alpha_x > 0.0 and tau > 0.0):
         raise ValueError("alpha_x and tau must be positive")
     return np.exp(-alpha_x * np.asarray(t, dtype=float) / tau)
 
@@ -54,19 +57,28 @@ class GaussianBasis:
             raise ValueError(f"unknown kernel scheme {self.scheme!r}")
         if len(self.centers) < 2 or len(self.centers) != len(self.widths):
             raise ValueError("need at least two kernels with matching widths")
-        if not (np.all(np.isfinite(self.widths)) and np.all(self.widths > 0)):
-            raise ValueError("kernel widths must be positive and finite")
+        if not (np.all(np.isfinite(self.widths)) and np.all(self.widths > 0)
+                and np.all(np.isfinite(self.centers)) and np.isfinite(self.alpha_x)):
+            raise ValueError("kernel widths must be positive and finite, centers "
+                             "and alpha_x finite")
 
     @property
     def n_kernels(self) -> int:
         return len(self.centers)
 
-    def kernel_values(self, x: float) -> np.ndarray:
-        """Activations of all kernels at one phase value."""
-        d2 = (x - self.centers) ** 2
+    def kernel_values(self, x) -> np.ndarray:
+        """Activations of all kernels at one phase, (N,), or at each of an
+        (n,) stack of phases, (n, N), evaluated in place in one buffer."""
+        k = np.subtract(np.asarray(x, dtype=float)[..., None], self.centers)
+        np.square(k, out=k)
         if self.scheme == "a":
-            return np.exp(-self.widths * d2)
-        return np.exp(-0.5 * d2 / self.widths) / np.sqrt(2.0 * np.pi * self.widths)
+            k *= -self.widths
+            return np.exp(k, out=k)
+        k *= -0.5
+        k /= self.widths
+        np.exp(k, out=k)
+        k /= np.sqrt(2.0 * np.pi * self.widths)
+        return k
 
 
 def basis_scheme_a(n_kernels: int, alpha_x: float) -> GaussianBasis:
@@ -123,40 +135,37 @@ def forcing(x: float, basis: GaussianBasis, weights: np.ndarray) -> float:
     return float(forcing_rows(x, basis, weights[None, :])[0])
 
 
-def forcing_rows(x: float, basis: GaussianBasis, weights: np.ndarray) -> np.ndarray:
-    """forcing() for a (dims, N) weight matrix; one shared kernel evaluation."""
+def forcing_rows(x, basis: GaussianBasis, weights: np.ndarray) -> np.ndarray:
+    """forcing() for a (dims, N) weight matrix at one phase, (dims,), or over a
+    phase grid, (n, dims): one kernel pass per block of phases, one product
+    with the weights per row, so a row has the bits of its phase alone."""
+    x = np.asarray(x, dtype=float)
+    if not np.any(weights):
+        return np.zeros(x.shape + (len(weights),))
+    if x.ndim and len(x) > _GRID_BLOCK:
+        return np.concatenate([forcing_rows(b, basis, weights) for b in
+                               np.split(x, range(_GRID_BLOCK, len(x), _GRID_BLOCK))])
     psi = basis.kernel_values(x)
-    s = psi.sum()
-    if s < _ACTIVATION_FLOOR:
-        return np.zeros(weights.shape[0])
-    return (weights @ psi) / s * x
+    f = (weights @ psi[..., None])[..., 0]
+    return _gate(f, psi.sum(axis=-1), x)
+
+
+def _gate(rows: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rows / s * x in place; rows with kernel activation s under the floor are 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows /= s[..., None]
+        rows *= x[..., None]
+    rows[s < _ACTIVATION_FLOOR] = 0.0
+    return rows
 
 
 def design_matrix(xs: np.ndarray, basis: GaussianBasis) -> np.ndarray:
-    """Rows of normalized, phase-gated kernel activations, one per sample.
-
-    Row k equals kernel_values(xs[k]) / its sum * xs[k], bit for bit, and
-    is zero where the total activation is below the 1e-300 floor.  Built
-    in place in one (n, N) buffer.
-    """
+    """Rows of normalized, phase-gated kernel activations, one per sample:
+    kernel_values(xs[k]) / its sum * xs[k], or zero where that sum is below
+    the 1e-300 floor.  Built in place in one (n, N) buffer."""
     xs = np.asarray(xs, dtype=float)
-    A = np.subtract(xs[:, None], basis.centers)
-    np.square(A, out=A)
-    if basis.scheme == "a":
-        A *= -basis.widths
-        np.exp(A, out=A)
-    else:
-        A *= -0.5
-        A /= basis.widths
-        np.exp(A, out=A)
-        A /= np.sqrt(2.0 * np.pi * basis.widths)
-    s = A.sum(axis=1)
-    live = s >= _ACTIVATION_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A /= s[:, None]
-    A *= xs[:, None]
-    A[~live] = 0.0
-    return A
+    A = basis.kernel_values(xs)
+    return _gate(A, A.sum(axis=1), xs)
 
 
 def fit_weights(xs: np.ndarray, targets: np.ndarray, basis: GaussianBasis

@@ -20,7 +20,6 @@ decoupled baseline alpha_x 0.1, 30/50 kernels, stiffness 10/1; damping
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import replace
 
@@ -52,6 +51,7 @@ from .quat import quat_normalize, quat_rotate, quat_rotate_inverse
 from .traj import (
     ScalarDemo,
     Trajectory,
+    csv_chunks,
     gen_min_jerk,
     gen_somersault,
     load_trajectory,
@@ -59,24 +59,11 @@ from .traj import (
 )
 
 _ROLLOUT_HEADER = ("t,x,px,py,pz,qw,qx,qy,qz,wx,wy,wz,vx,vy,vz,V,V1,V2")
-_TABLE_BLOCK = 1024     # rows per formatting call of _write_table
 
 
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
-
-
-def _write_table(path: str | None, header: str, table: np.ndarray) -> None:
-    """Header line, then one line per row of full-precision ('%.17g') values.
-
-    Rows are formatted a block at a time, one '%' per block, so that only one
-    block's values are ever held as Python floats.
-    """
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    blocks = np.split(table, range(_TABLE_BLOCK, len(table), _TABLE_BLOCK))
-    _write_text(path, itertools.chain(
-        [header + "\n"], (row * len(b) % tuple(b.ravel().tolist()) for b in blocks)))
 
 
 def _write_text(path: str | None, chunks) -> None:
@@ -102,8 +89,8 @@ def cmd_gen(args) -> int:
         print(f"wrote {len(traj)} samples to {args.output}", file=sys.stderr)
         return 0
     demo = gen_min_jerk(args.start, args.to, args.duration, args.dt)
-    _write_table(args.output, "t,y,yd,ydd",
-                 np.column_stack([demo.t, demo.y, demo.yd, demo.ydd]))
+    _write_text(args.output, csv_chunks(
+        "t,y,yd,ydd", np.column_stack([demo.t, demo.y, demo.yd, demo.ydd])))
     print(f"wrote {len(demo.t)} samples to {args.output}", file=sys.stderr)
     return 0
 
@@ -114,9 +101,7 @@ def load_scalar_demo(path: str) -> ScalarDemo:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "t,y,yd,ydd":
+            if not line or line.startswith("#") or line == "t,y,yd,ydd":
                 continue
             parts = line.split(",")
             if len(parts) != 4:
@@ -186,14 +171,11 @@ def fd_residual_report(model, traj: Trajectory | None = None,
                        demo: ScalarDemo | None = None) -> None:
     """Print per-dimension reproduction residuals of the weight fits."""
     if isinstance(model, PoseDecoupledDmp):
-        for axis, sub in zip("xyz", model.position):
+        vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
+        acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
+        for dim, sub in enumerate(model.position):
             fd_residual_report(sub, demo=ScalarDemo(
-                traj.t, traj.positions[:, "xyz".index(axis)],
-                np.gradient(traj.positions[:, "xyz".index(axis)], traj.dt,
-                            edge_order=2),
-                np.gradient(np.gradient(traj.positions[:, "xyz".index(axis)],
-                                        traj.dt, edge_order=2), traj.dt,
-                            edge_order=2)))
+                traj.t, traj.positions[:, dim], vel[:, dim], acc[:, dim]))
         fd_residual_report(model.orientation, traj=traj)
         return
     if isinstance(model, ClassicalDmp):
@@ -249,7 +231,7 @@ def cmd_rollout(args) -> int:
                                goal_pos, goal_quat)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    _write_table(args.output, _ROLLOUT_HEADER, table)
+    _write_text(args.output, csv_chunks(_ROLLOUT_HEADER, table))
     print(f"rollout table: {len(table)} rows", file=sys.stderr)
     return 0
 

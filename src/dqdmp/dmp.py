@@ -17,10 +17,11 @@ The quaternion and dual-quaternion rollouts run on one driver,
 ``_integrate``, which owns the time grid, the forcing, the full-matrix gain
 update and the output arrays; each variant passes only its error and pose
 step, the component kernels of ``quat`` and ``dualquat``, which run on
-plain floats in the loop over time.  The error rows and the energies are
-computed after the loop, in one array pass over the stored states.  The
-scalar primitive keeps its own short float loop: its position step is
-Euler, its forcing unscaled and it has no start-error term.
+plain floats in the loop over time.  Every rollout takes the forcing of its
+whole phase grid from one ``forcing_rows`` call before the loop and the
+error rows and energies from one array pass after it.  The scalar
+primitive keeps its own short float loop: its position step is Euler, its
+forcing unscaled and it has no start-error term.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -181,7 +182,7 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
                       t_start: float = 0.0) -> ClassicalRollout:
     """Integrate the scalar primitive: semi-implicit Euler on plain floats."""
     ts, xs = _clock(model.basis.alpha_x, model.tau, dt, duration, t_start)
-    f = _forcing(xs, model.basis, model.weights[None, :])[:, 0]
+    f = forcing_rows(xs, model.basis, model.weights[None, :])[:, 0]
     az, bz = float(model.alpha_z), float(model.beta_z)
     g, tau = float(model.goal), float(model.tau)
     y, z = np.empty(len(xs)), np.empty(len(xs))
@@ -212,15 +213,6 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
     return ts, phase(ts, alpha_x, tau)
 
 
-def _forcing(xs: np.ndarray, basis: GaussianBasis, weights: np.ndarray) -> np.ndarray:
-    """Forcing rows over the phase grid; zero weights skip the kernels."""
-    out = np.zeros((len(xs), len(weights)))
-    if np.any(weights):
-        for k, x in enumerate(xs):
-            out[k] = forcing_rows(x, basis, weights)
-    return out
-
-
 def _integrate(model, tau: float, dt: float, duration: float | None,
                t_start: float, k_gain: np.ndarray, d_gain: np.ndarray,
                anchor: np.ndarray, start: np.ndarray, vel: np.ndarray, error, step):
@@ -236,7 +228,7 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
-    forcing = _forcing(xs, model.basis, model.weights)
+    forcing = forcing_rows(xs, model.basis, model.weights)
     # start-error shaping anchored at the trained start pose: the term is
     # part of the learned model, so resuming or restarting elsewhere must
     # not change the vector field
@@ -673,18 +665,20 @@ def _model_from_doc(doc: dict):
     dims = {"classical": 1, "quaternion": 3, "dual_quaternion": 6}.get(variant)
     if dims is None:
         raise ValueError(f"unknown model variant {variant!r}")
-    if not doc["tau"] > 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < doc["tau"] < np.inf:
+        raise ValueError("tau must be positive and finite")
     basis = _basis_from_doc(doc["basis"])
     weights = np.array(doc["weights"], dtype=float)
-    if weights.shape != (dims, basis.n_kernels):
-        raise ValueError(f"{variant} weights have shape {weights.shape}, "
-                         f"expected {(dims, basis.n_kernels)}")
+    if weights.shape != (dims, basis.n_kernels) or not np.all(np.isfinite(weights)):
+        raise ValueError(f"{variant} weights must be finite, of shape "
+                         f"{(dims, basis.n_kernels)}; got shape {weights.shape}")
     g = doc["gains"]
     b = doc["boundary"]
     if variant == "classical":
-        if not (g["alpha_z"] > 0.0 and g["beta_z"] > 0.0):
-            raise ValueError("classical gains alpha_z and beta_z must be positive")
+        if not (0.0 < g["alpha_z"] < np.inf and 0.0 < g["beta_z"] < np.inf
+                and np.isfinite(b["y0"]) and np.isfinite(b["goal"])):
+            raise ValueError("classical alpha_z and beta_z must be positive and "
+                             "finite, y0 and goal finite")
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
                             b["y0"], b["goal"], doc["tau"])
     if variant == "quaternion":

@@ -150,7 +150,7 @@ def dq_position(dq: DualQuaternion) -> np.ndarray:
 def dq_to_pose(dq: DualQuaternion) -> Pose:
     """Extract the pose; refuses input whose unit constraints have drifted."""
     nerr, derr = dq_constraint_errors(dq)
-    if nerr > _UNIT_TOL or derr > _UNIT_TOL:
+    if not (nerr <= _UNIT_TOL and derr <= _UNIT_TOL):
         raise ValueError(
             f"dual quaternion violates unit constraints (norm err {nerr:.2e}, "
             f"orthogonality err {derr:.2e})")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualquat import Twist, twist_body_from_demo
+from .dualquat import twist_body_from_demo
 from .quat import quat_conjugate, quat_product, quat_rotate_inverse, quat_vec
 
 _HEADER = "t,px,py,pz,qw,qx,qy,qz"
@@ -36,6 +36,7 @@ _HEADER = "t,px,py,pz,qw,qx,qy,qz"
 _QUAT_REJECT_TOL = 1e-3
 # ... and silently renormalizes anything closer than this
 _UNIFORM_TOL_FACTOR = 1e-9
+_CSV_BLOCK = 1024       # rows per formatting call of csv_chunks
 
 
 class Trajectory:
@@ -56,21 +57,9 @@ class Trajectory:
         t = np.asarray(t, dtype=float)
         positions = np.asarray(positions, dtype=float)
         quaternions = np.asarray(quaternions, dtype=float)
-        if len(t) < 2:
-            raise ValueError("a trajectory needs at least two samples")
         if positions.shape != (len(t), 3) or quaternions.shape != (len(t), 4):
             raise ValueError("inconsistent sample array shapes")
-        finite = (np.isfinite(t) & np.all(np.isfinite(positions), axis=1)
-                  & np.all(np.isfinite(quaternions), axis=1))
-        if not np.all(finite):
-            raise ValueError(f"non-finite value at sample {int(np.argmin(finite))}")
-        dt = float(t[1] - t[0])
-        if dt <= 0.0:
-            raise ValueError("sample times must be increasing")
-        if abs(t[0]) > _UNIFORM_TOL_FACTOR * dt:
-            raise ValueError(f"sample times must start at 0 (sample 0 is at {t[0]:.17g})")
-        if np.max(np.abs(np.diff(t) - dt)) > _UNIFORM_TOL_FACTOR * dt:
-            raise ValueError("sample times are not uniform")
+        dt = _check_samples(t, positions, quaternions)
         norms = np.linalg.norm(quaternions, axis=1)
         if np.any(np.abs(norms - 1.0) > _QUAT_REJECT_TOL):
             bad = int(np.argmax(np.abs(norms - 1.0)))
@@ -100,10 +89,26 @@ class Trajectory:
             self._derived = differentiate(self)
         return self._derived
 
-    def twist(self, k: int) -> Twist:
-        """Body twist at sample k (frame-tagged view into derived data)."""
-        d = self.derived()
-        return Twist(d.xi[k, :3].copy(), d.xi[k, 3:].copy(), "body")
+
+def _check_samples(t: np.ndarray, *channels: np.ndarray) -> float:
+    """Return the step of a sampled table: two samples or more, one row of each
+    channel per time, all finite, times from 0 uniform to 1e-9 of the step."""
+    if len(t) < 2 or any(len(c) != len(t) for c in channels):
+        raise ValueError("need at least two samples and one row of each channel per time")
+    finite = np.isfinite(t)
+    for c in channels:
+        finite &= np.all(np.isfinite(c.reshape(len(t), -1)), axis=1)
+    if not np.all(finite):
+        raise ValueError(f"non-finite value at sample {int(np.argmin(finite))}")
+    dt = float(t[1] - t[0])
+    if dt <= 0.0:
+        raise ValueError("sample times must be increasing (sample 1)")
+    if abs(t[0]) > _UNIFORM_TOL_FACTOR * dt:
+        raise ValueError(f"sample times must start at 0 (sample 0 is at {t[0]:.17g})")
+    off = np.abs(np.diff(t) - dt) > _UNIFORM_TOL_FACTOR * dt
+    if np.any(off):
+        raise ValueError(f"sample times are not uniform (sample {int(np.argmax(off)) + 1})")
+    return dt
 
 
 def _sign_continuous(q: np.ndarray) -> np.ndarray:
@@ -142,6 +147,10 @@ class ScalarDemo:
     y: np.ndarray
     yd: np.ndarray
     ydd: np.ndarray
+
+    def __post_init__(self):
+        _check_samples(*(np.asarray(a, dtype=float)
+                         for a in (self.t, self.y, self.yd, self.ydd)))
 
     @property
     def dt(self) -> float:
@@ -230,11 +239,17 @@ def save_trajectory(traj: Trajectory, sink) -> None:
         sink.write(f"# scale {traj.scale:.17g}\n")
     if traj.source:
         sink.write(f"# source {traj.source}\n")
-    sink.write(_HEADER + "\n")
-    inv = 1.0 / traj.scale
-    for k in range(len(traj)):
-        row = [traj.t[k], *(traj.positions[k] * inv), *traj.quaternions[k]]
-        sink.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    sink.writelines(csv_chunks(_HEADER, np.column_stack(
+        [traj.t, traj.positions * (1.0 / traj.scale), traj.quaternions])))
+
+
+def csv_chunks(header: str, table: np.ndarray):
+    """The header line, then the rows of the table as full-precision
+    ('%.17g') CSV, formatted and yielded one block of rows per '%'."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    yield header + "\n"
+    for b in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)):
+        yield row * len(b) % tuple(b.ravel().tolist())
 
 
 def load_trajectory(source) -> Trajectory:

@@ -3,11 +3,19 @@
 ``bench/spans.py`` replaces each ``owner.attr`` of its ``_TARGETS`` with a
 timing wrapper, looking the attribute up in ``owner.__dict__``.  A refactor
 that drops an import (say ``design_matrix`` from ``dqdmp.cli``) would break
-the traced run, and no other test would notice.
+the traced run, and no other test would notice.  The traced run's replays
+also make single-value calls that no rollout or training makes any more;
+those calls are made here with the same shapes.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import dqdmp.canonical as canonical
+import dqdmp.dualquat as dualquat
+from dqdmp import basis_scheme_a, phase
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -25,3 +33,18 @@ def test_every_traced_name_exists_on_its_owner():
                if attr not in owner.__dict__]
     assert not missing, f"traced names not found: {missing}"
 
+
+
+def test_replayed_single_value_calls_keep_their_shapes():
+    # the cli-loop replay: forcing_rows at one float phase of the dq model,
+    # and dq_from_pose on one pose of the demo
+    basis = basis_scheme_a(30, 0.05)
+    weights = np.random.default_rng(3).normal(size=(6, 30))
+    x = float(phase(np.array([0.37]), basis.alpha_x, 18.9)[0])
+    row = canonical.forcing_rows(x, basis, weights)
+    assert row.shape == (6,)
+    assert np.array_equal(row, canonical.forcing_rows(np.array([x]), basis, weights)[0])
+    q = np.array([np.cos(0.2), 0.0, np.sin(0.2), 0.0])
+    dq = dualquat.dq_from_pose(dualquat.Pose(np.array([1.0, -2.0, 0.5]), q))
+    assert dq.real.shape == (4,) and dq.dual.shape == (4,)
+    assert np.allclose(dualquat.dq_to_pose(dq).position, [1.0, -2.0, 0.5], atol=1e-12)

@@ -119,6 +119,23 @@ def test_bad_demo_fails_with_exit_code_1(tmp_path, capsys, case, command):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["nan_sample", "late_start"])
+def test_bad_scalar_demo_fails_with_exit_code_1(tmp_path, capsys, case):
+    demo = tmp_path / "d.csv"
+    assert run(["gen", "minjerk", "-o", str(demo)]) == 0
+    lines = demo.read_text().splitlines()
+    if case == "nan_sample":
+        lines[11] = "0.08,nan,0,0"     # row 10, after the header
+    else:
+        lines[1:] = [",".join([repr(float(ln.split(",")[0]) + 0.5)] + ln.split(",")[1:])
+                     for ln in lines[1:]]
+    demo.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.json"
+    assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(out)]) == 1
+    assert ("sample 10" if case == "nan_sample" else "sample 0") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_demo_fails(tmp_path, capsys):
     rc = run(["train", "--variant", "dq", "--demo",
               str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")])

@@ -160,6 +160,13 @@ BAD_FILES = {
     "beta_z not positive": ("classical", lambda d: d["gains"].update(beta_z=-6.25)),
     "q0 off unit": ("quaternion", _scale("q0", 1.0 + 1e-5)),
     "dqd off unit": ("dual_quaternion", _scale("dqd", 1.0 + 1e-5)),
+    "weight not finite": ("dual_quaternion", lambda d: d["weights"][2].__setitem__(1, np.nan)),
+    "goal not finite": ("classical", lambda d: d["boundary"].update(goal=np.inf)),
+    "y0 not finite": ("classical", lambda d: d["boundary"].update(y0=np.nan)),
+    "alpha_z not finite": ("classical", lambda d: d["gains"].update(alpha_z=np.inf)),
+    "tau not finite": ("dual_quaternion", lambda d: d.update(tau=np.inf)),
+    "dqd not finite": ("dual_quaternion", lambda d: d["boundary"]["dqd"].__setitem__(5, np.nan)),
+    "center not finite": ("quaternion", lambda d: d["basis"]["centers"].__setitem__(2, np.nan)),
 }
 
 

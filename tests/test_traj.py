@@ -14,7 +14,7 @@ from dqdmp import (
     quat_to_rotmat,
     resample,
 )
-from dqdmp.traj import trajectory_to_csv
+from dqdmp.traj import ScalarDemo, csv_chunks, trajectory_to_csv
 
 MINIMAL = """t,px,py,pz,qw,qx,qy,qz
 0,0,0,0,1,0,0,0
@@ -111,6 +111,66 @@ def test_start_time_within_rounding_of_zero_is_accepted():
     t = np.arange(5) * 0.01 + 1e-13
     traj = Trajectory(t, np.zeros((5, 3)), np.tile([1.0, 0, 0, 0], (5, 1)))
     assert len(traj) == 5
+
+
+@pytest.mark.parametrize("case", ["nan_value", "nan_time", "late_start", "decreasing",
+                                  "non_uniform", "ragged", "single_sample"])
+def test_scalar_demo_rejects_bad_samples(case):
+    t = np.arange(6) * 0.1
+    y, yd, ydd = np.linspace(0.0, 1.0, 6), np.zeros(6), np.zeros(6)
+    if case == "nan_value":
+        yd[3] = np.nan
+    elif case == "nan_time":
+        t[3] = np.nan
+    elif case == "late_start":
+        t = t + 0.5
+    elif case == "decreasing":
+        t = -t
+    elif case == "non_uniform":
+        t[4] += 0.01
+    elif case == "ragged":
+        ydd = ydd[:-1]
+    else:
+        t, y, yd, ydd = t[:1], y[:1], yd[:1], ydd[:1]
+    match = {"nan_value": "sample 3", "nan_time": "sample 3", "late_start": "sample 0",
+             "decreasing": "sample 1", "non_uniform": "sample 4"}.get(case, "two samples")
+    with pytest.raises(ValueError, match=match):
+        ScalarDemo(t, y, yd, ydd)
+
+
+def test_scalar_demo_accepts_stacked_channels():
+    t = np.arange(5) * 0.01 + 1e-13
+    demo = ScalarDemo(t, np.zeros((5, 3)), np.zeros((5, 3)), np.zeros((5, 3)))
+    assert demo.dt == t[1] - t[0]
+
+
+def per_row_csv(traj):
+    """The trajectory writer as it was: one f-string per value and row."""
+    out = []
+    if traj.scale != 1.0:
+        out.append(f"# scale {traj.scale:.17g}\n")
+    if traj.source:
+        out.append(f"# source {traj.source}\n")
+    out.append("t,px,py,pz,qw,qx,qy,qz\n")
+    inv = 1.0 / traj.scale
+    for k in range(len(traj)):
+        row = [traj.t[k], *(traj.positions[k] * inv), *traj.quaternions[k]]
+        out.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("rows", [3, 1024, 1025, 2501])
+def test_block_writer_equals_per_row_writer(rows):
+    loop = gen_somersault(50.0, (rows - 1) * 0.01, 0.01)
+    positions = loop.positions * 0.02
+    positions[1, 1] = -0.0
+    traj = Trajectory(loop.t, positions, loop.quaternions, scale=0.02, source="loop note")
+    assert len(traj) == rows
+    assert trajectory_to_csv(traj) == per_row_csv(traj)
+    table = np.random.default_rng(rows).normal(size=(rows, 18)) * 1e3
+    table[0, :3] = [-0.0, 1e-300, 123456789.125]
+    assert "".join(csv_chunks("h", table)) == "h\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in table)
 
 
 def _greedy_sign_continuity(quats):
