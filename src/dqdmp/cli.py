@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -66,12 +67,14 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _write_text(path: str | None, chunks) -> None:
+@contextmanager
+def _text_sink(path: str | None):
+    """stdout for None or '-', else the file at path opened for writing."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +84,16 @@ def _write_text(path: str | None, chunks) -> None:
 def cmd_gen(args) -> int:
     if args.dt <= 0.0 or args.duration <= args.dt:
         return _fail("need duration > dt > 0")
-    if args.kind == "somersault":
-        if args.radius <= 0.0:
-            return _fail("radius must be positive")
-        traj = gen_somersault(args.radius, args.duration, args.dt)
-        save_trajectory(traj, args.output)
-        print(f"wrote {len(traj)} samples to {args.output}", file=sys.stderr)
-        return 0
-    demo = gen_min_jerk(args.start, args.to, args.duration, args.dt)
-    _write_text(args.output, csv_chunks(
-        "t,y,yd,ydd", np.column_stack([demo.t, demo.y, demo.yd, demo.ydd])))
+    if args.kind == "somersault" and args.radius <= 0.0:
+        return _fail("radius must be positive")
+    with _text_sink(args.output) as fh:
+        if args.kind == "somersault":
+            demo = gen_somersault(args.radius, args.duration, args.dt)
+            save_trajectory(demo, fh)
+        else:
+            demo = gen_min_jerk(args.start, args.to, args.duration, args.dt)
+            fh.writelines(csv_chunks(
+                "t,y,yd,ydd", np.column_stack([demo.t, demo.y, demo.yd, demo.ydd])))
     print(f"wrote {len(demo.t)} samples to {args.output}", file=sys.stderr)
     return 0
 
@@ -231,7 +234,8 @@ def cmd_rollout(args) -> int:
                                goal_pos, goal_quat)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    _write_text(args.output, csv_chunks(_ROLLOUT_HEADER, table))
+    with _text_sink(args.output) as fh:
+        fh.writelines(csv_chunks(_ROLLOUT_HEADER, table))
     print(f"rollout table: {len(table)} rows", file=sys.stderr)
     return 0
 
@@ -363,7 +367,8 @@ def cmd_compare(args) -> int:
     for name in ("dq", "pose_decoupled"):
         lines.append(name + "," +
                      ",".join(f"{report[name][f]:.17g}" for f in fields))
-    _write_text(args.output, (line + "\n" for line in lines))
+    with _text_sink(args.output) as fh:
+        fh.writelines(line + "\n" for line in lines)
     print("comparison on", args.demo, file=sys.stderr)
     for name in ("dq", "pose_decoupled"):
         m = report[name]

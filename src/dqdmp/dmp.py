@@ -14,14 +14,13 @@ The pose never leaves its manifold (unit norms are re-enforced each step)
 and, for the rotational states, the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.
 The quaternion and dual-quaternion rollouts run on one driver,
-``_integrate``, which owns the time grid, the forcing, the full-matrix gain
-update and the output arrays; each variant passes only its error and pose
-step, the component kernels of ``quat`` and ``dualquat``, which run on
-plain floats in the loop over time.  Every rollout takes the forcing of its
-whole phase grid from one ``forcing_rows`` call before the loop and the
-error rows and energies from one array pass after it.  The scalar
-primitive keeps its own short float loop: its position step is Euler, its
-forcing unscaled and it has no start-error term.
+``_integrate``; each variant passes its (K, D) 3x3 gain blocks and its
+error and pose step (component kernels of ``quat`` and ``dualquat``).  Its
+loop over time makes no numpy call: plain floats, one float kernel per
+gain block, states packed into preallocated arrays, the forcing grid from
+before the loop and the finiteness check, error rows and energies after.
+The scalar primitive keeps its own short float loop: its position step is
+Euler, its forcing unscaled and it has no start-error term.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from struct import Struct
 
 import numpy as np
 
@@ -192,6 +192,7 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
         zk += dt * (az * (bz * (g - yk) - zk) + fk) / tau
         yk += dt * zk / tau
         y[k + 1], z[k + 1] = yk, zk
+    _check_finite(ts, y, z)
     energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / (az * bz)
     return ClassicalRollout(ts, xs, y, z, f, energy)
 
@@ -209,40 +210,71 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
         duration = 1.5 * tau
     if not (duration >= 0.0 and np.isfinite(duration)):
         raise ValueError("duration must be non-negative and finite")
+    if not np.isfinite(t_start):
+        raise ValueError("t_start must be finite")
     ts = t_start + np.arange(int(round(duration / dt)) + 1) * dt
     return ts, phase(ts, alpha_x, tau)
 
 
 def _integrate(model, tau: float, dt: float, duration: float | None,
-               t_start: float, k_gain: np.ndarray, d_gain: np.ndarray,
-               anchor: np.ndarray, start: np.ndarray, vel: np.ndarray, error, step):
+               t_start: float, gains, anchor: np.ndarray, start: np.ndarray,
+               vel: np.ndarray, error, step):
     """Semi-implicit Euler driver of the quaternion and dual-quaternion
-    primitives.
+    primitives, run on plain floats with no numpy call per step.
 
     Poses are sequences of float components.  error(pose) gives the goal
     error and step(pose, z) the pose moved by the exponential step of the
     displacement z; error also takes the columns of the stacked poses.
+    gains holds one (K, D) pair of 3x3 blocks per three velocity components.
     Each step drives the tau-scaled velocity with u = e - e0 x + f, e0 the
     error of the trained start pose (anchor), then steps the pose by
     dt / (2 tau) times the new velocity (the half-angle convention).
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
+    if vel.shape != (3 * len(gains),):
+        raise ValueError(f"the start velocity must have {3 * len(gains)} components")
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
     forcing = forcing_rows(xs, model.basis, model.weights)
     # start-error shaping anchored at the trained start pose: the term is
     # part of the learned model, so resuming or restarting elsewhere must
     # not change the vector field
-    e0 = np.array(error(anchor))
+    e0 = error(anchor.tolist())
     dt_tau, half = dt / tau, dt / (2.0 * tau)
+    blocks = [(slice(3 * b, 3 * b + 3), k.ravel().tolist(), d.ravel().tolist())
+              for b, (k, d) in enumerate(gains)]
     poses, vels = np.empty((len(xs), len(start))), np.empty((len(xs), len(vel)))
     poses[0], vels[0] = start, vel
-    pose = start.tolist()
-    for k in range(len(xs) - 1):
-        u = np.array(error(pose)) - e0 * xs[k] + forcing[k]
-        vel = vel + dt_tau * (k_gain @ u - d_gain @ vel)
-        pose = step(pose, (half * vel).tolist())
-        poses[k + 1], vels[k + 1] = pose, vel
+    pose, vel = start.tolist(), vel.tolist()
+    row_p, row_v = Struct(f"{len(pose)}d"), Struct(f"{len(vel)}d")
+    rows = zip(*[iter(memoryview(forcing.ravel()))] * len(vel))
+    for j, x, f in zip(range(1, len(xs)), memoryview(xs), rows):
+        u = [ei - ci * x + fi for ei, ci, fi in zip(error(pose), e0, f)]
+        vel = [c for b, k, d in blocks for c in _gain_step(vel[b], u[b], k, d, dt_tau)]
+        pose = step(pose, [half * c for c in vel])
+        row_p.pack_into(poses, j * row_p.size, *pose)
+        row_v.pack_into(vels, j * row_v.size, *vel)
+    _check_finite(ts, poses, vels)
     return ts, xs, poses, vels, forcing, np.array(error(poses.T)).T
+
+
+def _gain_step(v, u, k, d, dt_tau: float):
+    """v + dt_tau (K u - D v) for one 3x3 gain block on float 3-sequences;
+    k and d are the row-major entries, each product summed left to right."""
+    v0, v1, v2 = v
+    u0, u1, u2 = u
+    return (v0 + dt_tau * ((k[0] * u0 + k[1] * u1 + k[2] * u2)
+                           - (d[0] * v0 + d[1] * v1 + d[2] * v2)),
+            v1 + dt_tau * ((k[3] * u0 + k[4] * u1 + k[5] * u2)
+                           - (d[3] * v0 + d[4] * v1 + d[5] * v2)),
+            v2 + dt_tau * ((k[6] * u0 + k[7] * u1 + k[8] * u2)
+                           - (d[6] * v0 + d[7] * v1 + d[8] * v2)))
+
+
+def _check_finite(ts: np.ndarray, *states: np.ndarray) -> None:
+    """Raise on the first sample of a rollout whose state is not finite."""
+    if not all(np.isfinite(s).all() for s in states):
+        k = int(np.argmin(np.isfinite(np.column_stack(states)).all(axis=1)))
+        raise ValueError(f"non-finite state at sample {k} (t = {ts[k]:g}): dt / tau too large?")
 
 
 def _rotation_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
@@ -361,8 +393,8 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
     frame, body, goal = model.frame, model.frame == BODY, qd.tolist()
     ts, xs, qs, oms, f, e = _integrate(
-        model, tau, dt, duration, t_start, model.k_gain, model.d_gain, model.q0, q,
-        om, lambda p: _quat_error(p, goal, frame), lambda p, z: _quat_step(p, z, body))
+        model, tau, dt, duration, t_start, [(model.k_gain, model.d_gain)], model.q0,
+        q, om, lambda p: _quat_error(p, goal, frame), lambda p, z: _quat_step(p, z, body))
     v1 = _rotation_energy(qs, qd, oms, np.linalg.inv(model.k_gain))
     return QuatRollout(ts, xs, qs, oms, f, e, v1)
 
@@ -497,19 +529,12 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     g = goal.as_array().tolist()
     ts, xs, dqs, xis, f, e = _integrate(
         model, tau, dt, duration, t_start,
-        _block_diag(model.k_rot, model.k_pos), _block_diag(model.d_rot, model.d_pos),
-        model.dq0.as_array(), start.as_array(), xi, lambda p: _dq_error(p, g)[1:], _dq_step)
+        [(model.k_rot, model.d_rot), (model.k_pos, model.d_pos)], model.dq0.as_array(),
+        start.as_array(), xi, lambda p: _dq_error(p, g)[1:], _dq_step)
     positions = dq_position(DualQuaternion(dqs[:, :4], dqs[:, 4:]))
     lyap = _pose_energy(dqs[:, :4], positions, xis, goal.real, goal_position,
                         np.linalg.inv(model.k_rot), np.linalg.inv(model.k_pos))
     return DqRollout(ts, xs, dqs, xis, f, e, lyap)
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 6x6 gain of the rotation block a and the translation block b."""
-    out = np.zeros((6, 6))
-    out[:3, :3], out[3:, 3:] = a, b
-    return out
 
 
 # ---------------------------------------------------------------------------

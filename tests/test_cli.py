@@ -1,10 +1,12 @@
 """Command-line behavior: file products, exit codes, determinism."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from dqdmp import BODY, QuaternionDmp, basis_scheme_a, save_model
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
 from dqdmp.traj import gen_somersault, save_trajectory
 
@@ -259,3 +261,33 @@ def test_classical_rollout_energy_never_rises(tmp_path, tau):
     v = np.loadtxt(out, delimiter=",", skiprows=1)[:, 15]
     assert v[0] == 0.5
     assert np.max(np.diff(v)) <= 1e-12 * v[0]
+
+
+def test_gen_somersault_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "somersault", "--radius", "5", "--duration", "1",
+                "--dt", "0.1", "-o", "-"]) == 0
+    expected = io.StringIO()
+    save_trajectory(gen_somersault(5.0, 1.0, 0.1), expected)
+    out = capsys.readouterr().out
+    assert out == expected.getvalue()
+    assert "t,px,py,pz,qw,qx,qy,qz" in out.split("\n")
+    assert len([ln for ln in out.split("\n") if ln[:1].isdigit()]) == 11
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rollout_non_finite_state_fails_with_exit_code_1(tmp_path, capsys):
+    # K = 625, D = 250 at dt = 0.01, tau = 1: the semi-implicit step is unstable
+    model = QuaternionDmp(BODY, 625.0 * np.eye(3), 250.0 * np.eye(3),
+                          basis_scheme_a(30, 2.0), np.zeros((3, 30)),
+                          np.array([1.0, 0.0, 0.0, 0.0]),
+                          np.array([0.0, 1.0, 0.0, 0.0]), 1.0)
+    path = tmp_path / "unstable.json"
+    save_model(model, str(path))
+    out = tmp_path / "roll.csv"
+    with np.errstate(invalid="ignore"):
+        rc = run(["rollout", "--model", str(path), "--dt", "0.01",
+                  "--duration", "10", "-o", str(out)])
+    assert rc == 1
+    assert "non-finite state at sample" in capsys.readouterr().err
+    assert not out.exists()

@@ -364,3 +364,42 @@ def test_dq_rollout_matches_reference(rng, full, forced):
     assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), full)
     np.testing.assert_allclose(got.lyap, want["lyap"], **ENERGY_TOL)
 
+
+
+# -- the float loop against the reference: bit-exact cases --------------------------
+
+
+K_ROT, D_ROT = np.diag([3.0, 7.0, 13.0]), np.diag([4.0, 6.5, 9.0])
+K_POS, D_POS = np.diag([20.0, 11.0, 5.0]), np.diag([12.0, 8.0, 3.5])
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_dq_distinct_rotation_and_translation_blocks_bit_exact(rng, forced):
+    m = DualQuaternionDmp(K_ROT, K_POS, D_ROT, D_POS, BASIS, weights(rng, 6, forced),
+                          random_unit_dq(rng), random_unit_dq(rng), 1.1)
+    xi0 = np.concatenate([random_rotvec(rng, 1.0), rng.normal(size=3)])
+    for kw in (dict(dt=0.01, duration=2.5), dict(xi0=xi0, dt=0.004, duration=1.0)):
+        got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
+        assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
+
+
+@pytest.mark.parametrize("frame", [BODY, INERTIAL])
+def test_quat_distinct_per_axis_gains_bit_exact(rng, frame):
+    m = QuaternionDmp(frame, K_ROT, D_ROT, BASIS, weights(rng, 3, True),
+                      random_unit_quat(rng), random_unit_quat(rng), 0.9)
+    kw = dict(omega0=rng.normal(size=3), dt=0.01, duration=2.0)
+    got, want = quat_rollout(m, **kw), reference_quat_rollout(m, **kw)
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
+
+
+def test_forced_rollouts_past_1024_steps_bit_exact(rng):
+    kw = dict(dt=0.002, duration=3.0)  # 1,500 steps
+    m = DualQuaternionDmp(K_ROT, K_POS, D_ROT, D_POS, BASIS, weights(rng, 6, True),
+                          random_unit_dq(rng), random_unit_dq(rng), 1.7)
+    got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
+    assert len(got.t) > 1025
+    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
+    q = QuaternionDmp(BODY, K_POS, D_POS, BASIS, weights(rng, 3, True),
+                      random_unit_quat(rng), random_unit_quat(rng), 1.7)
+    got, want = quat_rollout(q, **kw), reference_quat_rollout(q, **kw)
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
