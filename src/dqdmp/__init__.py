@@ -10,7 +10,6 @@ generators, trajectory tooling and a CLI.
 from .canonical import (
     GaussianBasis,
     basis_scheme_a,
-    basis_scheme_b,
     design_matrix,
     fit_weights,
     forcing,
@@ -84,6 +83,7 @@ from .traj import (
     differentiate,
     gen_min_jerk,
     gen_somersault,
+    load_scalar_demo,
     load_trajectory,
     resample,
     save_trajectory,

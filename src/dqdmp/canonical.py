@@ -4,18 +4,10 @@ The phase variable is the shared clock x(t) = exp(-alpha_x t / tau),
 decaying from 1 toward 0; every output dimension of a primitive is driven
 by the same phase, which is what synchronizes them.
 
-Two kernel layouts are supported:
-
-* scheme "a": unnormalized kernels exp(-h (x - c)^2) with centers at the
-  phase values of uniformly spaced normalized times and widths from the
-  squared center spacing.  The default everywhere.
-* scheme "b": pdf-normalized kernels exp(-(x-c)^2 / (2 h)) / sqrt(2 pi h)
-  with centers spaced through a total duration T at sampling step dt.
-  The width recipe for this scheme is taken literally from its source with
-  the grouping documented in basis_scheme_b; its fit quality is checked
-  against scheme "a" in the tests rather than asserted from the formula.
-
-Both are written only in kernel_values, which takes a whole phase grid.
+The kernels are unnormalized Gaussians exp(-h (x - c)^2) with centers at
+the phase values of uniformly spaced normalized times and widths from the
+squared center spacing (basis_scheme_a).  They are written only in
+kernel_values, which takes a whole phase grid.
 """
 
 from __future__ import annotations
@@ -44,17 +36,11 @@ def phase(t, alpha_x: float, tau: float):
 class GaussianBasis:
     """Immutable kernel bank over the phase domain."""
 
-    scheme: str
     alpha_x: float
     centers: np.ndarray
     widths: np.ndarray
-    # scheme "b" keeps its construction parameters for serialization
-    total_time: float | None = None
-    dt: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in ("a", "b"):
-            raise ValueError(f"unknown kernel scheme {self.scheme!r}")
         if len(self.centers) < 2 or len(self.centers) != len(self.widths):
             raise ValueError("need at least two kernels with matching widths")
         if not (np.all(np.isfinite(self.widths)) and np.all(self.widths > 0)
@@ -71,14 +57,8 @@ class GaussianBasis:
         (n,) stack of phases, (n, N), evaluated in place in one buffer."""
         k = np.subtract(np.asarray(x, dtype=float)[..., None], self.centers)
         np.square(k, out=k)
-        if self.scheme == "a":
-            k *= -self.widths
-            return np.exp(k, out=k)
-        k *= -0.5
-        k /= self.widths
-        np.exp(k, out=k)
-        k /= np.sqrt(2.0 * np.pi * self.widths)
-        return k
+        k *= -self.widths
+        return np.exp(k, out=k)
 
 
 def basis_scheme_a(n_kernels: int, alpha_x: float) -> GaussianBasis:
@@ -95,34 +75,7 @@ def basis_scheme_a(n_kernels: int, alpha_x: float) -> GaussianBasis:
     h = np.empty(n_kernels)
     h[:-1] = 1.0 / np.diff(c) ** 2
     h[-1] = h[-2]
-    return GaussianBasis("a", float(alpha_x), c, h)
-
-
-def basis_scheme_b(n_kernels: int, alpha_x: float, total_time: float,
-                   dt: float) -> GaussianBasis:
-    """Duration-aware kernel bank with pdf-normalized kernels.
-
-    Centers are c_i = exp(-alpha_x T i/(N+1)).  The width recipe is
-    evaluated with the grouping
-
-        h_i = (c_i - exp(-alpha_x (1 + (T-dt)(N-i)/(dt (N-1))
-                                    + sqrt(10 T/dt)) dt))^2
-
-    i.e. the inner sum is a time measured in sampling steps, scaled back
-    by dt inside the exponential.  Construction fails if any width comes
-    out non-positive or non-finite.
-    """
-    if n_kernels < 2:
-        raise ValueError("need at least two kernels")
-    if not total_time > dt > 0.0:
-        raise ValueError("need total_time > dt > 0")
-    N = n_kernels
-    i = np.arange(1, N + 1)
-    c = np.exp(-alpha_x * total_time * i / (N + 1))
-    steps = 1.0 + (total_time - dt) * (N - i) / (dt * (N - 1)) + np.sqrt(10.0 * total_time / dt)
-    h = (c - np.exp(-alpha_x * steps * dt)) ** 2
-    return GaussianBasis("b", float(alpha_x), c, h,
-                         total_time=float(total_time), dt=float(dt))
+    return GaussianBasis(float(alpha_x), c, h)
 
 
 def forcing(x: float, basis: GaussianBasis, weights: np.ndarray) -> float:

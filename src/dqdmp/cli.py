@@ -26,12 +26,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .canonical import basis_scheme_a, basis_scheme_b, design_matrix, phase
+from .canonical import basis_scheme_a
+# unused here; bench/spans.py wraps these three names on this module
+from .canonical import design_matrix
+from .dmp import dq_target_forcing, quat_target_forcing
 from .dmp import (
     ClassicalDmp,
-    classical_target_forcing,
-    dq_target_forcing,
-    quat_target_forcing,
     DualQuaternionDmp,
     PoseDecoupledDmp,
     QuaternionDmp,
@@ -40,7 +40,6 @@ from .dmp import (
     dq_rollout,
     dq_train,
     load_model,
-    model_frame_rates,
     pose_rollout,
     pose_train,
     quat_rollout,
@@ -50,11 +49,11 @@ from .dmp import (
 from .dualquat import Pose, dq_from_pose, dq_to_pose
 from .quat import quat_normalize, quat_rotate, quat_rotate_inverse
 from .traj import (
-    ScalarDemo,
     Trajectory,
     csv_chunks,
     gen_min_jerk,
     gen_somersault,
+    load_scalar_demo,
     load_trajectory,
     save_trajectory,
 )
@@ -98,33 +97,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def load_scalar_demo(path: str) -> ScalarDemo:
-    """Read the scalar demo CSV written by `gen minjerk`."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line == "t,y,yd,ydd":
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields")
-            rows.append([float(p) for p in parts])
-    if len(rows) < 4:
-        raise ValueError("scalar demo too short (need >= 4 samples)")
-    data = np.array(rows)
-    return ScalarDemo(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-
-
 # ---------------------------------------------------------------------------
 # train
-
-
-def _build_basis(scheme: str, n: int, alpha_x: float, total_time: float,
-                 dt: float):
-    if scheme == "a":
-        return basis_scheme_a(n, alpha_x)
-    return basis_scheme_b(n, alpha_x, total_time, dt)
 
 
 def cmd_train(args) -> int:
@@ -132,28 +106,22 @@ def cmd_train(args) -> int:
         if args.variant == "classical":
             demo = load_scalar_demo(args.demo)
             tau = args.tau if args.tau is not None else demo.duration
-            basis = _build_basis(args.scheme, args.kernels, args.alpha_x,
-                                 demo.duration, demo.dt)
-            model = classical_train(demo, float(demo.y[-1]), tau,
-                                    args.alpha_z, args.beta_z, basis)
-            fd_residual_report(model, demo=demo)
+            model = classical_train(demo, float(demo.y[-1]), tau, args.alpha_z,
+                                    args.beta_z, basis_scheme_a(args.kernels, args.alpha_x))
         else:
             traj = load_trajectory(args.demo)
             if len(traj) < 4:
                 return _fail("demo too short to differentiate (need >= 4 samples)")
             tau = args.tau if args.tau is not None else traj.duration
             if args.variant == "dq":
-                basis = _build_basis(args.scheme, args.kernels, args.alpha_x,
-                                     traj.duration, traj.dt)
                 d_rot = args.d_ratio * np.sqrt(args.k_rot)
                 d_pos = args.d_ratio * np.sqrt(args.k_pos)
-                model = dq_train(traj, tau, args.k_rot, args.k_pos,
-                                 d_rot, d_pos, basis)
+                model = dq_train(traj, tau, args.k_rot, args.k_pos, d_rot, d_pos,
+                                 basis_scheme_a(args.kernels, args.alpha_x))
             elif args.variant == "quat":
-                basis = _build_basis(args.scheme, args.kernels, args.alpha_x,
-                                     traj.duration, traj.dt)
                 model = quat_train(traj, tau, args.k_rot,
-                                   args.d_ratio * np.sqrt(args.k_rot), basis,
+                                   args.d_ratio * np.sqrt(args.k_rot),
+                                   basis_scheme_a(args.kernels, args.alpha_x),
                                    frame=args.frame)
             elif args.variant == "pose-decoupled":
                 model = pose_train(
@@ -162,53 +130,23 @@ def cmd_train(args) -> int:
                     args.k_rot, args.d_ratio * np.sqrt(args.k_rot))
             else:
                 return _fail(f"unknown variant {args.variant}")
-            fd_residual_report(model, traj=traj)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
+    _print_fit_residuals(model)
     save_model(model, args.output)
     print(f"wrote model to {args.output}", file=sys.stderr)
     return 0
 
 
-def fd_residual_report(model, traj: Trajectory | None = None,
-                       demo: ScalarDemo | None = None) -> None:
-    """Print per-dimension reproduction residuals of the weight fits."""
+def _print_fit_residuals(model) -> None:
+    """Print the per-dimension residuals of the weight fits from training."""
     if isinstance(model, PoseDecoupledDmp):
-        vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
-        acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
-        for dim, sub in enumerate(model.position):
-            fd_residual_report(sub, demo=ScalarDemo(
-                traj.t, traj.positions[:, dim], vel[:, dim], acc[:, dim]))
-        fd_residual_report(model.orientation, traj=traj)
+        for sub in (*model.position, model.orientation):
+            _print_fit_residuals(sub)
         return
-    if isinstance(model, ClassicalDmp):
-        xs = phase(demo.t, model.basis.alpha_x, model.tau)
-        fd = classical_target_forcing(demo, model.goal, model.tau,
-                                      model.alpha_z, model.beta_z)
-        A = design_matrix(xs, model.basis)
-        res = np.linalg.norm(A @ model.weights - fd)
-        scale = max(np.linalg.norm(fd), 1e-300)
-        print(f"fit residual (scalar): {res:.3e} (relative {res/scale:.3e})",
-              file=sys.stderr)
-        return
-    xs = phase(traj.t, model.basis.alpha_x, model.tau)
-    if isinstance(model, QuaternionDmp):
-        omega, omega_dot = model_frame_rates(traj, model.frame)
-        fd = quat_target_forcing(traj.quaternions, omega, omega_dot, xs,
-                                 model.qd, model.q0, model.tau, model.k_gain,
-                                 model.d_gain, model.frame)
-    else:
-        der = traj.derived()
-        dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
-        fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, model.dqd,
-                               model.dq0, model.tau, model.k_rot, model.k_pos,
-                               model.d_rot, model.d_pos)
-    A = design_matrix(xs, model.basis)
-    for dim in range(fd.shape[1]):
-        res = np.linalg.norm(A @ model.weights[dim] - fd[:, dim])
-        scale = max(np.linalg.norm(fd[:, dim]), 1e-300)
-        print(f"fit residual dim {dim}: {res:.3e} (relative {res/scale:.3e})",
-              file=sys.stderr)
+    for dim, (res, rel) in enumerate(model.fit_residuals):
+        label = "(scalar)" if isinstance(model, ClassicalDmp) else f"dim {dim}"
+        print(f"fit residual {label}: {res:.3e} (relative {rel:.3e})", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "pose-decoupled"], default="dq")
     t.add_argument("--demo", required=True)
     t.add_argument("-o", "--output", required=True)
-    t.add_argument("--scheme", choices=["a", "b"], default="a")
     t.add_argument("--alpha-x", type=float, default=0.05)
     t.add_argument("--kernels", type=int, default=30)
     t.add_argument("--k-rot", type=float, default=1.0)

@@ -25,13 +25,14 @@ Euler, its forcing unscaled and it has no start-error term.
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
 fits kernel weights per output dimension by least squares, all dimensions
-sharing one phase and one design matrix.
+sharing one phase and one design matrix.  A trained model keeps the
+residual norms of that fit (fit_residuals); a loaded one has none.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from struct import Struct
 
 import numpy as np
@@ -67,6 +68,9 @@ from .quat import (
 from .traj import ScalarDemo, Trajectory
 
 INERTIAL = "inertial"
+# residual norms of the weight fit per output dimension, (dims, 2): absolute
+# and over the norm of the dimension's targets; set by training, not saved
+_FIT_RESIDUALS = dict(default=None, compare=False, repr=False)
 
 
 def _gain_matrix(g) -> np.ndarray:
@@ -96,6 +100,7 @@ class ClassicalDmp:
     y0: float
     goal: float
     tau: float
+    fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,7 @@ class QuaternionDmp:
     q0: np.ndarray               # (4,)
     qd: np.ndarray               # (4,)
     tau: float
+    fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,7 @@ class DualQuaternionDmp:
     dq0: DualQuaternion
     dqd: DualQuaternion
     tau: float
+    fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,18 @@ def classical_target_forcing(demo: ScalarDemo, g: float, tau: float,
 def classical_train(demo: ScalarDemo, g: float, tau: float, alpha_z: float,
                     beta_z: float, basis: GaussianBasis) -> ClassicalDmp:
     fd = classical_target_forcing(demo, g, tau, alpha_z, beta_z)
-    xs = phase(demo.t, basis.alpha_x, tau)
-    w, _ = fit_weights(xs, fd, basis)
+    w, res = _fit(phase(demo.t, basis.alpha_x, tau), fd, basis)
     return ClassicalDmp(alpha_z, beta_z, basis, w,
-                        float(demo.y[0]), float(g), float(tau))
+                        float(demo.y[0]), float(g), float(tau), res)
+
+
+def _fit(xs: np.ndarray, fd: np.ndarray, basis: GaussianBasis):
+    """fit_weights of the targets fd, and its residual norms per target
+    column: absolute and over the column's norm, one (2,) row per column."""
+    weights, res = fit_weights(xs, fd, basis)
+    scale = [max(np.linalg.norm(col), 1e-300) for col in fd.reshape(len(fd), -1).T]
+    res = np.atleast_1d(res)
+    return weights, np.column_stack([res, res / scale])
 
 
 @dataclass(frozen=True)
@@ -247,12 +262,14 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     pose, vel = start.tolist(), vel.tolist()
     row_p, row_v = Struct(f"{len(pose)}d"), Struct(f"{len(vel)}d")
     rows = zip(*[iter(memoryview(forcing.ravel()))] * len(vel))
-    for j, x, f in zip(range(1, len(xs)), memoryview(xs), rows):
-        u = [ei - ci * x + fi for ei, ci, fi in zip(error(pose), e0, f)]
-        vel = [c for b, k, d in blocks for c in _gain_step(vel[b], u[b], k, d, dt_tau)]
-        pose = step(pose, [half * c for c in vel])
-        row_p.pack_into(poses, j * row_p.size, *pose)
-        row_v.pack_into(vels, j * row_v.size, *vel)
+    # a diverging state gives nan in the step's sin / cos; _check_finite reports it
+    with np.errstate(invalid="ignore"):
+        for j, x, f in zip(range(1, len(xs)), memoryview(xs), rows):
+            u = [ei - ci * x + fi for ei, ci, fi in zip(error(pose), e0, f)]
+            vel = [c for b, k, d in blocks for c in _gain_step(vel[b], u[b], k, d, dt_tau)]
+            pose = step(pose, [half * c for c in vel])
+            row_p.pack_into(poses, j * row_p.size, *pose)
+            row_v.pack_into(vels, j * row_v.size, *vel)
     _check_finite(ts, poses, vels)
     return ts, xs, poses, vels, forcing, np.array(error(poses.T)).T
 
@@ -350,9 +367,9 @@ def quat_train(traj: Trajectory, tau: float, k_gain, d_gain,
     q0, qd = traj.quaternions[0], traj.quaternions[-1]
     fd = quat_target_forcing(traj.quaternions, omega, omega_dot, xs, qd, q0,
                              tau, k_gain, d_gain, frame)
-    weights, _ = fit_weights(xs, fd, basis)
+    weights, res = _fit(xs, fd, basis)
     return QuaternionDmp(frame, k_gain, d_gain, basis, weights,
-                         q0.copy(), qd.copy(), float(tau))
+                         q0.copy(), qd.copy(), float(tau), res)
 
 
 @dataclass(frozen=True)
@@ -439,9 +456,9 @@ def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
     xs = phase(traj.t, basis.alpha_x, tau)
     fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, goal, start, tau,
                            k_rot, k_pos, d_rot, d_pos)
-    weights, _ = fit_weights(xs, fd, basis)
+    weights, res = _fit(xs, fd, basis)
     return DualQuaternionDmp(k_rot, k_pos, d_rot, d_pos, basis, weights,
-                             start, goal, float(tau))
+                             start, goal, float(tau), res)
 
 
 def lyapunov_value(dq: DualQuaternion, xi, dqd: DualQuaternion,
@@ -560,9 +577,9 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     y0, g = traj.positions[0], traj.positions[-1]
     fd = classical_target_forcing(ScalarDemo(traj.t, traj.positions, vel, acc),
                                   g, tau, alpha_z, beta_z)
-    weights, _ = fit_weights(phase(traj.t, pos_basis.alpha_x, tau), fd, pos_basis)
+    weights, res = _fit(phase(traj.t, pos_basis.alpha_x, tau), fd, pos_basis)
     axes = tuple(ClassicalDmp(alpha_z, beta_z, pos_basis, weights[dim],
-                              float(y0[dim]), float(g[dim]), float(tau))
+                              float(y0[dim]), float(g[dim]), float(tau), res[dim:dim + 1])
                  for dim in range(3))
     orientation = quat_train(traj, tau, k_rot, d_rot, rot_basis, frame=BODY)
     return PoseDecoupledDmp(axes, orientation)
@@ -609,24 +626,20 @@ _FORMAT_VERSION = 1
 
 
 def _basis_doc(basis: GaussianBasis) -> dict:
-    doc = {
-        "scheme": basis.scheme,
+    return {
+        "scheme": "a",
         "alpha_x": basis.alpha_x,
         "n_kernels": basis.n_kernels,
         "centers": basis.centers.tolist(),
         "widths": basis.widths.tolist(),
     }
-    if basis.scheme == "b":
-        doc["total_time"] = basis.total_time
-        doc["dt"] = basis.dt
-    return doc
 
 
 def _basis_from_doc(doc: dict) -> GaussianBasis:
-    return GaussianBasis(doc["scheme"], doc["alpha_x"],
-                         np.array(doc["centers"], dtype=float),
-                         np.array(doc["widths"], dtype=float),
-                         total_time=doc.get("total_time"), dt=doc.get("dt"))
+    if doc["scheme"] != "a":
+        raise ValueError(f"unknown kernel scheme {doc['scheme']!r}")
+    return GaussianBasis(doc["alpha_x"], np.array(doc["centers"], dtype=float),
+                         np.array(doc["widths"], dtype=float))
 
 
 def _model_doc(model) -> dict:

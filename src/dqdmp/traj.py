@@ -32,6 +32,7 @@ from .dualquat import twist_body_from_demo
 from .quat import quat_conjugate, quat_product, quat_rotate_inverse, quat_vec
 
 _HEADER = "t,px,py,pz,qw,qx,qy,qz"
+_SCALAR_HEADER = "t,y,yd,ydd"
 # loader rejects quaternions farther than this from unit norm ...
 _QUAT_REJECT_TOL = 1e-3
 # ... and silently renormalizes anything closer than this
@@ -262,8 +263,42 @@ def load_trajectory(source) -> Trajectory:
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_trajectory(fh)
+    data, comments = _read_table(source, _HEADER)
     scale = 1.0
     source_note = ""
+    for lineno, key, value in comments:
+        if key == "scale":
+            try:
+                scale = float(value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad scale value") from exc
+        elif key == "source":
+            source_note = value
+    if len(data) < 2:
+        raise ValueError("a trajectory needs at least two samples")
+    return Trajectory(data[:, 0], data[:, 1:4] * scale, data[:, 4:8],
+                      scale=scale, source=source_note)
+
+
+def load_scalar_demo(source) -> ScalarDemo:
+    """Parse the scalar demo CSV (header 't,y,yd,ydd') that `gen minjerk`
+    writes; errors as for load_trajectory, and at least four samples."""
+    if isinstance(source, (str, bytes)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return load_scalar_demo(fh)
+    data, _ = _read_table(source, _SCALAR_HEADER)
+    if len(data) < 4:
+        raise ValueError("scalar demo too short (need >= 4 samples)")
+    return ScalarDemo(*data.T)
+
+
+def _read_table(source, header: str) -> tuple[np.ndarray, list[tuple[int, str, str]]]:
+    """Read CSV lines: blank ones are skipped, '# key value' comments
+    returned as (line number, key, value), the first other line must be the
+    header and each later one a row of as many numbers as it has fields.
+    Returns the rows as one array and the comments."""
+    width = header.count(",") + 1
+    comments = []
     rows = []
     header_seen = False
     for lineno, line in enumerate(source, start=1):
@@ -272,33 +307,24 @@ def load_trajectory(source) -> Trajectory:
             continue
         if line.startswith("#"):
             fields = line[1:].split(None, 1)
-            if len(fields) == 2 and fields[0] == "scale":
-                try:
-                    scale = float(fields[1])
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: bad scale value") from exc
-            elif len(fields) == 2 and fields[0] == "source":
-                source_note = fields[1]
+            if len(fields) == 2:
+                comments.append((lineno, *fields))
             continue
         if not header_seen:
-            if line != _HEADER:
-                raise ValueError(f"line {lineno}: expected header '{_HEADER}'")
+            if line != header:
+                raise ValueError(f"line {lineno}: expected header '{header}'")
             header_seen = True
             continue
         parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        if len(parts) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: unparseable number") from exc
     if not header_seen:
         raise ValueError("missing header line")
-    if len(rows) < 2:
-        raise ValueError("a trajectory needs at least two samples")
-    data = np.array(rows)
-    return Trajectory(data[:, 0], data[:, 1:4] * scale, data[:, 4:8],
-                      scale=scale, source=source_note)
+    return np.array(rows), comments
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

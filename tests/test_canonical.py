@@ -3,9 +3,6 @@ import pytest
 
 from dqdmp import (
     basis_scheme_a,
-    basis_scheme_b,
-    classical_rollout,
-    classical_train,
     design_matrix,
     fit_weights,
     forcing,
@@ -59,45 +56,6 @@ def test_scheme_a_widths_positive():
 def test_scheme_a_rejects_single_kernel():
     with pytest.raises(ValueError):
         basis_scheme_a(1, 1.0)
-
-
-def test_scheme_b_centers_decreasing():
-    b = basis_scheme_b(30, 0.05, 18.9, 0.01)
-    assert np.all(np.diff(b.centers) < 0)
-
-
-def test_scheme_b_first_center_value():
-    # closed form exp(-alpha_x T / (N+1)) with the slow-clock parameters
-    b = basis_scheme_b(30, 0.05, 18.9, 0.01)
-    assert abs(b.centers[0] - np.exp(-0.05 * 18.9 / 31.0)) < 1e-15
-    assert abs(b.centers[0] - 0.9700) < 1e-4
-
-
-def test_scheme_b_rejects_bad_duration():
-    with pytest.raises(ValueError):
-        basis_scheme_b(30, 0.05, 0.01, 0.01)
-
-
-def test_scheme_b_rejects_degenerate_widths():
-    # extreme decay underflows every center and width to zero
-    with pytest.raises(ValueError):
-        basis_scheme_b(4, 2000.0, 10.0, 0.1)
-
-
-def test_cross_scheme_fit_parity():
-    # weights fit with the duration-aware bank must reproduce the demo
-    # about as well as the default bank (within 2x RMSE)
-    demo = gen_min_jerk(0.0, 1.0, 1.0, 0.01)
-    rmse = {}
-    for scheme in ("a", "b"):
-        if scheme == "a":
-            basis = basis_scheme_a(30, 2.0)
-        else:
-            basis = basis_scheme_b(30, 2.0, 1.0, 0.01)
-        model = classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis)
-        roll = classical_rollout(model, 0.0, 0.01, 1.0)
-        rmse[scheme] = np.sqrt(np.mean((roll.y - demo.y) ** 2))
-    assert rmse["b"] <= 2.0 * rmse["a"]
 
 
 def test_forcing_zero_weights():

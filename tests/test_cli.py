@@ -6,9 +6,24 @@ import json
 import numpy as np
 import pytest
 
-from dqdmp import BODY, QuaternionDmp, basis_scheme_a, save_model
+from dqdmp import (
+    BODY,
+    Pose,
+    QuaternionDmp,
+    basis_scheme_a,
+    classical_target_forcing,
+    design_matrix,
+    dq_from_pose,
+    dq_target_forcing,
+    load_model,
+    load_trajectory,
+    phase,
+    quat_target_forcing,
+    save_model,
+)
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
-from dqdmp.traj import gen_somersault, save_trajectory
+from dqdmp.dmp import model_frame_rates
+from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory
 
 
 def run(argv):
@@ -69,6 +84,53 @@ def test_train_dq_writes_model_and_residuals(tmp_path, demo_file, capsys):
     assert doc["variant"] == "dual_quaternion"
     assert doc["format_version"] == 1
     assert len(doc["weights"]) == 6
+
+
+def residual_lines(model, demo, f, label=None):
+    """The lines `train` prints for a model fit to the targets f, one column
+    per dimension: norm(A @ w - f), and that over norm(f)."""
+    A = design_matrix(phase(demo.t, model.basis.alpha_x, model.tau), model.basis)
+    lines = []
+    for dim, (w, col) in enumerate(zip(np.atleast_2d(model.weights), f.T)):
+        res, scale = np.linalg.norm(A @ w - col), np.linalg.norm(col)
+        rel = res / scale if scale > 0.0 else 0.0
+        lines.append(f"fit residual {label or f'dim {dim}'}: {res:.3e} (relative {rel:.3e})")
+    return lines
+
+
+@pytest.mark.parametrize("variant", ["dq", "pose-decoupled"])
+def test_train_prints_the_residuals_of_the_fit(tmp_path, demo_file, capsys, variant):
+    out = tmp_path / "model.json"
+    assert run(["train", "--variant", variant, "--demo", demo_file, "-o", str(out)]) == 0
+    printed = [ln for ln in capsys.readouterr().err.splitlines()
+               if ln.startswith("fit residual")]
+    model, traj = load_model(str(out)), load_trajectory(demo_file)
+    if variant == "dq":
+        der = traj.derived()
+        dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
+        xs = phase(traj.t, model.basis.alpha_x, model.tau)
+        f = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, model.dqd, model.dq0,
+                              model.tau, model.k_rot, model.k_pos, model.d_rot,
+                              model.d_pos)
+        expected = residual_lines(model, traj, f)
+    else:
+        vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
+        acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
+        expected = []
+        for dim, m in enumerate(model.position):
+            demo = ScalarDemo(traj.t, traj.positions[:, dim], vel[:, dim], acc[:, dim])
+            f = classical_target_forcing(demo, m.goal, m.tau, m.alpha_z, m.beta_z)
+            expected += residual_lines(m, demo, f[:, None], "(scalar)")
+        q = model.orientation
+        omega, omega_dot = model_frame_rates(traj, q.frame)
+        f = quat_target_forcing(traj.quaternions, omega, omega_dot,
+                                phase(traj.t, q.basis.alpha_x, q.tau), q.qd, q.q0,
+                                q.tau, q.k_gain, q.d_gain, q.frame)
+        expected += residual_lines(q, traj, f)
+    assert len(expected) == 6
+    assert printed == expected
+    # the loop moves in the x-z plane and pitches: three fits are not exact
+    assert sum("0.000e+00 (relative 0.000e+00)" not in ln for ln in printed) == 3
 
 
 def test_train_pose_decoupled_two_submodels(tmp_path, demo_file):
@@ -135,6 +197,23 @@ def test_bad_scalar_demo_fails_with_exit_code_1(tmp_path, capsys, case):
     out = tmp_path / "m.json"
     assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(out)]) == 1
     assert ("sample 10" if case == "nan_sample" else "sample 0") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["garbled", "headerless"])
+def test_unreadable_scalar_demo_names_its_line(tmp_path, capsys, case):
+    demo = tmp_path / "d.csv"
+    assert run(["gen", "minjerk", "-o", str(demo)]) == 0
+    lines = demo.read_text().splitlines()
+    if case == "garbled":
+        lines[2] = "0.01,abc,0,0"     # row 2, after the header
+    else:
+        del lines[0]
+    demo.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.json"
+    assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("line 3: unparseable" if case == "garbled" else "line 1: expected header") in err
     assert not out.exists()
 
 

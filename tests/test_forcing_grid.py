@@ -2,8 +2,8 @@
 
 A rollout takes the forcing of its whole time grid from one
 ``forcing_rows`` call.  The references below are the single-phase formulas
-written out as they were before the kernels took stacks: the scheme "a"
-and scheme "b" kernels, ``(W @ psi) / psi.sum() * x`` with the 1e-300
+written out as they were before the kernels took stacks: the kernels
+``exp(-h (x - c)^2)``, ``(W @ psi) / psi.sum() * x`` with the 1e-300
 floor, and the scalar primitive's rollout loop that evaluated the forcing
 one phase at a time.  Every comparison is bit for bit.
 """
@@ -11,18 +11,15 @@ one phase at a time.  Every comparison is bit for bit.
 import numpy as np
 import pytest
 
-from dqdmp import ClassicalDmp, basis_scheme_a, basis_scheme_b, classical_rollout
+from dqdmp import ClassicalDmp, basis_scheme_a, classical_rollout
 from dqdmp.canonical import design_matrix, forcing, forcing_rows, phase
 
-BASES = [basis_scheme_a(30, 2.0), basis_scheme_b(20, 2.0, 2.0, 0.01)]
-IDS = ["scheme_a", "scheme_b"]
+BASES = [basis_scheme_a(30, 2.0)]
+IDS = ["scheme_a"]
 
 
 def reference_kernels(basis, x):
-    d2 = (x - basis.centers) ** 2
-    if basis.scheme == "a":
-        return np.exp(-basis.widths * d2)
-    return np.exp(-0.5 * d2 / basis.widths) / np.sqrt(2.0 * np.pi * basis.widths)
+    return np.exp(-basis.widths * (x - basis.centers) ** 2)
 
 
 def reference_forcing(basis, weights, x):

@@ -8,7 +8,6 @@ import pytest
 
 from dqdmp import (
     basis_scheme_a,
-    basis_scheme_b,
     classical_rollout,
     classical_train,
     dq_rollout,
@@ -42,16 +41,6 @@ def test_classical_roundtrip_bytes_and_fields():
     np.testing.assert_array_equal(loaded.weights, m.weights)
     np.testing.assert_array_equal(loaded.basis.centers, m.basis.centers)
     np.testing.assert_array_equal(loaded.basis.widths, m.basis.widths)
-
-
-def test_classical_roundtrip_scheme_b_basis():
-    demo = gen_min_jerk(0.0, 1.0, 1.0, 0.01)
-    basis = basis_scheme_b(20, 2.0, 1.0, 0.01)
-    m = classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis)
-    text, loaded, again = roundtrip(m)
-    assert text == again
-    assert loaded.basis.scheme == "b"
-    assert loaded.basis.total_time == 1.0 and loaded.basis.dt == 0.01
 
 
 def test_quaternion_roundtrip():
@@ -167,6 +156,7 @@ BAD_FILES = {
     "tau not finite": ("dual_quaternion", lambda d: d.update(tau=np.inf)),
     "dqd not finite": ("dual_quaternion", lambda d: d["boundary"]["dqd"].__setitem__(5, np.nan)),
     "center not finite": ("quaternion", lambda d: d["basis"]["centers"].__setitem__(2, np.nan)),
+    "scheme b": ("classical", lambda d: d["basis"].update(scheme="b", total_time=1.0, dt=0.01)),
 }
 
 

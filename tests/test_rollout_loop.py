@@ -1,6 +1,8 @@
 """The float-level rollout loop: its gain-block kernel, the arrays it
 returns and the inputs and states it refuses."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,17 @@ def test_unstable_quat_rollout_raises_on_non_finite_state():
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match=r"non-finite state at sample \d+ \(t = "):
         quat_rollout(m, dt=0.01, duration=10.0)
+
+
+def test_unstable_quat_rollout_raises_before_any_numpy_warning():
+    # the nan that reaches the step's sin / cos is the fault the error reports
+    m = QuaternionDmp(BODY, 625.0 * np.eye(3), 250.0 * np.eye(3), BASIS,
+                      np.zeros((3, 30)), np.array([1.0, 0.0, 0.0, 0.0]),
+                      np.array([0.0, 1.0, 0.0, 0.0]), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite state at sample 898"):
+            quat_rollout(m, dt=0.01, duration=10.0)
 
 
 def test_unstable_classical_rollout_raises_on_non_finite_state():

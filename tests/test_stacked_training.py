@@ -16,7 +16,6 @@ from dqdmp import (
     Pose,
     Trajectory,
     basis_scheme_a,
-    basis_scheme_b,
     classical_target_forcing,
     design_matrix,
     differentiate,
@@ -108,9 +107,7 @@ def reference_design_matrix(xs, basis):
     return A
 
 
-@pytest.mark.parametrize("basis", [basis_scheme_a(30, 2.0),
-                                   basis_scheme_b(20, 2.0, 2.0, 0.01)],
-                         ids=["scheme_a", "scheme_b"])
+@pytest.mark.parametrize("basis", [basis_scheme_a(30, 2.0)], ids=["scheme_a"])
 def test_design_matrix_equals_per_row_evaluation(basis):
     xs = np.concatenate([phase(np.linspace(0.0, 3.0, 301), basis.alpha_x, 1.0),
                          np.linspace(-400.0, 400.0, 40001)])
