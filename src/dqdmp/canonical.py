@@ -44,9 +44,9 @@ class GaussianBasis:
         if len(self.centers) < 2 or len(self.centers) != len(self.widths):
             raise ValueError("need at least two kernels with matching widths")
         if not (np.all(np.isfinite(self.widths)) and np.all(self.widths > 0)
-                and np.all(np.isfinite(self.centers)) and np.isfinite(self.alpha_x)):
-            raise ValueError("kernel widths must be positive and finite, centers "
-                             "and alpha_x finite")
+                and np.all(np.isfinite(self.centers)) and 0.0 < self.alpha_x < np.inf):
+            raise ValueError("kernel widths and alpha_x must be positive and finite, "
+                             "centers finite")
 
     @property
     def n_kernels(self) -> int:

@@ -14,11 +14,12 @@ The pose never leaves its manifold (unit norms are re-enforced each step)
 and, for the rotational states, the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.
 The quaternion and dual-quaternion rollouts run on one driver,
-``_integrate``; each variant passes its (K, D) 3x3 gain blocks and its
-error and pose step (component kernels of ``quat`` and ``dualquat``).  Its
-loop over time makes no numpy call: plain floats, one float kernel per
-gain block, states packed into preallocated arrays, the forcing grid from
-before the loop and the finiteness check, error rows and energies after.
+``_integrate``; each variant passes one step function built from the
+component kernels of ``quat`` and ``dualquat`` and from ``_drive``, once
+per 3x3 (K, D) gain block.  The loop over time makes no numpy call (sin
+and cos come from ``math``): plain floats, states packed into preallocated
+arrays, the forcing grid from before the loop and the finiteness check,
+error rows and energies after.
 The scalar primitive keeps its own short float loop: its position step is
 Euler, its forcing unscaled and it has no start-error term.
 
@@ -232,46 +233,52 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
 
 
 def _integrate(model, tau: float, dt: float, duration: float | None,
-               t_start: float, gains, anchor: np.ndarray, start: np.ndarray,
+               t_start: float, anchor: np.ndarray, start: np.ndarray,
                vel: np.ndarray, error, step):
     """Semi-implicit Euler driver of the quaternion and dual-quaternion
     primitives, run on plain floats with no numpy call per step.
 
-    Poses are sequences of float components.  error(pose) gives the goal
-    error and step(pose, z) the pose moved by the exponential step of the
-    displacement z; error also takes the columns of the stacked poses.
-    gains holds one (K, D) pair of 3x3 blocks per three velocity components.
-    Each step drives the tau-scaled velocity with u = e - e0 x + f, e0 the
-    error of the trained start pose (anchor), then steps the pose by
+    Poses are sequences of float components.  error(pose) gives the
+    goal-relative pose, its rotation's scalar part and then the goal error;
+    it also takes the columns of stacked poses.
+    step(pose, vel, x, f, dt / tau, dt / (2 tau), e0) -> (pose, vel) drives
+    the tau-scaled velocity with u = e - e0 x + f, e0 the error of the
+    trained start pose (anchor) in blocks of three, then moves the pose by
     dt / (2 tau) times the new velocity (the half-angle convention).
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
-    if vel.shape != (3 * len(gains),):
-        raise ValueError(f"the start velocity must have {3 * len(gains)} components")
+    if vel.shape != (len(model.weights),):
+        raise ValueError(f"the start velocity must have {len(model.weights)} components")
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
     forcing = forcing_rows(xs, model.basis, model.weights)
     # start-error shaping anchored at the trained start pose: the term is
     # part of the learned model, so resuming or restarting elsewhere must
     # not change the vector field
-    e0 = error(anchor.tolist())
-    dt_tau, half = dt / tau, dt / (2.0 * tau)
-    blocks = [(slice(3 * b, 3 * b + 3), k.ravel().tolist(), d.ravel().tolist())
-              for b, (k, d) in enumerate(gains)]
+    e0 = error(anchor.tolist())[1:]
+    blocks = [e0[i:i + 3] for i in range(0, len(e0), 3)]
+    h, half = dt / tau, dt / (2.0 * tau)
     poses, vels = np.empty((len(xs), len(start))), np.empty((len(xs), len(vel)))
     poses[0], vels[0] = start, vel
     pose, vel = start.tolist(), vel.tolist()
     row_p, row_v = Struct(f"{len(pose)}d"), Struct(f"{len(vel)}d")
+    pack_p, pack_v, n_p, n_v = row_p.pack_into, row_v.pack_into, row_p.size, row_v.size
+    # forcing rows built one at a time: tolist() would hold all their floats at once
     rows = zip(*[iter(memoryview(forcing.ravel()))] * len(vel))
-    # a diverging state gives nan in the step's sin / cos; _check_finite reports it
-    with np.errstate(invalid="ignore"):
-        for j, x, f in zip(range(1, len(xs)), memoryview(xs), rows):
-            u = [ei - ci * x + fi for ei, ci, fi in zip(error(pose), e0, f)]
-            vel = [c for b, k, d in blocks for c in _gain_step(vel[b], u[b], k, d, dt_tau)]
-            pose = step(pose, [half * c for c in vel])
-            row_p.pack_into(poses, j * row_p.size, *pose)
-            row_v.pack_into(vels, j * row_v.size, *vel)
+    for op, ov, x, f in zip(range(n_p, poses.nbytes, n_p), range(n_v, vels.nbytes, n_v),
+                            memoryview(xs), rows):
+        pose, vel = step(pose, vel, x, f, h, half, blocks)
+        pack_p(poses, op, *pose)
+        pack_v(vels, ov, *vel)
     _check_finite(ts, poses, vels)
-    return ts, xs, poses, vels, forcing, np.array(error(poses.T)).T
+    return ts, xs, poses, vels, forcing, np.array(error(poses.T)[1:]).T
+
+
+def _drive(v, e, c, f, x: float, k, d, dt_tau: float):
+    """_gain_step of the velocity block v driven by u = e - c x + f from the
+    error e, start error c, phase x and forcing f (float 3-sequences)."""
+    (e0, e1, e2), (c0, c1, c2), (f0, f1, f2) = e, c, f
+    return _gain_step(v, (e0 - c0 * x + f0, e1 - c1 * x + f1, e2 - c2 * x + f2),
+                      k, d, dt_tau)
 
 
 def _gain_step(v, u, k, d, dt_tau: float):
@@ -317,13 +324,11 @@ def _unit_quat(q, what: str) -> np.ndarray:
 # quaternion variant
 
 
-def _quat_error(q, qd, frame: str):
-    """Rotation error components of q against the goal qd: vec(q* (x) qd)
-    in the body frame, vec(qd (x) q*) in the inertial frame.  q and qd are
-    4-sequences of floats or of stack columns."""
-    if frame == BODY:
-        return _product(_conj(q), qd)[1:]
-    return _product(qd, _conj(q))[1:]
+def _quat_error(q, qd, body: bool):
+    """Components of the rotation from q to the goal qd, q* (x) qd in the
+    body frame and qd (x) q* in the inertial frame; its vector part is the
+    rotation error.  q and qd are 4-sequences of floats or of stack columns."""
+    return _product(_conj(q), qd) if body else _product(qd, _conj(q))
 
 
 def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
@@ -337,8 +342,8 @@ def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
     f_d = K^-1 (tau^2 omega_dot + tau D omega) - e + e_start * x.
     """
     kinv = np.linalg.inv(k_gain)
-    e0 = np.array(_quat_error(q0, qd, frame))
-    e = np.array(_quat_error(quats.T, qd, frame)).T
+    e0 = np.array(_quat_error(q0, qd, frame == BODY)[1:])
+    e = np.array(_quat_error(quats.T, qd, frame == BODY)[1:]).T
     drive = tau**2 * omega_dot + omega @ (tau * d_gain).T
     return drive @ kinv.T - e + e0 * xs[:, None]
 
@@ -408,10 +413,16 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
-    frame, body, goal = model.frame, model.frame == BODY, qd.tolist()
-    ts, xs, qs, oms, f, e = _integrate(
-        model, tau, dt, duration, t_start, [(model.k_gain, model.d_gain)], model.q0,
-        q, om, lambda p: _quat_error(p, goal, frame), lambda p, z: _quat_step(p, z, body))
+    body, goal = model.frame == BODY, qd.tolist()
+    k, d = model.k_gain.ravel().tolist(), model.d_gain.ravel().tolist()
+
+    def step(p, w, x, f, h, half, c):
+        _, e0, e1, e2 = _quat_error(p, goal, body)
+        w0, w1, w2 = _drive(w, (e0, e1, e2), c[0], f, x, k, d, h)
+        return _quat_step(p, (half * w0, half * w1, half * w2), body), (w0, w1, w2)
+
+    ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
+                                       lambda p: _quat_error(p, goal, body), step)
     v1 = _rotation_energy(qs, qd, oms, np.linalg.inv(model.k_gain))
     return QuatRollout(ts, xs, qs, oms, f, e, v1)
 
@@ -543,11 +554,25 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
         xi = xi0.as_array()
     else:
         xi = np.asarray(xi0, dtype=float)
-    g = goal.as_array().tolist()
+    gr, gd = goal.real.tolist(), goal.dual.tolist()
+    kr, kp, dr, dp = (g.ravel().tolist() for g in (model.k_rot, model.k_pos,
+                                                   model.d_rot, model.d_pos))
+
+    def step(p, v, x, f, h, half, c):
+        rw, rx, ry, rz, dw, dx, dy, dz = p
+        pr, pd = (rw, rx, ry, rz), (dw, dx, dy, dz)
+        _, e0, e1, e2, e3, e4, e5 = _dq_error(pr, pd, gr, gd)
+        f0, f1, f2, f3, f4, f5 = f
+        v0, v1, v2, v3, v4, v5 = v
+        r0, r1, r2 = _drive((v0, v1, v2), (e0, e1, e2), c[0], (f0, f1, f2), x, kr, dr, h)
+        t0, t1, t2 = _drive((v3, v4, v5), (e3, e4, e5), c[1], (f3, f4, f5), x, kp, dp, h)
+        return (_dq_step(pr, pd, (half * r0, half * r1, half * r2,
+                                  half * t0, half * t1, half * t2)),
+                (r0, r1, r2, t0, t1, t2))
+
     ts, xs, dqs, xis, f, e = _integrate(
-        model, tau, dt, duration, t_start,
-        [(model.k_rot, model.d_rot), (model.k_pos, model.d_pos)], model.dq0.as_array(),
-        start.as_array(), xi, lambda p: _dq_error(p, g)[1:], _dq_step)
+        model, tau, dt, duration, t_start, model.dq0.as_array(), start.as_array(), xi,
+        lambda p: _dq_error(p[:4], p[4:], gr, gd), step)
     positions = dq_position(DualQuaternion(dqs[:, :4], dqs[:, 4:]))
     lyap = _pose_energy(dqs[:, :4], positions, xis, goal.real, goal_position,
                         np.linalg.inv(model.k_rot), np.linalg.inv(model.k_pos))
@@ -638,6 +663,8 @@ def _basis_doc(basis: GaussianBasis) -> dict:
 def _basis_from_doc(doc: dict) -> GaussianBasis:
     if doc["scheme"] != "a":
         raise ValueError(f"unknown kernel scheme {doc['scheme']!r}")
+    if doc["n_kernels"] != len(doc["centers"]):
+        raise ValueError(f"n_kernels is {doc['n_kernels']!r} for {len(doc['centers'])} centers")
     return GaussianBasis(doc["alpha_x"], np.array(doc["centers"], dtype=float),
                          np.array(doc["widths"], dtype=float))
 

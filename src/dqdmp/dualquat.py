@@ -20,16 +20,18 @@ Everything here is a pure function over immutable values.  The parts of a
 the product, conjugate, encoding (``dq_from_pose``), position, error and
 ``twist_body_from_demo`` functions then work row by row with the bits of
 the single-value call.  As in ``quat``, each formula of the integrator is
-written once, in component form over the flat ``[real, dual]`` 8-sequence:
-``_error`` (the goal-relative pose), ``_exp`` (the screw exponential),
-``_normalize`` and ``_step``.  ``_error`` takes floats or stack columns;
-the other three take floats.  The integrator's loop in ``dmp`` calls them
-directly, and ``dq_error``, ``dq_exp``, ``dq_normalize`` and
-``dq_step_body`` are thin calls into them.
+written once, in component form: ``_mul`` (the product of two dual
+quaternions given by their real and dual parts), ``_error`` (the
+goal-relative pose), ``_exp`` (the screw exponential), ``_normalize`` and
+``_step``.  ``_mul`` and ``_error`` take 4-sequence parts of floats or of
+stack columns; the other three take floats.  The integrator's loop in
+``dmp`` calls them directly, and ``dq_product``, ``dq_error``, ``dq_exp``,
+``dq_normalize`` and ``dq_step_body`` are thin calls into them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +100,7 @@ def dq_identity() -> DualQuaternion:
 
 def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Dual quaternion product: (a.r (x) b.r) + eps (a.r (x) b.d + a.d (x) b.r)."""
-    return DualQuaternion(
-        quat_product(a.real, b.real),
-        quat_product(a.real, b.dual) + quat_product(a.dual, b.real),
-    )
+    return _from_parts(_mul(a.real.T, a.dual.T, b.real.T, b.dual.T))
 
 
 def dq_conjugate(q: DualQuaternion) -> DualQuaternion:
@@ -124,7 +123,7 @@ def dq_normalize(q: DualQuaternion) -> DualQuaternion:
     part along it is removed.  Called after every integration step; keeps
     constraint drift at rounding level over arbitrarily long rollouts.
     """
-    return _from_parts(_normalize(_parts(q)))
+    return _from_parts(_normalize((*q.real, *q.dual)))
 
 
 def dq_constraint_errors(q: DualQuaternion) -> tuple[float, float]:
@@ -166,7 +165,7 @@ def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
     either the vector part of q_oe (default) or its full logarithm (which
     takes single values only).
     """
-    e = _error(_parts(dq), _parts(dq_d))
+    e = _error(dq.real.T, dq.dual.T, dq_d.real.T, dq_d.dual.T)
     if rotation_error == "vec":
         rot = e[1:4]
     elif rotation_error == "log":
@@ -184,7 +183,7 @@ def dq_exp(xi: Twist) -> DualQuaternion:
     d(q_hat)/ds = q_hat (x) (r~ + eps v~) from the identity over unit s.
     Requires ||r|| < pi.
     """
-    return _from_parts(_exp(_floats(xi.r), _floats(xi.v)))
+    return DualQuaternion(*map(np.array, _exp(_floats(xi.as_array()))))
 
 
 def dq_log(dq: DualQuaternion) -> Twist:
@@ -212,13 +211,7 @@ def dq_log(dq: DualQuaternion) -> Twist:
 
 def dq_derivative_body(dq: DualQuaternion, xi_b: Twist) -> DualQuaternion:
     """Pose kinematics 1/2 q_hat (x) xi_b~ for a body-frame twist."""
-    _require_frame(xi_b, BODY)
-    w = np.array([0.0, *xi_b.r])
-    v = np.array([0.0, *xi_b.v])
-    return DualQuaternion(
-        0.5 * quat_product(dq.real, w),
-        0.5 * (quat_product(dq.real, v) + quat_product(dq.dual, w)),
-    )
+    return dq_scale(dq_product(dq, _pure(xi_b, BODY)), 0.5)
 
 
 def twist_body_from_demo(omega_b: np.ndarray, p_b: np.ndarray,
@@ -237,25 +230,13 @@ def twist_body_from_demo(omega_b: np.ndarray, p_b: np.ndarray,
 
 def twist_to_inertial(xi_b: Twist, dq: DualQuaternion) -> Twist:
     """Convert a body twist to the inertial frame: q_hat (x) xi~ (x) q_hat*."""
-    _require_frame(xi_b, BODY)
-    w = np.array([0.0, *xi_b.r])
-    v = np.array([0.0, *xi_b.v])
-    qc = dq_conjugate(dq)
-    inner = DualQuaternion(quat_product(w, qc.real),
-                           quat_product(w, qc.dual) + quat_product(v, qc.real))
-    out = dq_product(dq, inner)
+    out = dq_product(dq, dq_product(_pure(xi_b, BODY), dq_conjugate(dq)))
     return Twist(quat_vec(out.real), quat_vec(out.dual), INERTIAL)
 
 
 def twist_to_body(xi_s: Twist, dq: DualQuaternion) -> Twist:
     """Convert an inertial twist to the body frame: q_hat* (x) xi~ (x) q_hat."""
-    _require_frame(xi_s, INERTIAL)
-    w = np.array([0.0, *xi_s.r])
-    v = np.array([0.0, *xi_s.v])
-    qc = dq_conjugate(dq)
-    inner = DualQuaternion(quat_product(w, dq.real),
-                           quat_product(w, dq.dual) + quat_product(v, dq.real))
-    out = dq_product(qc, inner)
+    out = dq_product(dq_conjugate(dq), dq_product(_pure(xi_s, INERTIAL), dq))
     return Twist(quat_vec(out.real), quat_vec(out.dual), BODY)
 
 
@@ -268,7 +249,7 @@ def dq_step_body(dq: DualQuaternion, xi_b: Twist, dt: float) -> DualQuaternion:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     _require_frame(xi_b, BODY)
-    return _from_parts(_step(_floats(dq.as_array()),
+    return _from_parts(_step(_floats(dq.real), _floats(dq.dual),
                              _floats(0.5 * dt * xi_b.as_array())))
 
 
@@ -277,50 +258,56 @@ def _require_frame(xi: Twist, frame: str) -> None:
         raise ValueError(f"expected a {frame}-frame twist, got {xi.frame!r}")
 
 
+def _pure(xi: Twist, frame: str) -> DualQuaternion:
+    """The twist [0, r] + eps [0, v] of the given frame as a dual quaternion."""
+    _require_frame(xi, frame)
+    return DualQuaternion(np.array([0.0, *xi.r]), np.array([0.0, *xi.v]))
+
+
 # ---------------------------------------------------------------------------
 # component kernels over the flat [real, dual] 8-sequence
 
 
-def _parts(dq: DualQuaternion) -> tuple:
-    """The 8 components of a dual quaternion (scalars, or stack columns)."""
-    return (*dq.real.T, *dq.dual.T)
-
-
 def _from_parts(p) -> DualQuaternion:
-    return DualQuaternion(np.array(p[:4]), np.array(p[4:]))
+    return DualQuaternion(np.array(p[:4]).T, np.array(p[4:]).T)
 
 
-def _error(p, g):
-    """Components [q_oe, p_e] of the pose g relative to the pose p.
+def _mul(ar, ad, br, bd):
+    """Components [real, dual] of (ar + eps ad) (x) (br + eps bd) for
+    4-sequence parts of floats or of stack columns."""
+    w1, x1, y1, z1 = _product(ar, bd)
+    w2, x2, y2, z2 = _product(ad, br)
+    return (*_product(ar, br), w1 + w2, x1 + x2, y1 + y2, z1 + z2)
 
-    q_oe = p_real* (x) g_real is the rotation between them and
+
+def _error(pr, pd, gr, gd):
+    """Components [q_oe, p_e] of the pose g = gr + eps gd relative to the
+    pose p = pr + eps pd.
+
+    q_oe = pr* (x) gr is the rotation between them and
     p_e = vec(2 q_oe* (x) q_pe), with q_pe the dual part of p* (x) g, the
-    translation it carries.  p and g are 8-sequences of floats or columns.
+    translation it carries.  The parts are 4-sequences of floats or columns.
     """
-    pr, pd = _conj(p[:4]), _conj(p[4:])
-    qe = _product(pr, g[:4])
-    f1, f2 = _product(pr, g[4:]), _product(pd, g[:4])
-    _, px, py, pz = _product(_conj(qe), (f1[0] + f2[0], f1[1] + f2[1],
-                                         f1[2] + f2[2], f1[3] + f2[3]))
-    return (*qe, 2.0 * px, 2.0 * py, 2.0 * pz)
+    qw, qx, qy, qz, fw, fx, fy, fz = _mul(_conj(pr), _conj(pd), gr, gd)
+    _, px, py, pz = _product(_conj((qw, qx, qy, qz)), (fw, fx, fy, fz))
+    return qw, qx, qy, qz, 2.0 * px, 2.0 * py, 2.0 * pz
 
 
-def _exp(r, v):
-    """Components [real, dual] of the screw exponential of the float
-    3-sequences r (rotation) and v (translation); requires ||r|| < pi."""
-    rx, ry, rz = r
-    ux, uy, uz = v
+def _exp(z):
+    """Parts (real, dual) of the screw exponential of the float 6-sequence
+    z = (r, v), rotation then translation; requires ||r|| < pi."""
+    rx, ry, rz, ux, uy, uz = z
     th = (rx * rx + ry * ry + rz * rz) ** 0.5
     if th < 1e-12:
-        return 1.0, 0.0, 0.0, 0.0, 0.0, ux, uy, uz
-    if th >= np.pi:
+        return (1.0, 0.0, 0.0, 0.0), (0.0, ux, uy, uz)
+    if th >= math.pi:
         raise ValueError(f"twist rotation magnitude {th:.6f} outside the exp domain")
     nx, ny, nz = rx / th, ry / th, rz / th
     d = nx * ux + ny * uy + nz * uz
     mx, my, mz = (ux - d * nx) / th, (uy - d * ny) / th, (uz - d * nz) / th
-    st, ct = float(np.sin(th)), float(np.cos(th))
-    return (ct, st * nx, st * ny, st * nz,
-            -d * st, st * mx + d * ct * nx, st * my + d * ct * ny, st * mz + d * ct * nz)
+    st, ct = math.sin(th), math.cos(th)
+    return ((ct, st * nx, st * ny, st * nz),
+            (-d * st, st * mx + d * ct * nx, st * my + d * ct * ny, st * mz + d * ct * nz))
 
 
 def _normalize(p):
@@ -334,11 +321,7 @@ def _normalize(p):
     return (rw, rx, ry, rz, dw - dot * rw, dx - dot * rx, dy - dot * ry, dz - dot * rz)
 
 
-def _step(p, z):
-    """Components of normalize(p (x) exp(z)) for a float 8-sequence pose p
-    and a float 6-sequence twist displacement z = (r, v)."""
-    s = _exp(z[:3], z[3:])
-    real, dual, sr = p[:4], p[4:], s[:4]
-    d1, d2 = _product(real, s[4:]), _product(dual, sr)
-    return _normalize((*_product(real, sr), d1[0] + d2[0], d1[1] + d2[1],
-                       d1[2] + d2[2], d1[3] + d2[3]))
+def _step(pr, pd, z):
+    """Components of normalize(p (x) exp(z)) for the float 4-sequence parts
+    of a pose p and a float 6-sequence twist displacement z = (r, v)."""
+    return _normalize(_mul(pr, pd, *_exp(z)))

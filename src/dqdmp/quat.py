@@ -19,16 +19,18 @@ concurrently.  Each formula is written once, in component form, by a
 private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
 exponential) and ``_step`` (the exact exponential step with its
 renormalization).  The kernels run the integrator's loop over time in
-``dmp`` on plain floats, and the public functions here are thin calls
-into them.  ``_product`` also takes the columns ``a.T`` of an ``(n, 4)``
-stack and gives the same bits per row either way, because both run the
-same IEEE operations in the same order; so the product, conjugate,
-vector part and rotations serve one value or a stack (broadcasting a
-single operand against a stack).  The exponential, logarithm, norm and
-step functions take single values.
+``dmp`` on plain floats, with sin and cos from ``math``, and the public
+functions here are thin calls into them.  ``_product`` also takes the
+columns ``a.T`` of an ``(n, 4)`` stack and gives the same bits per row
+either way, because both run the same IEEE operations in the same order;
+so the product, conjugate, vector part and rotations serve one value or
+a stack (broadcasting a single operand against a stack).  The
+exponential, logarithm, norm and step functions take single values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -93,13 +95,16 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def _exp(r):
-    """Components of quat_exp for a float 3-sequence r."""
+    """Components of quat_exp for a float 3-sequence r; nan components when
+    ||r|| overflows, where math.sin would raise on the infinite angle."""
     rx, ry, rz = r
     th = (rx * rx + ry * ry + rz * rz) ** 0.5
     if th < _AXIS_EPS:
         return 1.0, rx, ry, rz
-    st = float(np.sin(th)) / th
-    return float(np.cos(th)), st * rx, st * ry, st * rz
+    if th == math.inf:
+        return (math.nan,) * 4
+    st = math.sin(th) / th
+    return math.cos(th), st * rx, st * ry, st * rz
 
 
 def _step(q, r, body: bool):

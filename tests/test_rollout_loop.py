@@ -1,6 +1,9 @@
 """The float-level rollout loop: its gain-block kernel, the arrays it
-returns and the inputs and states it refuses."""
+returns, the inputs and states it refuses and the numpy calls it does not
+make."""
 
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqdmp.dmp
+import dqdmp.dualquat
+import dqdmp.quat
 from conftest import random_unit_dq, random_unit_quat
 from dqdmp import (
     BODY,
@@ -20,6 +26,7 @@ from dqdmp import (
     quat_rollout,
 )
 from dqdmp.dmp import _gain_step
+from dqdmp.quat import _exp
 
 BASIS = basis_scheme_a(30, 2.0)
 
@@ -149,3 +156,58 @@ def test_rollouts_reject_a_start_velocity_of_the_wrong_length(rng):
                 quat_rollout(quat, omega0=omega0, dt=0.01, duration=duration)
     with pytest.raises(ValueError, match="start velocity must have 6 components"):
         dq_rollout(dq, xi0=np.zeros(5), dt=0.01, duration=1.0)
+
+
+# -- the loop over time makes no numpy call ----------------------------------------
+
+
+class _CountedNumpy:
+    """Stands in for numpy in the kernel modules and counts every attribute
+    read: a profiler sees no ufunc call, but each np.sin is a read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __getattr__(self, name):
+        self.reads += 1
+        return getattr(np, name)
+
+
+def _numpy_calls(monkeypatch, run) -> int:
+    """Numpy functions and array methods the profiler sees run, plus the
+    reads of numpy's names in quat, dualquat and dmp."""
+    counted, calls = _CountedNumpy(), 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += frame.f_globals.get("__name__", "").startswith("numpy")
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None) or type(arg.__self__).__module__
+            calls += module.startswith("numpy")
+
+    with monkeypatch.context() as patch:
+        for module in (dqdmp.quat, dqdmp.dualquat, dqdmp.dmp):
+            patch.setattr(module, "np", counted)
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+    return calls + counted.reads
+
+
+def test_rollouts_make_as_many_numpy_calls_for_n_steps_as_for_2n(rng, monkeypatch):
+    # 200 and 400 steps: one block of the forcing grid either way
+    dq, quat, _ = _models(rng)
+    for rollout, model in ((dq_rollout, dq), (quat_rollout, quat)):
+        short, long = (_numpy_calls(monkeypatch, lambda: rollout(model, dt=0.005, duration=d))
+                       for d in (1.0, 2.0))
+        assert short == long > 0, rollout.__name__
+
+
+def test_quat_exp_of_an_overflowing_angle_is_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in ([1e200, 0.0, 0.0], [math.inf, 1.0, 0.0], [1e155, -1e155, 1e155]):
+            assert all(math.isnan(c) for c in _exp(r)), r

@@ -403,3 +403,32 @@ def test_forced_rollouts_past_1024_steps_bit_exact(rng):
                       random_unit_quat(rng), random_unit_quat(rng), 1.7)
     got, want = quat_rollout(q, **kw), reference_quat_rollout(q, **kw)
     assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
+
+
+# -- the benchmark's rollout-many shape: bit-exact ---------------------------------
+# K = 625 I, D = 250 I, tau = 1, dt = 0.0035 over 10 s: 2857 steps.  The
+# reference loops take sin / cos from numpy, the driver from math, so these
+# also fail on a platform where the two disagree.
+
+BENCH_K, BENCH_D = 625.0 * np.eye(3), 250.0 * np.eye(3)
+BENCH_RUN = dict(dt=0.0035, duration=10.0)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_dq_rollout_at_the_benchmark_shape_bit_exact(rng, forced):
+    m = DualQuaternionDmp(BENCH_K, BENCH_K, BENCH_D, BENCH_D, BASIS,
+                          weights(rng, 6, forced), random_unit_dq(rng),
+                          random_unit_dq(rng), 1.0)
+    got, want = dq_rollout(m, **BENCH_RUN), reference_dq_rollout(m, **BENCH_RUN)
+    assert len(got.t) == 2858
+    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
+
+
+@pytest.mark.parametrize("frame", [BODY, INERTIAL])
+@pytest.mark.parametrize("forced", [False, True])
+def test_quat_rollout_at_the_benchmark_shape_bit_exact(rng, frame, forced):
+    m = QuaternionDmp(frame, BENCH_K, BENCH_D, BASIS, weights(rng, 3, forced),
+                      random_unit_quat(rng), random_unit_quat(rng), 1.0)
+    got, want = quat_rollout(m, **BENCH_RUN), reference_quat_rollout(m, **BENCH_RUN)
+    assert len(got.t) == 2858
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
