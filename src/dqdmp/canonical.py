@@ -27,8 +27,8 @@ _GRID_BLOCK = 1024      # phases per kernel evaluation of forcing_rows
 
 def phase(t, alpha_x: float, tau: float):
     """Clock signal x = exp(-alpha_x t / tau); x(0) = 1, strictly decreasing."""
-    if not (alpha_x > 0.0 and tau > 0.0):
-        raise ValueError("alpha_x and tau must be positive")
+    if not (0.0 < alpha_x < np.inf and 0.0 < tau < np.inf):
+        raise ValueError("alpha_x and tau must be positive and finite")
     return np.exp(-alpha_x * np.asarray(t, dtype=float) / tau)
 
 

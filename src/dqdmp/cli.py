@@ -81,16 +81,18 @@ def _text_sink(path: str | None):
 
 
 def cmd_gen(args) -> int:
-    if args.dt <= 0.0 or args.duration <= args.dt:
-        return _fail("need duration > dt > 0")
-    if args.kind == "somersault" and args.radius <= 0.0:
-        return _fail("radius must be positive")
-    with _text_sink(args.output) as fh:
+    # the demo is made before the sink is opened: a refused flag writes nothing
+    try:
         if args.kind == "somersault":
             demo = gen_somersault(args.radius, args.duration, args.dt)
-            save_trajectory(demo, fh)
         else:
             demo = gen_min_jerk(args.start, args.to, args.duration, args.dt)
+    except ValueError as exc:
+        return _fail(str(exc))
+    with _text_sink(args.output) as fh:
+        if args.kind == "somersault":
+            save_trajectory(demo, fh)
+        else:
             fh.writelines(csv_chunks(
                 "t,y,yd,ydd", np.column_stack([demo.t, demo.y, demo.yd, demo.ydd])))
     print(f"wrote {len(demo.t)} samples to {args.output}", file=sys.stderr)

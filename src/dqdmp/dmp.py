@@ -77,6 +77,8 @@ _FIT_RESIDUALS = dict(default=None, compare=False, repr=False)
 def _gain_matrix(g) -> np.ndarray:
     """Promote a scalar gain to gain * I; validate positive definiteness."""
     g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gains must be finite")
     if g.ndim == 0:
         g = float(g) * np.eye(3)
     if g.shape != (3, 3):
@@ -592,6 +594,8 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     The scalar attractor is parameterized by stiffness/damping through
     alpha_z = d_pos, beta_z = k_pos / d_pos (so alpha_z beta_z = k_pos).
     """
+    if not (0.0 < k_pos < np.inf and 0.0 < d_pos < np.inf):
+        raise ValueError("position stiffness and damping must be positive and finite")
     pos_basis = basis_scheme_a(n_pos_kernels, alpha_x)
     rot_basis = basis_scheme_a(n_rot_kernels, alpha_x)
     alpha_z = float(d_pos)

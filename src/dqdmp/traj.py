@@ -18,7 +18,17 @@ Positions are inertial-frame meters in right-handed axes; quaternions are
 scalar-first Hamilton, body-to-inertial.  An optional uniform position
 scale factor can be carried in the metadata (``# scale 0.02``); it is
 applied on load and inverted on save, so the file always holds physical
-meters while the in-memory trajectory can run at a normalized scale.
+meters while the in-memory trajectory can run at a normalized scale.  It
+must be positive and finite, with a finite reciprocal.
+
+Trajectory files and the scalar demos of ``load_scalar_demo`` (header
+``t,y,yd,ydd``) share one block reader: one pass over the lines collects
+the comments and checks the header, then a single ``np.loadtxt`` call
+parses every data row, with the bits of a per-field ``float()``.  Only
+when it refuses the block are the rows parsed again one at a time, to name
+the first bad line (wrong field count or unparseable number).  Digit
+underscores and non-ASCII digits, which ``float()`` would take, are
+refused.
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ class Trajectory:
         self.positions = positions
         self.quaternions = quaternions
         self.dt = dt
-        self.scale = float(scale)
+        self.scale = _check_scale(scale)
         self.source = source
         self._derived = None
 
@@ -110,6 +120,16 @@ def _check_samples(t: np.ndarray, *channels: np.ndarray) -> float:
     if np.any(off):
         raise ValueError(f"sample times are not uniform (sample {int(np.argmax(off)) + 1})")
     return dt
+
+
+def _check_scale(scale) -> float:
+    """The scale as a float: positive and finite, with a finite reciprocal
+    (saving divides by it)."""
+    scale = float(scale)
+    if not (0.0 < scale < np.inf and 1.0 / scale < np.inf):
+        raise ValueError(f"scale must be positive and finite, with a finite "
+                         f"reciprocal; got {scale!r}")
+    return scale
 
 
 def _sign_continuous(q: np.ndarray) -> np.ndarray:
@@ -269,7 +289,7 @@ def load_trajectory(source) -> Trajectory:
     for lineno, key, value in comments:
         if key == "scale":
             try:
-                scale = float(value)
+                scale = _check_scale(value)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad scale value") from exc
         elif key == "source":
@@ -296,35 +316,45 @@ def _read_table(source, header: str) -> tuple[np.ndarray, list[tuple[int, str, s
     """Read CSV lines: blank ones are skipped, '# key value' comments
     returned as (line number, key, value), the first other line must be the
     header and each later one a row of as many numbers as it has fields.
-    Returns the rows as one array and the comments."""
+    Returns the rows as one array (parsed as one block) and the comments."""
     width = header.count(",") + 1
     comments = []
-    rows = []
-    header_seen = False
+    numbered = []       # (line number, text) of the header and each row
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             fields = line[1:].split(None, 1)
             if len(fields) == 2:
                 comments.append((lineno, *fields))
-            continue
-        if not header_seen:
-            if line != header:
-                raise ValueError(f"line {lineno}: expected header '{header}'")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: unparseable number") from exc
-    if not header_seen:
+        elif line:
+            numbered.append((lineno, line))
+    if not numbered:
         raise ValueError("missing header line")
-    return np.array(rows), comments
+    if numbered[0][1] != header:
+        raise ValueError(f"line {numbered[0][0]}: expected header '{header}'")
+    rows = [line for _, line in numbered[1:]]
+    # loadtxt warns on no rows at all
+    data = _parse_rows(rows, width) if rows else np.empty((0, width))
+    if data is None:
+        # a block is refused only if one of its rows is on its own
+        lineno, line = next((n, ln) for n, ln in numbered[1:]
+                            if _parse_rows([ln], width) is None)
+        fields = line.count(",") + 1
+        if fields != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {fields}")
+        raise ValueError(f"line {lineno}: unparseable number")
+    return data, comments
+
+
+def _parse_rows(rows: list[str], width: int) -> np.ndarray | None:
+    """The rows as one (len(rows), width) array, or None if any of them is
+    not `width` comma-separated numbers.  No comment character: a '#' in a
+    row is refused, not cut off."""
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(rows), width) else None
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -350,8 +380,8 @@ def gen_min_jerk(y0: float, g: float, T: float, dt: float) -> ScalarDemo:
     Rest-to-rest: velocity and acceleration vanish at both endpoints;
     derivatives are analytic, not differenced.
     """
-    if not T > dt > 0.0:
-        raise ValueError("need T > dt > 0")
+    if not np.inf > T > dt > 0.0:
+        raise ValueError("need duration > dt > 0, duration finite")
     n = int(round(T / dt))
     t = np.arange(n + 1) * dt
     s, sd, sdd = _minjerk_s(t / T)
@@ -370,10 +400,10 @@ def gen_somersault(radius: float, T: float, dt: float) -> Trajectory:
     quaternion is the sign-flipped identity: the attitude walks the full
     great circle).
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if not T > dt > 0.0:
-        raise ValueError("need T > dt > 0")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
+    if not np.inf > T > dt > 0.0:
+        raise ValueError("need duration > dt > 0, duration finite")
     n = int(round(T / dt))
     t = np.arange(n + 1) * dt
     s, _, _ = _minjerk_s(t / T)

@@ -34,6 +34,13 @@ def test_phase_rejects_bad_params():
         phase(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha_x, tau", [(1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)])
+def test_phase_rejects_non_finite_params(alpha_x, tau):
+    # an infinite tau froze the clock at x = 1 and trained nan weights
+    with pytest.raises(ValueError, match="positive and finite"):
+        phase(np.arange(3) * 0.1, alpha_x, tau)
+
+
 def test_scheme_a_first_center_is_one():
     for n in (2, 5, 30, 100):
         assert basis_scheme_a(n, 0.7).centers[0] == 1.0

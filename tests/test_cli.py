@@ -23,7 +23,7 @@ from dqdmp import (
 )
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
 from dqdmp.dmp import model_frame_rates
-from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory
+from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory, trajectory_to_csv
 
 
 def run(argv):
@@ -369,4 +369,65 @@ def test_rollout_non_finite_state_fails_with_exit_code_1(tmp_path, capsys):
                   "--duration", "10", "-o", str(out)])
     assert rc == 1
     assert "non-finite state at sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err[0]
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "1e-320"])
+def test_train_rejects_bad_scale_metadata(tmp_path, capsys, value):
+    # a scale of 0 loaded as all-zero positions and trained a model
+    demo = tmp_path / "demo.csv"
+    lines = trajectory_to_csv(gen_somersault(5.0, 1.0, 0.05)).split("\n")
+    demo.write_text("\n".join(["# source x", f"# scale {value}"] + lines))
+    out = tmp_path / "m.json"
+    assert run(["train", "--variant", "dq", "--demo", str(demo), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "line 2: bad scale value")
+    assert not out.exists()
+
+
+def test_train_rejects_infinite_tau(tmp_path, demo_file, capsys):
+    out = tmp_path / "m.json"
+    assert run(["train", "--variant", "dq", "--demo", demo_file, "--tau", "inf",
+                "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "tau must be positive and finite")
+    assert not out.exists()
+
+
+def test_rollout_rejects_infinite_tau(tmp_path, dq_model_file, capsys):
+    # the phase of an infinite tau never moves: a table that never moved
+    out = tmp_path / "roll.csv"
+    assert run(["rollout", "--model", dq_model_file, "--tau", "inf",
+                "--duration", "1", "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "tau must be positive and finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen", "somersault", "--radius", "nan"], "radius"),
+    (["gen", "somersault", "--radius", "inf"], "radius"),
+    (["gen", "somersault", "--dt", "nan"], "dt"),
+    (["gen", "minjerk", "--duration", "nan"], "duration"),
+    (["gen", "minjerk", "--duration", "inf"], "duration"),
+    (["gen", "minjerk", "--from", "nan"], "non-finite value at sample 0"),
+])
+def test_gen_rejects_bad_flags_without_writing(tmp_path, capsys, argv, fragment):
+    out = tmp_path / "demo.csv"
+    assert run(argv + ["-o", str(out)]) == 1
+    assert_one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--k-pos", "0"], ["--k-pos", "nan"],
+                                   ["--k-rot", "inf"], ["--d-ratio", "0"]])
+def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, flags):
+    out = tmp_path / "m.json"
+    assert run(["train", "--variant", "pose-decoupled", "--demo", demo_file,
+                *flags, "-o", str(out)]) == 1
+    assert_one_error_line(capsys)
     assert not out.exists()

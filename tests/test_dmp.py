@@ -12,7 +12,9 @@ from dqdmp import (
     classical_target_forcing,
     classical_train,
     gen_min_jerk,
+    gen_somersault,
     phase,
+    pose_train,
     quat_exp,
     quat_product,
     quat_rollout,
@@ -283,6 +285,22 @@ def test_gain_validation():
     with pytest.raises(ValueError):
         _gain_matrix(np.ones((2, 2)))
     np.testing.assert_allclose(_gain_matrix(2.0), 2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("gain", [np.inf, np.nan, np.diag([1.0, np.inf, 1.0])])
+def test_gain_validation_refuses_non_finite(gain):
+    from dqdmp.dmp import _gain_matrix
+    with pytest.raises(ValueError, match="^gains must be finite$"):
+        _gain_matrix(gain)
+
+
+@pytest.mark.parametrize("k_pos, d_pos", [(0.0, 0.0), (1.0, 0.0), (-1.0, 10.0),
+                                          (np.nan, 1.0), (1.0, np.inf)])
+def test_pose_train_rejects_bad_position_gains(k_pos, d_pos):
+    # alpha_z = d_pos and beta_z = k_pos / d_pos: a zero damping divided by zero
+    demo = gen_somersault(5.0, 1.0, 0.01)
+    with pytest.raises(ValueError, match="position stiffness and damping"):
+        pose_train(demo, 1.0, 0.1, 10, k_pos, d_pos, 10, 1.0, 10.0)
 
 
 def test_quat_rollout_rejects_non_unit_goal(rng):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from dqdmp import (
     differentiate,
     gen_min_jerk,
     gen_somersault,
+    load_scalar_demo,
     load_trajectory,
     quat_exp,
     quat_step_body,
     quat_to_rotmat,
     resample,
 )
-from dqdmp.traj import ScalarDemo, csv_chunks, trajectory_to_csv
+from dqdmp.traj import ScalarDemo, _read_table, csv_chunks, trajectory_to_csv
 
 MINIMAL = """t,px,py,pz,qw,qx,qy,qz
 0,0,0,0,1,0,0,0
@@ -171,6 +173,170 @@ def test_block_writer_equals_per_row_writer(rows):
     table[0, :3] = [-0.0, 1e-300, 123456789.125]
     assert "".join(csv_chunks("h", table)) == "h\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+
+
+# -- the block reader --------------------------------------------------------
+
+TRAJ_HEADER = "t,px,py,pz,qw,qx,qy,qz"
+SCALAR_HEADER = "t,y,yd,ydd"
+SPELLINGS = ["-0", "+1", ".5", "5.", "1E5", "1e+5", "-0.0", "0001.5000", " 7 ",
+             "5e-324", "2.4e-324", "2.2250738585072009e-308",
+             "1.7976931348623157e308", "1e500", "-1e500", "1e-400", "-1e-400",
+             "nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "iNF"]
+
+
+def per_line_read(text, header):
+    """The reader as it was: line by line, one float() per field."""
+    width = header.count(",") + 1
+    comments, rows, header_seen = [], [], False
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            fields = line[1:].split(None, 1)
+            if len(fields) == 2:
+                comments.append((lineno, *fields))
+            continue
+        if not header_seen:
+            assert line == header
+            header_seen = True
+            continue
+        parts = line.split(",")
+        assert len(parts) == width
+        rows.append([float(p) for p in parts])
+    return np.array(rows).reshape(-1, width), comments
+
+
+def reader_corpus(header, seed):
+    """CSV text with comments before, between and after the rows, blank and
+    whitespace-only lines, CRLF endings, padded fields, every spelling of
+    SPELLINGS and random 64-bit patterns in repr and '%.17g' form."""
+    width = header.count(",") + 1
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=600, dtype=np.uint64)
+    values = SPELLINGS + [f(float(v)) for v in bits.view(float)
+                          for f in (repr, "%.17g".__mod__)]
+    values += ["0"] * (-len(values) % width)
+    lines = ["# source reader corpus", "", "   ", "#", "# scale 1", header]
+    for k in range(0, len(values), width):
+        sep = ", " if k % 3 == 0 else ","
+        lines.append(sep.join(values[k:k + width]))
+        if k % 7 == 3:
+            lines.append("# between rows")
+        if k % 11 == 5:
+            lines.append(" \t ")
+    lines += ["", "# after the rows", "   "]
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("header", [TRAJ_HEADER, SCALAR_HEADER])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_reader_equals_per_line_reader(header, seed):
+    text = reader_corpus(header, seed)
+    data, comments = _read_table(io.StringIO(text), header)
+    expected, expected_comments = per_line_read(text, header)
+    # tobytes(): array_equal would pass -0.0 for 0.0 and needs nan handling
+    assert data.shape == expected.shape and data.dtype == np.float64
+    assert data.tobytes() == expected.tobytes()
+    assert comments == expected_comments
+    assert comments[0] == (1, "source", "reader corpus")
+
+
+def test_block_reader_equals_per_line_reader_on_a_demo():
+    traj = gen_somersault(37.0, 28.5, 0.01)
+    traj = Trajectory(traj.t, traj.positions + [1.0 / 3.0, -7.0, 1e-9], traj.quaternions,
+                      scale=0.02, source="mounted loop")
+    text = trajectory_to_csv(traj)
+    data, comments = _read_table(io.StringIO(text), TRAJ_HEADER)
+    expected, expected_comments = per_line_read(text, TRAJ_HEADER)
+    assert len(data) == len(traj) == 2851
+    assert data.tobytes() == expected.tobytes() and comments == expected_comments
+    loaded = load_trajectory(io.StringIO(text))
+    assert loaded.positions.tobytes() == (expected[:, 1:4] * 0.02).tobytes()
+
+
+def test_block_reader_reads_a_crlf_file(tmp_path):
+    path = tmp_path / "demo.csv"
+    finite = "# scale 1\r\nt,y,yd,ydd\r\n" + "".join(
+        f"{0.1 * k!r},{k}, -{k}.5 ,1E{k}\r\n" for k in range(5))
+    path.write_bytes(finite.encode())
+    demo = load_scalar_demo(str(path))
+    assert demo.yd.tobytes() == np.array([-0.5, -1.5, -2.5, -3.5, -4.5]).tobytes()
+    assert demo.ydd.tobytes() == (10.0 ** np.arange(5)).tobytes()
+
+
+BAD_ROWS = {
+    # case: (rows after the header, expected message)
+    "short row": (["0.2,0,0"], "line 4: expected 8 fields, got 3"),
+    "long row": (["0.2,0,0,0,1,0,0,0,0"], "line 4: expected 8 fields, got 9"),
+    "empty field": (["0.2,0,0,0,1,0,,0"], "line 4: unparseable number"),
+    "garbled": (["0.2,0,0,0,1,0,abc,0"], "line 4: unparseable number"),
+    "comment in a row": (["0.2,0,0,0,1,0,0,0 # c"], "line 4: unparseable number"),
+    "underscore": (["0.2,1_0,0,0,1,0,0,0"], "line 4: unparseable number"),
+    "arabic digit": (["0.2,\u0661,0,0,1,0,0,0"], "line 4: unparseable number"),
+    "hex": (["0.2,0x10,0,0,1,0,0,0"], "line 4: unparseable number"),
+    "quoted": (['0.2,"0",0,0,1,0,0,0'], "line 4: unparseable number"),
+    # a stream that does not translate newlines can hand one over
+    "carriage return inside": (["0.2,0,0\r,0,1,0,0,0"], "line 4: unparseable number"),
+    "first bad line wins": (["0.2,0,0,0,1,0,x,0", "0.3,0,0"], "line 4: unparseable number"),
+    "after comments and blanks": (["# note", "", "0.2,0,0,0,1,0,0,0", "0.3,0,0"],
+                                  "line 7: expected 8 fields, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_block_reader_names_the_first_bad_line(case):
+    rows, message = BAD_ROWS[case]
+    text = MINIMAL + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_trajectory(io.StringIO(text))
+
+
+def test_block_reader_names_a_bad_line_deep_in_a_long_table():
+    rows = [f"{0.01 * k!r},0,0,0,1,0,0,0" for k in range(3000)]
+    rows[2500] = rows[2500][:-1] + "1_0"
+    rows[2900] = "0.2,0"
+    lines = ["# source long", "t,px,py,pz,qw,qx,qy,qz"] + rows
+    lines[1000:1000] = ["# between", ""]
+    with pytest.raises(ValueError, match="^line 2505: unparseable number$"):
+        load_trajectory(io.StringIO("\n".join(lines)))
+
+
+def test_block_reader_names_a_table_of_the_wrong_width():
+    text = "t,y,yd,ydd\n" + "".join(f"{k},0,0,0,0\n" for k in range(6))
+    with pytest.raises(ValueError, match="^line 2: expected 4 fields, got 5$"):
+        load_scalar_demo(io.StringIO(text))
+
+
+@pytest.mark.parametrize("loader, header, message", [
+    (load_trajectory, TRAJ_HEADER, "at least two samples"),
+    (load_scalar_demo, SCALAR_HEADER, "need >= 4 samples"),
+])
+def test_header_only_file_gives_the_sample_count_error(loader, header, message):
+    text = "# source empty\n\n" + header + "\n# nothing follows\n\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            loader(io.StringIO(text))
+        with pytest.raises(ValueError, match="missing header line"):
+            loader(io.StringIO("# only a comment\n\n"))
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "-inf", "1e-320", "abc"])
+def test_load_rejects_bad_scale(value):
+    # 1e-320 is positive but its reciprocal overflows, and saving divides by it
+    text = f"# source x\n# scale {value}\n" + MINIMAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^line 2: bad scale value$"):
+            load_trajectory(io.StringIO(text))
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf, 1e-320])
+def test_trajectory_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        Trajectory([0.0, 0.1], np.zeros((2, 3)), np.tile([1.0, 0, 0, 0], (2, 1)),
+                   scale=scale)
 
 
 def _greedy_sign_continuity(quats):
