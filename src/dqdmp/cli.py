@@ -157,6 +157,8 @@ def _print_fit_residuals(model) -> None:
 
 def _parse_goal(text: str):
     vals = [float(v) for v in text.split(",")]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"--goal components must be finite, got {text!r}")
     if len(vals) == 3:
         return np.array(vals), None
     if len(vals) == 7:

@@ -48,6 +48,7 @@ from .canonical import (
 from .dualquat import (
     _UNIT_TOL,
     BODY,
+    INERTIAL,
     DualQuaternion,
     Pose,
     Twist,
@@ -68,7 +69,6 @@ from .quat import (
 )
 from .traj import ScalarDemo, Trajectory
 
-INERTIAL = "inertial"
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
 _FIT_RESIDUALS = dict(default=None, compare=False, repr=False)
@@ -199,6 +199,8 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
                       duration: float | None = None, z0: float = 0.0,
                       t_start: float = 0.0) -> ClassicalRollout:
     """Integrate the scalar primitive: semi-implicit Euler on plain floats."""
+    if not np.isfinite([y0, z0, model.goal]).all():
+        raise ValueError("classical rollout: y0, z0 and goal must be finite")
     ts, xs = _clock(model.basis.alpha_x, model.tau, dt, duration, t_start)
     f = forcing_rows(xs, model.basis, model.weights[None, :])[:, 0]
     az, bz = float(model.alpha_z), float(model.beta_z)
@@ -353,8 +355,7 @@ def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
 def model_frame_rates(traj: Trajectory, frame: str) -> tuple[np.ndarray, np.ndarray]:
     """Demonstrated angular rate and its derivative in the model frame."""
     der = traj.derived()
-    omega, omega_dot = der.omega_b, np.gradient(der.omega_b, traj.dt, axis=0,
-                                                edge_order=2)
+    omega, omega_dot = der.omega_b, der.xi_dot[:, :3]
     if frame == INERTIAL:
         # omega_s = R omega_b; the transport term R(omega x omega) vanishes
         omega = quat_rotate(traj.quaternions, omega)

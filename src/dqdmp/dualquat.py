@@ -23,10 +23,10 @@ the single-value call.  As in ``quat``, each formula of the integrator is
 written once, in component form: ``_mul`` (the product of two dual
 quaternions given by their real and dual parts), ``_error`` (the
 goal-relative pose), ``_exp`` (the screw exponential), ``_normalize`` and
-``_step``.  ``_mul`` and ``_error`` take 4-sequence parts of floats or of
-stack columns; the other three take floats.  The integrator's loop in
-``dmp`` calls them directly, and ``dq_product``, ``dq_error``, ``dq_exp``,
-``dq_normalize`` and ``dq_step_body`` are thin calls into them.
+``_step``.  ``_mul`` and ``_error`` take a single value's parts as floats
+and a stack's as columns (``quat._cols``); the other three take floats.
+The loop in ``dmp`` calls them directly, and ``dq_product``, ``dq_error``,
+``dq_exp``, ``dq_normalize`` and ``dq_step_body`` are thin calls into them.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quat import (
+    _cols,
     _conj,
     _floats,
     _product,
@@ -100,7 +101,7 @@ def dq_identity() -> DualQuaternion:
 
 def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Dual quaternion product: (a.r (x) b.r) + eps (a.r (x) b.d + a.d (x) b.r)."""
-    return _from_parts(_mul(a.real.T, a.dual.T, b.real.T, b.dual.T))
+    return _from_parts(_mul(_cols(a.real), _cols(a.dual), _cols(b.real), _cols(b.dual)))
 
 
 def dq_conjugate(q: DualQuaternion) -> DualQuaternion:
@@ -165,7 +166,7 @@ def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
     either the vector part of q_oe (default) or its full logarithm (which
     takes single values only).
     """
-    e = _error(dq.real.T, dq.dual.T, dq_d.real.T, dq_d.dual.T)
+    e = _error(_cols(dq.real), _cols(dq.dual), _cols(dq_d.real), _cols(dq_d.dual))
     if rotation_error == "vec":
         rot = e[1:4]
     elif rotation_error == "log":

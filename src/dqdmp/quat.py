@@ -20,12 +20,12 @@ private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
 exponential) and ``_step`` (the exact exponential step with its
 renormalization).  The kernels run the integrator's loop over time in
 ``dmp`` on plain floats, with sin and cos from ``math``, and the public
-functions here are thin calls into them.  ``_product`` also takes the
-columns ``a.T`` of an ``(n, 4)`` stack and gives the same bits per row
-either way, because both run the same IEEE operations in the same order;
-so the product, conjugate, vector part and rotations serve one value or
-a stack (broadcasting a single operand against a stack).  The
-exponential, logarithm, norm and step functions take single values.
+functions here are thin calls into them.  ``_product`` and ``_rotate``
+take one value as Python floats and a stack as its columns (``_cols``),
+with the same bits per row either way: both run the same IEEE operations
+in the same order.  So the product, conjugate, vector part and rotations
+serve one value, a stack, or one value against a stack.  The exponential,
+logarithm, norm and step functions take single values.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ def _product(a, b):
             aw * bz + bw * az + ax * by - ay * bx)
 
 
+def _cols(a):
+    """A single value's components as floats, a stack's as its columns."""
+    return a.tolist() if a.ndim == 1 else a.T
+
+
 def _conj(a):
     """Components of the conjugate [w, -x, -y, -z]."""
     aw, ax, ay, az = a
@@ -69,7 +74,7 @@ def quat_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Component form of [w1*w2 - v1.v2, w1*v2 + w2*v1 + v1 x v2]; associative,
     not commutative.
     """
-    return np.array(_product(a.T, b.T)).T
+    return np.array(_product(_cols(a), _cols(b))).T
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -189,21 +194,21 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the body frame to the inertial frame."""
-    w, x, y, z = q.T
-    return _rotate(w, x, y, z, v)
+    w, x, y, z = _cols(q)
+    return _rotate(w, x, y, z, _cols(v))
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the inertial frame to the body frame."""
-    w, x, y, z = q.T
-    return _rotate(w, -x, -y, -z, v)
+    w, x, y, z = _cols(q)
+    return _rotate(w, -x, -y, -z, _cols(v))
 
 
-def _rotate(w, ux, uy, uz, v: np.ndarray) -> np.ndarray:
-    """Rotate v by the unit quaternion [w, ux, uy, uz]."""
+def _rotate(w, ux, uy, uz, v) -> np.ndarray:
+    """Rotate v = (vx, vy, vz) by the unit quaternion [w, ux, uy, uz]."""
     # v + 2 w (u x v) + 2 u x (u x v), crosses written out (np.cross has
     # far too much dispatch overhead for single 3-vectors)
-    vx, vy, vz = v.T
+    vx, vy, vz = v
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)

@@ -431,3 +431,26 @@ def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, fla
                 *flags, "-o", str(out)]) == 1
     assert_one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pose_model_file(tmp_path_factory, demo_file):
+    path = tmp_path_factory.mktemp("model") / "pose.json"
+    assert run(["train", "--variant", "pose-decoupled", "--demo", demo_file,
+                "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("model, goal", [
+    ("dq_model_file", "nan,0,0"),
+    ("pose_model_file", "nan,0,0"),
+    ("dq_model_file", "1,0,0,inf,0,0,0"),
+])
+def test_rollout_refuses_non_finite_goal(tmp_path, capsys, request, model, goal):
+    # the error names the flag, not the unit constraint or state it would break
+    path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
+    capsys.readouterr()  # the fixture's training report
+    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
+                "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "--goal")
+    assert not out.exists()

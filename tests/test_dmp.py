@@ -14,6 +14,7 @@ from dqdmp import (
     gen_min_jerk,
     gen_somersault,
     phase,
+    pose_rollout,
     pose_train,
     quat_exp,
     quat_product,
@@ -301,6 +302,20 @@ def test_pose_train_rejects_bad_position_gains(k_pos, d_pos):
     demo = gen_somersault(5.0, 1.0, 0.01)
     with pytest.raises(ValueError, match="position stiffness and damping"):
         pose_train(demo, 1.0, 0.1, 10, k_pos, d_pos, 10, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("y0, goal", [(np.nan, 1.0), (0.0, np.inf), (0.0, np.nan)])
+def test_classical_rollout_refuses_non_finite_start_or_goal(y0, goal):
+    m = ClassicalDmp(25.0, 6.25, BASIS, np.zeros(30), 0.0, goal, 1.0)
+    with pytest.raises(ValueError, match="goal must be finite"):
+        classical_rollout(m, y0, 0.01, 1.0)
+
+
+def test_pose_rollout_refuses_non_finite_goal_position():
+    # refused before the integrator turns it into a non-finite state
+    m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
+    with pytest.raises(ValueError, match="goal must be finite"):
+        pose_rollout(m, 0.01, 1.0, goal_position=[np.nan, 0.0, 0.0])
 
 
 def test_quat_rollout_rejects_non_unit_goal(rng):

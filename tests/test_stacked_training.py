@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import dqdmp.canonical as canonical
+import dqdmp.dualquat as dualquat
+import dqdmp.quat as quat
 from dqdmp import (
     DualQuaternion,
     Pose,
@@ -21,6 +23,7 @@ from dqdmp import (
     differentiate,
     dq_error,
     dq_from_pose,
+    dq_product,
     dq_train,
     fit_weights,
     gen_somersault,
@@ -67,8 +70,10 @@ def test_quat_kernels_equal_single_calls(rng):
                           rows(lambda x: quat_product(one, x), b))
     assert np.array_equal(quat_conjugate(a), rows(quat_conjugate, a))
     assert np.array_equal(quat_vec(a), rows(quat_vec, a))
-    assert np.array_equal(quat_rotate(a, v), rows(quat_rotate, a, v))
-    assert np.array_equal(quat_rotate_inverse(a, v), rows(quat_rotate_inverse, a, v))
+    for rotate in (quat_rotate, quat_rotate_inverse):
+        assert np.array_equal(rotate(a, v), rows(rotate, a, v))
+        assert np.array_equal(rotate(one, v), rows(lambda x: rotate(one, x), v))
+        assert np.array_equal(rotate(a, v[0]), rows(lambda x: rotate(x, v[0]), a))
 
 
 def test_dual_quaternion_kernels_equal_single_calls(rng):
@@ -78,11 +83,43 @@ def test_dual_quaternion_kernels_equal_single_calls(rng):
     assert np.array_equal(stacked.as_array(), [d.as_array() for d in single])
     goal = dq_from_pose(Pose(rng.normal(size=3), random_unit_quat(rng)))
     assert np.array_equal(dq_error(stacked, goal), [dq_error(d, goal) for d in single])
+    flipped = DualQuaternion(stacked.real[::-1], stacked.dual[::-1])
+    assert np.array_equal(dq_product(stacked, flipped).as_array(),
+                          [dq_product(d, e).as_array() for d, e in zip(single, single[::-1])])
+    assert np.array_equal(dq_product(stacked, goal).as_array(),
+                          [dq_product(d, goal).as_array() for d in single])
+    assert np.array_equal(dq_product(goal, stacked).as_array(),
+                          [dq_product(goal, d).as_array() for d in single])
     assert np.array_equal(dq_position(stacked), [dq_position(d) for d in single])
     omega, p_b, p_b_dot = (rng.normal(size=(N, 3)) for _ in range(3))
     assert np.array_equal(twist_body_from_demo(omega, p_b, p_b_dot).as_array(),
                           rows(lambda *a: twist_body_from_demo(*a).as_array(),
                                omega, p_b, p_b_dot))
+
+
+def test_single_values_reach_the_kernels_as_floats(rng, monkeypatch):
+    # one value is handed to the kernels as Python floats, not numpy scalars
+    seen = []
+
+    def spy(kernel):
+        def wrapped(*args):
+            for arg in args:
+                seen.extend(arg if isinstance(arg, (list, tuple)) else [arg])
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(quat, "_product", spy(quat._product))
+    monkeypatch.setattr(quat, "_rotate", spy(quat._rotate))
+    monkeypatch.setattr(dualquat, "_product", spy(dualquat._product))
+    a, b = random_unit_quat(rng), random_unit_quat(rng)
+    d, e = (dq_from_pose(Pose(rng.normal(size=3), random_unit_quat(rng))) for _ in range(2))
+    seen.clear()
+    outs = [(quat_product(a, b), (4,)), (quat_rotate(a, b[1:]), (3,)),
+            (quat_rotate_inverse(a, b[1:]), (3,)), (dq_product(d, e).real, (4,)),
+            (dq_product(d, e).dual, (4,)), (dq_error(d, e), (6,))]
+    assert len(seen) > 0 and all(type(x) is float for x in seen), {type(x) for x in seen}
+    for out, shape in outs:
+        assert out.dtype == np.float64 and out.shape == shape
 
 
 def test_rollout_poses_equal_single_extraction(rng):
