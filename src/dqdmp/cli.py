@@ -11,18 +11,17 @@ compare  train both the coupled and the decoupled pose model on one demo
          and report reproduction / consistency metrics
 
 Diagnostics go to stderr, data to files or stdout.  Every command is
-deterministic given its flags and inputs.  Default parameters follow the
-package defaults: coupled model alpha_x 0.05, 30 kernels, unit stiffness;
-decoupled baseline alpha_x 0.1, 30/50 kernels, stiffness 10/1; damping
-10 sqrt(K) throughout.
+deterministic given its flags and inputs.  train's flags default to
+alpha_x 0.05, 30 kernels (30 / 50 for the baseline's position /
+orientation), unit stiffness K_rot = K_pos = 1 and damping 10 sqrt(K) for
+every variant.  compare trains the coupled model at those settings and the
+decoupled baseline at alpha_x 0.1 and stiffness 10 / 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .traj import (
     gen_somersault,
     load_scalar_demo,
     load_trajectory,
+    open_text,
     save_trajectory,
 )
 
@@ -66,14 +66,9 @@ def _fail(msg: str) -> int:
     return 1
 
 
-@contextmanager
-def _text_sink(path: str | None):
-    """stdout for None or '-', else the file at path opened for writing."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
+def _text_sink(path: str):
+    """stdout for '-', else the file at path opened for writing."""
+    return open_text(sys.stdout if path == "-" else path, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +107,6 @@ def cmd_train(args) -> int:
                                     args.beta_z, basis_scheme_a(args.kernels, args.alpha_x))
         else:
             traj = load_trajectory(args.demo)
-            if len(traj) < 4:
-                return _fail("demo too short to differentiate (need >= 4 samples)")
             tau = args.tau if args.tau is not None else traj.duration
             if args.variant == "dq":
                 d_rot = args.d_ratio * np.sqrt(args.k_rot)
@@ -125,13 +118,11 @@ def cmd_train(args) -> int:
                                    args.d_ratio * np.sqrt(args.k_rot),
                                    basis_scheme_a(args.kernels, args.alpha_x),
                                    frame=args.frame)
-            elif args.variant == "pose-decoupled":
+            else:  # pose-decoupled
                 model = pose_train(
                     traj, tau, args.alpha_x, args.pos_kernels, args.k_pos,
                     args.d_ratio * np.sqrt(args.k_pos), args.rot_kernels,
                     args.k_rot, args.d_ratio * np.sqrt(args.k_rot))
-            else:
-                return _fail(f"unknown variant {args.variant}")
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     _print_fit_residuals(model)
@@ -156,14 +147,22 @@ def _print_fit_residuals(model) -> None:
 
 
 def _parse_goal(text: str):
-    vals = [float(v) for v in text.split(",")]
-    if not np.isfinite(vals).all():
-        raise ValueError(f"--goal components must be finite, got {text!r}")
-    if len(vals) == 3:
-        return np.array(vals), None
-    if len(vals) == 7:
+    """The goal position and the unit goal quaternion (or None) of --goal;
+    each refusal names the flag."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+        if not np.isfinite(vals).all():
+            raise ValueError("components must be finite")
+        if len(vals) == 3:
+            return np.array(vals), None
+        if len(vals) != 7:
+            raise ValueError("takes 'px,py,pz' or 'px,py,pz,qw,qx,qy,qz'")
+        # summed on floats, a norm past the float range is inf, not a numpy warning
+        if sum(v * v for v in vals[3:]) == np.inf:
+            raise ValueError("quaternion norm overflows")
         return np.array(vals[:3]), quat_normalize(np.array(vals[3:]))
-    raise ValueError("--goal takes 'px,py,pz' or 'px,py,pz,qw,qx,qy,qz'")
+    except ValueError as exc:
+        raise ValueError(f"--goal {text!r}: {exc}") from None
 
 
 def cmd_rollout(args) -> int:
@@ -189,13 +188,9 @@ def _rollout_table(model, dt: float, duration: float | None,
     tau = tau_override
     if tau is None:
         tau = model.orientation.tau if isinstance(model, PoseDecoupledDmp) else model.tau
-    if duration is None:
-        duration = 1.5 * tau
     if isinstance(model, ClassicalDmp):
-        m = replace(model, tau=tau)
-        if goal_pos is not None:
-            m = replace(m, goal=float(goal_pos[0]))
-        roll = classical_rollout(m, m.y0, dt, duration)
+        roll = classical_rollout(model, model.y0, dt, duration, tau_override=tau_override,
+                                 goal_override=None if goal_pos is None else goal_pos[0])
         zero, one = np.zeros(len(roll.t)), np.ones(len(roll.t))
         return np.column_stack([roll.t, roll.x, roll.y, zero, zero,
                                 one, zero, zero, zero, zero, zero, zero,
@@ -231,10 +226,9 @@ def _rollout_table(model, dt: float, duration: float | None,
 # compare
 
 
-def compare_on_demo(traj: Trajectory, dt: float | None = None,
-                    dq_params: dict | None = None,
-                    pose_params: dict | None = None) -> dict:
-    """Train the coupled and the decoupled model on one demo and measure.
+def compare_on_demo(traj: Trajectory) -> dict:
+    """Train the coupled and the decoupled model on one demo, roll both out
+    on the demo's own step and measure them against it sample by sample.
 
     Returns a dict with per-model position RMSE, orientation geodesic RMSE,
     terminal errors and the kinematic-consistency residual: the mean over
@@ -243,41 +237,29 @@ def compare_on_demo(traj: Trajectory, dt: float | None = None,
     for the coupled model, the attitude-rotated position-primitive velocity
     for the decoupled one).
     """
-    dt = traj.dt if dt is None else dt
-    T = traj.duration
-    dqp = {"alpha_x": 0.05, "kernels": 30, "k_rot": 1.0, "k_pos": 1.0,
-           "d_ratio": 10.0}
-    dqp.update(dq_params or {})
-    pp = {"alpha_x": 0.1, "pos_kernels": 30, "k_pos": 10.0, "rot_kernels": 50,
-          "k_rot": 1.0, "d_ratio": 10.0}
-    pp.update(pose_params or {})
-
-    basis = basis_scheme_a(dqp["kernels"], dqp["alpha_x"])
-    dq_model = dq_train(traj, T, dqp["k_rot"], dqp["k_pos"],
-                        dqp["d_ratio"] * np.sqrt(dqp["k_rot"]),
-                        dqp["d_ratio"] * np.sqrt(dqp["k_pos"]), basis)
+    dt, T = traj.dt, traj.duration
+    # coupled: alpha_x 0.05, 30 kernels, K 1, damping 10 sqrt(K)
+    dq_model = dq_train(traj, T, 1.0, 1.0, 10.0, 10.0, basis_scheme_a(30, 0.05))
     xi0 = traj.derived().xi[0] * T
     droll = dq_rollout(dq_model, xi0=xi0, dt=dt, duration=T)
     dpos, dquat = droll.poses()
     dvel_body = droll.xi[:, 3:] / T
 
-    pose_model = pose_train(traj, T, pp["alpha_x"], pp["pos_kernels"],
-                            pp["k_pos"], pp["d_ratio"] * np.sqrt(pp["k_pos"]),
-                            pp["rot_kernels"], pp["k_rot"],
-                            pp["d_ratio"] * np.sqrt(pp["k_rot"]))
+    # decoupled: alpha_x 0.1, 30 position / 50 orientation kernels, K 10 / 1
+    pose_model = pose_train(traj, T, 0.1, 30, 10.0, 10.0 * np.sqrt(10.0), 50, 1.0, 10.0)
     proll = pose_rollout(pose_model, dt, T)
 
     def metrics(pos, quat, v_body):
-        n = min(len(pos), len(traj))
-        dp = pos[:n] - traj.positions[:n]
+        # on the demo's step and duration, row k of a rollout is at demo time t[k]
+        dp = pos - traj.positions
         pos_rmse = float(np.sqrt(np.mean(np.sum(dp**2, axis=1))))
-        dots = np.abs(np.sum(quat[:n] * traj.quaternions[:n], axis=1))
+        dots = np.abs(np.sum(quat * traj.quaternions, axis=1))
         ang = 2.0 * np.arccos(np.clip(dots, 0.0, 1.0))
         ori_rmse = float(np.sqrt(np.mean(ang**2)))
-        term_pos = float(np.linalg.norm(pos[n - 1] - traj.positions[n - 1]))
-        term_ang = float(ang[n - 1])
-        pdot_fd = np.gradient(pos[:n], dt, axis=0, edge_order=2)
-        resid = np.linalg.norm(pdot_fd - quat_rotate(quat[:n], v_body[:n]), axis=1)
+        term_pos = float(np.linalg.norm(pos[-1] - traj.positions[-1]))
+        term_ang = float(ang[-1])
+        pdot_fd = np.gradient(pos, dt, axis=0, edge_order=2)
+        resid = np.linalg.norm(pdot_fd - quat_rotate(quat, v_body), axis=1)
         return {
             "position_rmse_m": pos_rmse,
             "orientation_rmse_rad": ori_rmse,
@@ -296,15 +278,10 @@ def compare_on_demo(traj: Trajectory, dt: float | None = None,
 
 def cmd_compare(args) -> int:
     try:
-        traj = load_trajectory(args.demo)
-        if len(traj) < 4:
-            return _fail("demo too short to differentiate (need >= 4 samples)")
-        report = compare_on_demo(traj, dt=args.dt)
+        report = compare_on_demo(load_trajectory(args.demo))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    fields = ["position_rmse_m", "orientation_rmse_rad",
-              "terminal_position_m", "terminal_orientation_rad",
-              "kinematic_residual_mean_mps", "kinematic_residual_max_mps"]
+    fields = list(report["dq"])
     lines = ["model," + ",".join(fields)]
     for name in ("dq", "pose_decoupled"):
         lines.append(name + "," +
@@ -379,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="coupled vs decoupled on one demo")
     c.add_argument("--demo", required=True)
-    c.add_argument("--dt", type=float, default=None,
-                   help="rollout step; defaults to the demo step")
     c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=cmd_compare)
     return p

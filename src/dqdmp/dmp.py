@@ -33,7 +33,7 @@ residual norms of that fit (fit_residuals); a loaded one has none.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from struct import Struct
 
 import numpy as np
@@ -67,7 +67,7 @@ from .quat import (
     quat_normalize,
     quat_rotate,
 )
-from .traj import ScalarDemo, Trajectory
+from .traj import ScalarDemo, Trajectory, open_text
 
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
@@ -162,8 +162,14 @@ def classical_target_forcing(demo: ScalarDemo, g: float, tau: float,
             - alpha_z * (beta_z * (g - demo.y) - tau * demo.yd))
 
 
+def _check_scalar_gains(alpha_z: float, beta_z: float) -> None:
+    if not (0.0 < alpha_z < np.inf and 0.0 < beta_z < np.inf):
+        raise ValueError("classical alpha_z and beta_z must be positive and finite")
+
+
 def classical_train(demo: ScalarDemo, g: float, tau: float, alpha_z: float,
                     beta_z: float, basis: GaussianBasis) -> ClassicalDmp:
+    _check_scalar_gains(alpha_z, beta_z)
     fd = classical_target_forcing(demo, g, tau, alpha_z, beta_z)
     w, res = _fit(phase(demo.t, basis.alpha_x, tau), fd, basis)
     return ClassicalDmp(alpha_z, beta_z, basis, w,
@@ -197,14 +203,17 @@ class ClassicalRollout:
 
 def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
                       duration: float | None = None, z0: float = 0.0,
-                      t_start: float = 0.0) -> ClassicalRollout:
-    """Integrate the scalar primitive: semi-implicit Euler on plain floats."""
-    if not np.isfinite([y0, z0, model.goal]).all():
+                      t_start: float = 0.0, goal_override: float | None = None,
+                      tau_override: float | None = None) -> ClassicalRollout:
+    """Integrate the scalar primitive: semi-implicit Euler on plain floats;
+    goal_override and tau_override act as in quat_rollout."""
+    tau = float(tau_override if tau_override is not None else model.tau)
+    g = float(goal_override if goal_override is not None else model.goal)
+    if not np.isfinite([y0, z0, g]).all():
         raise ValueError("classical rollout: y0, z0 and goal must be finite")
-    ts, xs = _clock(model.basis.alpha_x, model.tau, dt, duration, t_start)
+    ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
     f = forcing_rows(xs, model.basis, model.weights[None, :])[:, 0]
     az, bz = float(model.alpha_z), float(model.beta_z)
-    g, tau = float(model.goal), float(model.tau)
     y, z = np.empty(len(xs)), np.empty(len(xs))
     yk, zk = float(y0), float(z0)
     y[0], z[0] = yk, zk
@@ -298,6 +307,13 @@ def _gain_step(v, u, k, d, dt_tau: float):
                            - (d[6] * v0 + d[7] * v1 + d[8] * v2)))
 
 
+def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
+    """K^-1 (tau^2 acc + tau D vel) - e + e0 x per sample: the forcing that
+    makes _drive reproduce a demonstration on one 3x3 (K, D) gain block."""
+    drive = tau**2 * acc + vel @ (tau * d).T
+    return drive @ np.linalg.inv(k).T - e + e0 * xs[:, None]
+
+
 def _check_finite(ts: np.ndarray, *states: np.ndarray) -> None:
     """Raise on the first sample of a rollout whose state is not finite."""
     if not all(np.isfinite(s).all() for s in states):
@@ -328,6 +344,13 @@ def _unit_quat(q, what: str) -> np.ndarray:
 # quaternion variant
 
 
+def _is_body(frame: str) -> bool:
+    """Whether frame is BODY; a frame other than BODY or INERTIAL raises."""
+    if frame not in (BODY, INERTIAL):
+        raise ValueError(f"unknown frame {frame!r}")
+    return frame == BODY
+
+
 def _quat_error(q, qd, body: bool):
     """Components of the rotation from q to the goal qd, q* (x) qd in the
     body frame and qd (x) q* in the inertial frame; its vector part is the
@@ -342,14 +365,13 @@ def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
                         frame: str) -> np.ndarray:
     """Per-sample forcing targets for the orientation primitive.
 
-    omega and omega_dot must be expressed in the model frame;
-    f_d = K^-1 (tau^2 omega_dot + tau D omega) - e + e_start * x.
+    omega and omega_dot must be expressed in the model frame; the targets
+    are those of _target_block.
     """
-    kinv = np.linalg.inv(k_gain)
-    e0 = np.array(_quat_error(q0, qd, frame == BODY)[1:])
-    e = np.array(_quat_error(quats.T, qd, frame == BODY)[1:]).T
-    drive = tau**2 * omega_dot + omega @ (tau * d_gain).T
-    return drive @ kinv.T - e + e0 * xs[:, None]
+    body = _is_body(frame)
+    e0 = np.array(_quat_error(q0, qd, body)[1:])
+    e = np.array(_quat_error(quats.T, qd, body)[1:]).T
+    return _target_block(omega_dot, omega, e, e0, xs, tau, k_gain, d_gain)
 
 
 def model_frame_rates(traj: Trajectory, frame: str) -> tuple[np.ndarray, np.ndarray]:
@@ -366,8 +388,7 @@ def model_frame_rates(traj: Trajectory, frame: str) -> tuple[np.ndarray, np.ndar
 def quat_train(traj: Trajectory, tau: float, k_gain, d_gain,
                basis: GaussianBasis, frame: str = BODY) -> QuaternionDmp:
     """Fit the orientation primitive to a demonstration's attitude track."""
-    if frame not in (BODY, INERTIAL):
-        raise ValueError(f"unknown frame {frame!r}")
+    _is_body(frame)
     k_gain = _gain_matrix(k_gain)
     d_gain = _gain_matrix(d_gain)
     omega, omega_dot = model_frame_rates(traj, frame)
@@ -416,7 +437,7 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
-    body, goal = model.frame == BODY, qd.tolist()
+    body, goal = _is_body(model.frame), qd.tolist()
     k, d = model.k_gain.ravel().tolist(), model.d_gain.ravel().tolist()
 
     def step(p, w, x, f, h, half, c):
@@ -442,16 +463,14 @@ def dq_target_forcing(dqs: np.ndarray, xi: np.ndarray,
     """Per-sample 6-vector forcing targets for the coupled pose primitive.
 
     dqs is the (n, 8) stack of demonstrated poses [real, dual]; xi / xi_dot
-    are the demonstration's body twist and twist rate in real time;
-    f_d = K^-1 (tau^2 xi_dot + tau D xi) - e + e_start * x.
+    are the demonstration's body twist and twist rate in real time; the
+    targets are those of _target_block, per (rotation, translation) block.
     """
-    kinv_r, kinv_p = np.linalg.inv(k_rot), np.linalg.inv(k_pos)
     e0 = dq_error(dq0, dqd)
     e = dq_error(DualQuaternion(dqs[:, :4], dqs[:, 4:]), dqd)
-    drive_r = tau**2 * xi_dot[:, :3] + xi[:, :3] @ (tau * d_rot).T
-    drive_p = tau**2 * xi_dot[:, 3:] + xi[:, 3:] @ (tau * d_pos).T
-    drive = np.concatenate([drive_r @ kinv_r.T, drive_p @ kinv_p.T], axis=1)
-    return drive - e + e0 * xs[:, None]
+    rot = _target_block(xi_dot[:, :3], xi[:, :3], e[:, :3], e0[:3], xs, tau, k_rot, d_rot)
+    pos = _target_block(xi_dot[:, 3:], xi[:, 3:], e[:, 3:], e0[3:], xs, tau, k_pos, d_pos)
+    return np.concatenate([rot, pos], axis=1)
 
 
 def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
@@ -548,7 +567,7 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     tau = float(tau_override) if tau_override is not None else model.tau
     goal = goal_override if goal_override is not None else model.dqd
     goal_position = dq_to_pose(goal).position
-    start = dq0 if dq0 is not None else model.dq0
+    start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
     if xi0 is None:
         xi = np.zeros(6)
     elif isinstance(xi0, Twist):
@@ -595,12 +614,14 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     The scalar attractor is parameterized by stiffness/damping through
     alpha_z = d_pos, beta_z = k_pos / d_pos (so alpha_z beta_z = k_pos).
     """
+    traj.derived()  # refuses a demo too short to differentiate
     if not (0.0 < k_pos < np.inf and 0.0 < d_pos < np.inf):
         raise ValueError("position stiffness and damping must be positive and finite")
     pos_basis = basis_scheme_a(n_pos_kernels, alpha_x)
     rot_basis = basis_scheme_a(n_rot_kernels, alpha_x)
     alpha_z = float(d_pos)
     beta_z = float(k_pos) / float(d_pos)
+    _check_scalar_gains(alpha_z, beta_z)  # the quotient can overflow or underflow
     vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
     acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
     # the three axes as one (n, 3) scalar demo: one design matrix for all
@@ -626,21 +647,18 @@ class PoseRollout:
     energy: np.ndarray      # (n, 3) (V, V1, V2): orientation V1, position axes V2
 
 
-def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float,
+def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = None,
                  goal_position: np.ndarray | None = None,
                  goal_quat: np.ndarray | None = None,
                  tau_override: float | None = None) -> PoseRollout:
-    """Roll the decoupled baseline; sub-systems share only the clock."""
-    axes = model.position
-    if goal_position is not None:
-        axes = tuple(replace(m, goal=float(g))
-                     for m, g in zip(axes, goal_position))
-    if tau_override is not None:
-        axes = tuple(replace(m, tau=float(tau_override)) for m in axes)
-    rolls = [classical_rollout(m, m.y0, dt, duration) for m in axes]
-    qroll = quat_rollout(model.orientation, dt=dt, duration=duration,
-                         goal_override=goal_quat, tau_override=tau_override)
+    """Roll the decoupled baseline; sub-systems share only the clock, which runs
+    on the orientation primitive's tau or tau_override, 1.5 tau by default."""
     tau = tau_override if tau_override is not None else model.orientation.tau
+    goals = goal_position if goal_position is not None else [None] * 3
+    rolls = [classical_rollout(m, m.y0, dt, duration, goal_override=g, tau_override=tau)
+             for m, g in zip(model.position, goals)]
+    qroll = quat_rollout(model.orientation, dt=dt, duration=duration,
+                         goal_override=goal_quat, tau_override=tau)
     positions = np.stack([r.y for r in rolls], axis=1)
     velocities = np.stack([r.z for r in rolls], axis=1) / tau
     v2 = rolls[0].energy + rolls[1].energy + rolls[2].energy
@@ -745,15 +763,13 @@ def _model_from_doc(doc: dict):
     g = doc["gains"]
     b = doc["boundary"]
     if variant == "classical":
-        if not (0.0 < g["alpha_z"] < np.inf and 0.0 < g["beta_z"] < np.inf
-                and np.isfinite(b["y0"]) and np.isfinite(b["goal"])):
-            raise ValueError("classical alpha_z and beta_z must be positive and "
-                             "finite, y0 and goal finite")
+        _check_scalar_gains(g["alpha_z"], g["beta_z"])
+        if not (np.isfinite(b["y0"]) and np.isfinite(b["goal"])):
+            raise ValueError("classical y0 and goal must be finite")
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
                             b["y0"], b["goal"], doc["tau"])
     if variant == "quaternion":
-        if doc["frame"] not in (BODY, INERTIAL):
-            raise ValueError(f"unknown frame {doc['frame']!r}")
+        _is_body(doc["frame"])
         return QuaternionDmp(doc["frame"], _gain_matrix(g["k"]), _gain_matrix(g["d"]),
                              basis, weights, _unit_quat(b["q0"], "q0"),
                              _unit_quat(b["qd"], "qd"), doc["tau"])
@@ -773,24 +789,20 @@ def _unit_dq(a, what: str) -> DualQuaternion:
 
 
 def save_model(model, sink) -> None:
-    """Write a model as a self-describing JSON document.
+    """Write a model to a path or text stream as a self-describing JSON document.
 
     The rendering is canonical (sorted keys, repr-exact floats), so
     save -> load -> save reproduces the file byte for byte.
     """
-    if isinstance(sink, (str, bytes)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            save_model(model, fh)
-        return
-    json.dump(_model_doc(model), sink, indent=2, sort_keys=True)
-    sink.write("\n")
+    with open_text(sink, "w") as fh:
+        json.dump(_model_doc(model), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_model(source):
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_model(fh)
-    doc = json.load(source)
+    """Read a model file from a path or text stream; ValueError if malformed."""
+    with open_text(source) as fh:
+        doc = json.load(fh)
     try:
         return _model_from_doc(doc)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:

@@ -34,6 +34,8 @@ refused.
 from __future__ import annotations
 
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,18 +252,26 @@ def _slerp(qa: np.ndarray, qb: np.ndarray, w: float) -> np.ndarray:
 # -- file round trip -------------------------------------------------------
 
 
-def save_trajectory(traj: Trajectory, sink) -> None:
-    """Write the CSV form; full precision, locale-independent."""
-    if isinstance(sink, (str, bytes)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            save_trajectory(traj, fh)
+@contextmanager
+def open_text(target, mode: str = "r"):
+    """The file at target, a str, bytes or os.PathLike path, opened as UTF-8
+    text in mode 'r' or 'w'; any other target is an open text stream."""
+    if not isinstance(target, (str, bytes, os.PathLike)):
+        yield target
         return
-    if traj.scale != 1.0:
-        sink.write(f"# scale {traj.scale:.17g}\n")
-    if traj.source:
-        sink.write(f"# source {traj.source}\n")
-    sink.writelines(csv_chunks(_HEADER, np.column_stack(
-        [traj.t, traj.positions * (1.0 / traj.scale), traj.quaternions])))
+    with open(target, mode, encoding="utf-8", newline="\n" if mode == "w" else None) as fh:
+        yield fh
+
+
+def save_trajectory(traj: Trajectory, sink) -> None:
+    """Write the CSV form to a path or text stream; full precision, locale-independent."""
+    with open_text(sink, "w") as fh:
+        if traj.scale != 1.0:
+            fh.write(f"# scale {traj.scale:.17g}\n")
+        if traj.source:
+            fh.write(f"# source {traj.source}\n")
+        fh.writelines(csv_chunks(_HEADER, np.column_stack(
+            [traj.t, traj.positions * (1.0 / traj.scale), traj.quaternions])))
 
 
 def csv_chunks(header: str, table: np.ndarray):
@@ -274,16 +284,14 @@ def csv_chunks(header: str, table: np.ndarray):
 
 
 def load_trajectory(source) -> Trajectory:
-    """Parse and validate the CSV form.
+    """Parse and validate the CSV form from a path or text stream.
 
     Raises ValueError with the offending line number for malformed rows,
     non-uniform timestamps or quaternions off the unit sphere by more than
     1e-3 (closer ones are renormalized).
     """
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_trajectory(fh)
-    data, comments = _read_table(source, _HEADER)
+    with open_text(source) as fh:
+        data, comments = _read_table(fh, _HEADER)
     scale = 1.0
     source_note = ""
     for lineno, key, value in comments:
@@ -294,19 +302,15 @@ def load_trajectory(source) -> Trajectory:
                 raise ValueError(f"line {lineno}: bad scale value") from exc
         elif key == "source":
             source_note = value
-    if len(data) < 2:
-        raise ValueError("a trajectory needs at least two samples")
     return Trajectory(data[:, 0], data[:, 1:4] * scale, data[:, 4:8],
                       scale=scale, source=source_note)
 
 
 def load_scalar_demo(source) -> ScalarDemo:
-    """Parse the scalar demo CSV (header 't,y,yd,ydd') that `gen minjerk`
-    writes; errors as for load_trajectory, and at least four samples."""
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_scalar_demo(fh)
-    data, _ = _read_table(source, _SCALAR_HEADER)
+    """Parse the scalar demo CSV (header 't,y,yd,ydd') of `gen minjerk` from a
+    path or stream; errors as for load_trajectory, and at least four samples."""
+    with open_text(source) as fh:
+        data, _ = _read_table(fh, _SCALAR_HEADER)
     if len(data) < 4:
         raise ValueError("scalar demo too short (need >= 4 samples)")
     return ScalarDemo(*data.T)

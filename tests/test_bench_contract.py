@@ -8,6 +8,7 @@ also make single-value calls that no rollout or training makes any more;
 those calls are made here with the same shapes.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import dqdmp.dualquat as dualquat
 from dqdmp import basis_scheme_a, phase
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "dqdmp"
 
 
 def load_spans():
@@ -48,3 +50,23 @@ def test_replayed_single_value_calls_keep_their_shapes():
     dq = dualquat.dq_from_pose(dualquat.Pose(np.array([1.0, -2.0, 0.5]), q))
     assert dq.real.shape == (4,) and dq.dual.shape == (4,)
     assert np.allclose(dualquat.dq_to_pose(dq).position, [1.0, -2.0, 0.5], atol=1e-12)
+
+
+def test_every_imported_name_is_used():
+    # only a name the traced run wraps on a module may be imported there unused
+    wrapped = {(owner.__name__, attr) for owner, attr, _, _ in load_spans()._TARGETS}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"dqdmp.{path.stem}"
+        unused += [f"{module}.{name}" for name in sorted(imported - used)
+                   if (module, name) not in wrapped]
+    assert not unused, f"imported but unused: {unused}"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,50 @@ def test_compare_reports_both_models(tmp_path, demo_file, capsys):
     assert "dq" in err and "pose_decoupled" in err
 
 
+# compare.csv of the demo_file fixture, as written before compare lost its
+# --dt option; the rollouts run on the demo's own step either way
+COMPARE_ROWS = {
+    "dq": [0.065188627067516963, 0.0071363668577911297, 0.068206625034697183,
+           0.0018496440117741928, 0.12197415242532636, 0.27948710706036572],
+    "pose_decoupled": [0.035885064235494105, 0.0071777044524886932, 0.0017480606119206529,
+                       0.0018885337152848517, 0.067736630663808362, 0.13943702683004852],
+}
+
+
+def test_compare_report_is_on_the_demo_step(tmp_path, demo_file):
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--demo", demo_file, "-o", str(out)]) == 0
+    rows = {ln.split(",")[0]: [float(v) for v in ln.split(",")[1:]]
+            for ln in out.read_text().strip().split("\n")[1:]}
+    assert rows.keys() == COMPARE_ROWS.keys()
+    for name, values in COMPARE_ROWS.items():
+        np.testing.assert_allclose(rows[name], values, rtol=1e-9)
+
+
+def test_compare_has_no_step_option(tmp_path, demo_file, capsys):
+    # a step other than the demo's matched rollout and demo samples at different times
+    out = tmp_path / "cmp.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", "--demo", demo_file, "--dt", "0.02", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [2, 3])
+@pytest.mark.parametrize("command", [["train", "--variant", "dq"],
+                                     ["train", "--variant", "quat"],
+                                     ["train", "--variant", "pose-decoupled"],
+                                     ["compare"]])
+def test_too_short_demo_fails_with_the_differentiate_error(tmp_path, capsys, samples, command):
+    demo, out = tmp_path / "short.csv", tmp_path / "out"
+    lines = trajectory_to_csv(gen_somersault(5.0, 1.0, 0.01)).split("\n")
+    demo.write_text("\n".join(lines[:2 + samples]) + "\n")  # source note, header, rows
+    assert run([*command, "--demo", str(demo), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "trajectory too short to differentiate (need >= 4 samples)")
+    assert not out.exists()
+
+
 def test_compare_missing_demo_fails(tmp_path):
     rc = run(["compare", "--demo", str(tmp_path / "nope.csv"),
               "-o", str(tmp_path / "cmp.csv")])
@@ -424,7 +469,8 @@ def test_gen_rejects_bad_flags_without_writing(tmp_path, capsys, argv, fragment)
 
 
 @pytest.mark.parametrize("flags", [["--k-pos", "0"], ["--k-pos", "nan"],
-                                   ["--k-rot", "inf"], ["--d-ratio", "0"]])
+                                   ["--k-rot", "inf"], ["--d-ratio", "0"],
+                                   ["--k-pos", "1e300", "--d-ratio", "1e-160"]])
 def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, flags):
     out = tmp_path / "m.json"
     assert run(["train", "--variant", "pose-decoupled", "--demo", demo_file,
@@ -445,12 +491,34 @@ def pose_model_file(tmp_path_factory, demo_file):
     ("dq_model_file", "nan,0,0"),
     ("pose_model_file", "nan,0,0"),
     ("dq_model_file", "1,0,0,inf,0,0,0"),
+    ("dq_model_file", "a,b,c"),
+    ("dq_model_file", "1,0,0,0,0,0,0"),
+    ("dq_model_file", "1,0,0,1e308,1e308,0,0"),
+    ("pose_model_file", "1,0,0,1e308,1e308,0,0"),
 ])
 def test_rollout_refuses_non_finite_goal(tmp_path, capsys, request, model, goal):
     # the error names the flag, not the unit constraint or state it would break
     path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
     capsys.readouterr()  # the fixture's training report
-    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
-                "-o", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
+                    "-o", str(out)]) == 1
+    assert not caught, [str(w.message) for w in caught]
     assert_one_error_line(capsys, "--goal")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--alpha-z", "-1"], ["--alpha-z", "0"],
+                                   ["--beta-z", "0"], ["--alpha-z", "inf"]])
+def test_train_classical_refuses_gains_the_loader_refuses(tmp_path, capsys, flags):
+    demo, out = tmp_path / "reach.csv", tmp_path / "m.json"
+    assert run(["gen", "minjerk", "-o", str(demo)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["train", "--variant", "classical", "--demo", str(demo), *flags,
+                    "-o", str(out)]) == 1
+    assert not caught, [str(w.message) for w in caught]
+    assert_one_error_line(capsys, "alpha_z and beta_z must be positive and finite")
     assert not out.exists()

@@ -1,5 +1,7 @@
 """Classical and quaternion primitive tests (training oracles + rollouts)."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,48 @@ def test_quat_rollout_rejects_non_unit_goal(rng):
                       np.zeros((3, 30)), q, q, 1.0)
     with pytest.raises(ValueError, match="unit quaternion"):
         quat_rollout(m, dt=0.01, duration=1.0, goal_override=[2.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("goal, tau", [(2.5, None), (None, 0.4), (-1.0, 3.0)])
+def test_classical_rollout_overrides_equal_a_replaced_model(goal, tau):
+    demo = gen_min_jerk(0.0, 1.0, 1.0, 0.01)
+    m = classical_train(demo, 1.0, 1.0, 25.0, 6.25, BASIS)
+    changed = replace(m, goal=m.goal if goal is None else goal, tau=m.tau if tau is None else tau)
+    a = classical_rollout(m, 0.2, 0.01, 2.0, goal_override=goal, tau_override=tau)
+    b = classical_rollout(changed, 0.2, 0.01, 2.0)
+    for f in fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("tau", [None, 2.5])
+def test_pose_rollout_duration_defaults_to_one_and_a_half_tau(tau):
+    m = pose_train(gen_somersault(5.0, 2.0, 0.01), 2.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
+    a = pose_rollout(m, 0.01, tau_override=tau, goal_position=[1.0, 2.0, 3.0])
+    b = pose_rollout(m, 0.01, 1.5 * (tau or 2.0), tau_override=tau, goal_position=[1.0, 2.0, 3.0])
+    assert len(a.t) == int(round(1.5 * (tau or 2.0) / 0.01)) + 1
+    for f in fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("alpha_z, beta_z", [(-1.0, 6.25), (0.0, 6.25), (25.0, 0.0),
+                                             (np.inf, 6.25), (25.0, np.nan)])
+def test_classical_train_refuses_gains_the_loader_refuses(alpha_z, beta_z):
+    demo = gen_min_jerk(0.0, 1.0, 1.0, 0.01)
+    with pytest.raises(ValueError, match="alpha_z and beta_z must be positive and finite"):
+        classical_train(demo, 1.0, 1.0, alpha_z, beta_z, BASIS)
+
+
+def test_quat_rollout_refuses_an_unknown_frame(rng):
+    # "Body" is not "body": it rolled out as inertial
+    q = random_unit_quat(rng)
+    m = QuaternionDmp("Body", np.eye(3), np.eye(3), BASIS, np.zeros((3, 30)), q, q, 1.0)
+    with pytest.raises(ValueError, match="unknown frame 'Body'"):
+        quat_rollout(m, dt=0.01, duration=1.0)
+
+
+@pytest.mark.parametrize("samples", [2, 3])
+def test_pose_train_refuses_a_demo_too_short_to_differentiate(samples):
+    demo = gen_somersault(5.0, 1.0, 0.01)
+    short = Trajectory(demo.t[:samples], demo.positions[:samples], demo.quaternions[:samples])
+    with pytest.raises(ValueError, match="too short to differentiate"):
+        pose_train(short, 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)

@@ -305,3 +305,14 @@ def test_lyapunov_matches_rollout_diagnostics(rng):
         dq = DualQuaternion(roll.dq[idx, :4], roll.dq[idx, 4:])
         v, v1, v2 = lyapunov_value(dq, roll.xi[idx], goal, k, k)
         np.testing.assert_allclose(roll.lyap[idx], [v, v1, v2], atol=1e-12)
+
+
+def test_dq_rollout_refuses_a_start_off_the_unit_constraints():
+    # a start of norm 2 was stored as row 0 and stepped from there
+    m = train_small(small_somersault())
+    start = DualQuaternion(2.0 * m.dq0.real, 2.0 * m.dq0.dual)
+    with pytest.raises(ValueError, match="unit constraints"):
+        dq_rollout(m, dq0=start, dt=0.01, duration=1.0)
+    off = DualQuaternion(m.dq0.real, m.dq0.dual + 1e-3 * m.dq0.real)  # <real, dual> != 0
+    with pytest.raises(ValueError, match="unit constraints"):
+        dq_rollout(m, dq0=off, dt=0.01, duration=1.0)

@@ -86,6 +86,20 @@ def test_pose_decoupled_roundtrip():
     np.testing.assert_array_equal(ra.y, rb.y)
 
 
+@pytest.mark.parametrize("as_path", [str, lambda p: str(p).encode(), lambda p: p],
+                         ids=["str", "bytes", "pathlib"])
+def test_model_file_functions_take_any_path(tmp_path, as_path):
+    # str, bytes or os.PathLike (here pathlib.Path) name a file; the bytes match a stream's
+    m = dq_train(gen_somersault(5.0, 3.0, 0.01), 3.0, 1.0, 1.0, 10.0, 10.0,
+                 basis_scheme_a(30, 0.05))
+    path, buf = tmp_path / "m.json", io.StringIO()
+    save_model(m, as_path(path))
+    save_model(m, buf)
+    assert path.read_bytes() == buf.getvalue().encode()
+    loaded = load_model(as_path(path))
+    np.testing.assert_array_equal(loaded.weights, m.weights)
+
+
 def test_load_rejects_unknown_version():
     with pytest.raises(ValueError, match="version"):
         load_model(io.StringIO('{"format_version": 99, "variant": "classical"}'))

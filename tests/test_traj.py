@@ -15,6 +15,7 @@ from dqdmp import (
     quat_step_body,
     quat_to_rotmat,
     resample,
+    save_trajectory,
 )
 from dqdmp.traj import ScalarDemo, _read_table, csv_chunks, trajectory_to_csv
 
@@ -22,6 +23,21 @@ MINIMAL = """t,px,py,pz,qw,qx,qy,qz
 0,0,0,0,1,0,0,0
 0.1,0,0,0,1,0,0,0
 """
+
+
+@pytest.mark.parametrize("as_path", [str, lambda p: str(p).encode(), lambda p: p],
+                         ids=["str", "bytes", "pathlib"])
+def test_file_functions_take_any_path(tmp_path, as_path):
+    # str, bytes or os.PathLike (here pathlib.Path) name a file; the bytes match a stream's
+    traj = gen_somersault(5.0, 1.0, 0.05)
+    path = tmp_path / "demo.csv"
+    save_trajectory(traj, as_path(path))
+    assert path.read_bytes() == trajectory_to_csv(traj).encode()
+    np.testing.assert_array_equal(load_trajectory(as_path(path)).positions, traj.positions)
+    demo = gen_min_jerk(0.0, 1.0, 1.0, 0.1)
+    path.write_text("".join(csv_chunks("t,y,yd,ydd", np.column_stack(
+        [demo.t, demo.y, demo.yd, demo.ydd]))))
+    np.testing.assert_array_equal(load_scalar_demo(as_path(path)).y, demo.y)
 
 
 def test_load_minimal_file():
