@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Singular values below this fraction of the largest are discarded by the
-# least-squares solve; heavily overlapped kernels make the design matrix
-# ill-conditioned.
+# Singular values of R (one Householder QR per design matrix) at or under this
+# fraction of the largest are dropped: overlapped kernels make A ill-conditioned.
 _SV_CUTOFF = 1e-10
 # Total kernel activation below this is treated as extinguished forcing.
 _ACTIVATION_FLOOR = 1e-300
@@ -125,23 +124,40 @@ def fit_weights(xs: np.ndarray, targets: np.ndarray, basis: GaussianBasis
                 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Minimum-norm least-squares kernel weights for per-sample targets.
 
-    targets is (n,) or (n, dims).  Each column is solved on its own
-    against design_matrix(xs), built once, through a rank-revealing svd
-    with relative cutoff 1e-10; an all-zero column short-circuits to zero
-    weights (and no design matrix is built if every column is zero).
+    targets is (n,) or (n, dims), all finite.  Each non-zero column is solved
+    on its own against design_matrix(xs), built once and factored once by a
+    Householder QR and the svd of R, cutoff 1e-10 (_solve); an all-zero column
+    short-circuits to zero weights (no design matrix if every column is zero).
     Returns (weights, residual norm): (N,) and a float for 1-D targets,
     (dims, N) and (dims,) for 2-D ones.
     """
     targets = np.asarray(targets, dtype=float)
     cols = targets[:, None] if targets.ndim == 1 else targets
+    if not np.all(np.isfinite(cols)):
+        k, j = np.argwhere(~np.isfinite(cols))[0]
+        raise ValueError(f"non-finite forcing target {cols[k, j]} at sample {k}, dimension {j}")
     weights = np.zeros((cols.shape[1], basis.n_kernels))
     residuals = np.zeros(cols.shape[1])
     active = [j for j in range(cols.shape[1]) if np.any(cols[:, j])]
     if active:
-        A = design_matrix(xs, basis)
-        for j in active:
-            weights[j], *_ = np.linalg.lstsq(A, cols[:, j], rcond=_SV_CUTOFF)
-            residuals[j] = np.linalg.norm(A @ weights[j] - cols[:, j])
+        weights[active], residuals[active] = _solve(design_matrix(xs, basis), cols[:, active])
     if targets.ndim == 1:
         return weights[0], float(residuals[0])
+    return weights, residuals
+
+
+def _solve(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w = V S^+ U^T (Q^T b)[:k] and norm(A w - b) for each column b of cols, from one
+    QR A = QR, k = min(A.shape), and R = U S V^T less singular values <= _SV_CUTOFF s[0]."""
+    h, tau = np.linalg.qr(A, mode="raw")
+    u, s, vt = np.linalg.svd(np.triu(h.T[:len(tau)]), full_matrices=False)
+    r = np.count_nonzero(s > _SV_CUTOFF * s[0])
+    h = np.ascontiguousarray(h)     # in place of qr's copy; reflector i: row i from i on
+    np.fill_diagonal(h, 1.0)
+    weights, residuals = np.empty((cols.shape[1], A.shape[1])), np.empty(cols.shape[1])
+    for j, qtb in enumerate(cols.T.copy()):     # column by column: no column's bits
+        for i, t in enumerate(tau):             # depend on the others
+            qtb[i:] -= (t * (h[i, i:] @ qtb[i:])) * h[i, i:]
+        weights[j] = vt[:r].T @ (u[:, :r].T @ qtb[:len(s)] / s[:r])
+        residuals[j] = np.linalg.norm(A @ weights[j] - cols[:, j])
     return weights, residuals

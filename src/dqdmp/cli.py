@@ -98,6 +98,7 @@ def cmd_gen(args) -> int:
 # train
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the fit refuses a target that overflowed
 def cmd_train(args) -> int:
     try:
         if args.variant == "classical":

@@ -25,9 +25,9 @@ Euler, its forcing unscaled and it has no start-error term.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
-fits kernel weights per output dimension by least squares, all dimensions
-sharing one phase and one design matrix.  A trained model keeps the
-residual norms of that fit (fit_residuals); a loaded one has none.
+fits kernel weights per output dimension by least squares on one phase, one
+design matrix and one QR of it, each dimension solved on its own; a trained
+model keeps the residual norms of that fit (fit_residuals), a loaded one none.
 """
 
 from __future__ import annotations
@@ -757,9 +757,12 @@ def _model_from_doc(doc: dict):
         raise ValueError("tau must be positive and finite")
     basis = _basis_from_doc(doc["basis"])
     weights = np.array(doc["weights"], dtype=float)
-    if weights.shape != (dims, basis.n_kernels) or not np.all(np.isfinite(weights)):
-        raise ValueError(f"{variant} weights must be finite, of shape "
-                         f"{(dims, basis.n_kernels)}; got shape {weights.shape}")
+    if weights.shape != (dims, basis.n_kernels):
+        raise ValueError(f"{variant} weights must be of shape {(dims, basis.n_kernels)}; "
+                         f"got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        d, k = np.argwhere(~np.isfinite(weights))[0]
+        raise ValueError(f"non-finite {variant} weight {weights[d, k]} at dim {d}, kernel {k}")
     g = doc["gains"]
     b = doc["boundary"]
     if variant == "classical":

@@ -153,3 +153,87 @@ def test_design_matrix_shape_and_gating():
     assert A.shape == (3, 8)
     # rows are normalized activations scaled by the phase value
     np.testing.assert_allclose(A.sum(axis=1), xs, atol=1e-12)
+
+
+# -- the solve: one QR of the design matrix, each column against it on its own --
+
+SOLVER_CASES = {
+    # name: (samples, kernels, alpha_x, span of the demo in tau, rows under the floor)
+    "dq 1100 x 30": (1100, 30, 0.05, 1.0, 0),
+    "dq 2900 x 30": (2900, 30, 0.05, 1.0, 0),
+    "orientation 1100 x 50": (1100, 50, 0.1, 1.0, 0),
+    "orientation 2900 x 50": (2900, 50, 0.1, 1.0, 0),
+    "kernels > samples": (40, 60, 2.0, 1.0, 0),
+    "a tenth of tau, rank 7": (1100, 30, 0.05, 0.1, 0),
+    "rows under the floor": (1100, 30, 0.05, 1.0, 200),
+    "all rows under the floor": (0, 30, 0.05, 1.0, 50),
+}
+
+
+def solver_case(case):
+    n, n_kernels, alpha_x, span, n_floor = SOLVER_CASES[case]
+    basis = basis_scheme_a(n_kernels, alpha_x)
+    xs = np.concatenate([phase(np.linspace(0.0, span, n), alpha_x, 1.0),
+                         np.full(n_floor, 1e-8)])
+    return xs, basis, design_matrix(xs, basis)
+
+
+@pytest.mark.parametrize("case", SOLVER_CASES)
+def test_fit_weights_matches_lstsq(rng, case):
+    xs, basis, A = solver_case(case)
+    assert np.any(A) == (case != "all rows under the floor")
+    assert np.all(np.any(A, axis=1)) == (SOLVER_CASES[case][4] == 0)
+    targets = np.cumsum(rng.normal(size=(len(xs), 4)), axis=0)
+    weights, residuals = fit_weights(xs, targets, basis)
+    for j in range(4):
+        w, *_ = np.linalg.lstsq(A, targets[:, j], rcond=1e-10)
+        # relative to the column's largest weight: a small weight carries the
+        # rounding of its larger neighbours
+        assert np.all(np.abs(weights[j] - w) <= 1e-13 * np.abs(w).max())
+        assert residuals[j] == np.linalg.norm(A @ weights[j] - targets[:, j])
+
+
+def test_fit_weights_is_minimum_norm_with_more_kernels_than_samples(rng):
+    xs, basis, A = solver_case("kernels > samples")
+    targets = rng.normal(size=len(xs))
+    w, resid = fit_weights(xs, targets, basis)
+    _, s, vt = np.linalg.svd(A)
+    rank = np.count_nonzero(s > 1e-10 * s[0])
+    assert rank < basis.n_kernels
+    # no component in the null space of A: any other solution is longer
+    assert np.linalg.norm(vt[rank:] @ w) <= 1e-12 * np.linalg.norm(w)
+    assert resid <= 1e-9 * np.linalg.norm(targets)
+
+
+def test_fit_weights_on_an_all_zero_design_is_zero(rng):
+    xs, basis, A = solver_case("all rows under the floor")
+    assert not np.any(A)
+    targets = rng.normal(size=(len(xs), 2))
+    weights, residuals = fit_weights(xs, targets, basis)
+    assert not np.any(weights)
+    assert list(residuals) == [np.linalg.norm(-targets[:, j]) for j in range(2)]
+
+
+def test_fit_weights_factors_once_and_calls_no_lstsq(rng, monkeypatch):
+    calls = []
+    for name in ("qr", "lstsq"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    basis = basis_scheme_a(30, 0.05)
+    xs = phase(np.linspace(0.0, 1.0, 500), 0.05, 1.0)
+    fit_weights(xs, rng.normal(size=(500, 6)), basis)
+    assert calls == ["qr"]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fit_weights_refuses_non_finite_targets(bad):
+    # an inf target made every weight NaN, silently
+    basis = basis_scheme_a(10, 2.0)
+    xs = phase(np.linspace(0.0, 1.0, 50), 2.0, 1.0)
+    targets = np.ones((50, 3))
+    targets[9, 1] = targets[7, 2] = bad
+    with pytest.raises(ValueError, match=f"target {bad} at sample 7, dimension 2"):
+        fit_weights(xs, targets, basis)
+    with pytest.raises(ValueError, match=f"target {bad} at sample 9, dimension 0"):
+        fit_weights(xs, targets[:, 1], basis)

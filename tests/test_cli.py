@@ -522,3 +522,15 @@ def test_train_classical_refuses_gains_the_loader_refuses(tmp_path, capsys, flag
     assert not caught, [str(w.message) for w in caught]
     assert_one_error_line(capsys, "alpha_z and beta_z must be positive and finite")
     assert not out.exists()
+
+
+def test_train_refuses_non_finite_forcing_targets(tmp_path, capsys):
+    # alpha_z beta_z overflows, so the targets are inf: the fit wrote NaN weights,
+    # printed a numpy overflow warning and a nan residual, and exited 0
+    demo, out = tmp_path / "minjerk.csv", tmp_path / "m.json"
+    assert run(["gen", "minjerk", "-o", str(demo)]) == 0
+    capsys.readouterr()
+    assert run(["train", "--variant", "classical", "--alpha-z", "1e200", "--beta-z", "1e200",
+                "--demo", str(demo), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "non-finite forcing target -inf at sample 0, dimension 0")
+    assert not out.exists()

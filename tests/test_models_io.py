@@ -164,6 +164,7 @@ BAD_FILES = {
     "q0 off unit": ("quaternion", _scale("q0", 1.0 + 1e-5)),
     "dqd off unit": ("dual_quaternion", _scale("dqd", 1.0 + 1e-5)),
     "weight not finite": ("dual_quaternion", lambda d: d["weights"][2].__setitem__(1, np.nan)),
+    "weights nan": ("classical", lambda d: d.update(weights=[[np.nan] * 5])),
     "goal not finite": ("classical", lambda d: d["boundary"].update(goal=np.inf)),
     "y0 not finite": ("classical", lambda d: d["boundary"].update(y0=np.nan)),
     "alpha_z not finite": ("classical", lambda d: d["gains"].update(alpha_z=np.inf)),
@@ -175,6 +176,25 @@ BAD_FILES = {
     "alpha_x zero": ("quaternion", lambda d: d["basis"].update(alpha_x=0.0)),
     "n_kernels off": ("dual_quaternion", lambda d: d["basis"].update(n_kernels=7)),
 }
+
+
+WEIGHTS_MESSAGES = {
+    "weights columns": "dual_quaternion weights must be of shape (6, 5); got shape (6, 4)",
+    "weights rows": "quaternion weights must be of shape (3, 5); got shape (2, 5)",
+    "weights nan": "non-finite classical weight nan at dim 0, kernel 0",
+    "weight not finite": "non-finite dual_quaternion weight nan at dim 2, kernel 1",
+}
+
+
+@pytest.mark.parametrize("case", WEIGHTS_MESSAGES)
+def test_bad_weights_are_named_for_what_is_wrong(case):
+    # all-NaN weights of the right shape were refused as a shape error
+    variant, edit = BAD_FILES[case]
+    doc = _docs()[variant]
+    edit(doc)
+    with pytest.raises(ValueError) as exc:
+        load_model(io.StringIO(json.dumps(doc)))
+    assert str(exc.value) == WEIGHTS_MESSAGES[case]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILES))

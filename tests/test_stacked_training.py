@@ -191,12 +191,13 @@ def mounted_loop(rng):
 
 
 def reference_fit(xs, targets, basis):
-    """One single-column fit per output dimension, as (dims, N)."""
+    """One single-column solve per output dimension, as (dims, N), through the
+    solver of fit_weights (checked against lstsq in test_canonical.py)."""
     A = reference_design_matrix(xs, basis)
     weights = np.zeros((targets.shape[1], basis.n_kernels))
     for j in range(targets.shape[1]):
         if np.any(targets[:, j]):
-            weights[j], *_ = np.linalg.lstsq(A, targets[:, j], rcond=1e-10)
+            (weights[j],), _ = canonical._solve(A, targets[:, [j]])
     return weights
 
 
