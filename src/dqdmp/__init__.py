@@ -31,7 +31,6 @@ from .dmp import (
     dq_target_forcing,
     dq_train,
     load_model,
-    lyapunov_value,
     pose_rollout,
     pose_train,
     quat_rollout,
@@ -45,35 +44,25 @@ from .dualquat import (
     DualQuaternion,
     Pose,
     Twist,
-    dq_add,
     dq_conjugate,
     dq_error,
     dq_exp,
     dq_from_pose,
-    dq_identity,
     dq_log,
-    dq_normalize,
     dq_product,
-    dq_step_body,
     dq_to_pose,
     dq_derivative_body,
     twist_body_from_demo,
-    twist_to_body,
     twist_to_inertial,
 )
 from .quat import (
-    orientation_error,
     quat_conjugate,
-    quat_derivative,
     quat_exp,
-    quat_identity,
     quat_log,
     quat_normalize,
     quat_product,
     quat_rotate,
     quat_rotate_inverse,
-    quat_step_body,
-    quat_step_inertial,
     quat_to_rotmat,
     quat_vec,
 )
@@ -85,7 +74,6 @@ from .traj import (
     gen_somersault,
     load_scalar_demo,
     load_trajectory,
-    resample,
     save_trajectory,
 )
 

@@ -14,12 +14,14 @@ The pose never leaves its manifold (unit norms are re-enforced each step)
 and, for the rotational states, the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.
 The quaternion and dual-quaternion rollouts run on one driver,
-``_integrate``; each variant passes one step function built from the
-component kernels of ``quat`` and ``dualquat`` and from ``_drive``, once
-per 3x3 (K, D) gain block.  The loop over time makes no numpy call (sin
-and cos come from ``math``): plain floats, states packed into preallocated
-arrays, the forcing grid from before the loop and the finiteness check,
-error rows and energies after.
+``_integrate``; each variant passes it one step closure built from the
+pose-step kernels ``quat._step`` / ``dualquat._step``, which have no public
+counterpart, and from ``_drive``, once per 3x3 (K, D) gain block.  The
+loop over time makes no numpy call (sin and cos come from ``math``): plain
+floats, states packed into preallocated arrays, the forcing grid from
+before the loop and the finiteness check, error rows and energies after.
+The energies exist only as rollout columns (``QuatRollout.v1``,
+``DqRollout.lyap``, ``ClassicalRollout.energy``, ``PoseRollout.energy``).
 The scalar primitive keeps its own short float loop: its position step is
 Euler, its forcing unscaled and it has no start-error term.
 
@@ -158,7 +160,7 @@ class PoseDecoupledDmp:
 def classical_target_forcing(demo: ScalarDemo, g: float, tau: float,
                              alpha_z: float, beta_z: float) -> np.ndarray:
     """Forcing targets tau^2 ydd - alpha_z (beta_z (g - y) - tau yd)."""
-    return (tau**2 * demo.ydd
+    return (np.float64(tau) ** 2 * demo.ydd
             - alpha_z * (beta_z * (g - demo.y) - tau * demo.yd))
 
 
@@ -260,8 +262,12 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     dt / (2 tau) times the new velocity (the half-angle convention).
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
+    if start.shape != anchor.shape:
+        raise ValueError(f"the start pose must have {len(anchor)} components")
     if vel.shape != (len(model.weights),):
         raise ValueError(f"the start velocity must have {len(model.weights)} components")
+    if not (np.isfinite(start).all() and np.isfinite(vel).all()):
+        raise ValueError("the start pose and velocity must be finite")
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
     forcing = forcing_rows(xs, model.basis, model.weights)
     # start-error shaping anchored at the trained start pose: the term is
@@ -310,7 +316,8 @@ def _gain_step(v, u, k, d, dt_tau: float):
 def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
     """K^-1 (tau^2 acc + tau D vel) - e + e0 x per sample: the forcing that
     makes _drive reproduce a demonstration on one 3x3 (K, D) gain block."""
-    drive = tau**2 * acc + vel @ (tau * d).T
+    # a numpy square overflows to inf, which the fit refuses; a float's raises
+    drive = np.float64(tau) ** 2 * acc + vel @ (tau * d).T
     return drive @ np.linalg.inv(k).T - e + e0 * xs[:, None]
 
 
@@ -494,29 +501,16 @@ def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
                              start, goal, float(tau), res)
 
 
-def lyapunov_value(dq: DualQuaternion, xi, dqd: DualQuaternion,
-                   k_rot, k_pos) -> tuple[float, float, float]:
-    """Energy diagnostic (V, V1, V2) of a pose state relative to a goal.
-
-    V1 is the rotational part (quaternion chordal distance squared plus
-    rate energy through K_rot^-1); V2 pairs the inertial position error
-    with the linear-rate energy through K_pos^-1.  Nonnegative; zero only
-    at the goal with zero twist.  Along unforced rollouts V1 is
-    non-increasing; V is convergent but not monotone (the rotation-
-    translation coupling term is sign-indefinite).  Both poses must hold
-    their unit constraints.
-    """
-    xi = xi.as_array() if isinstance(xi, Twist) else np.asarray(xi, dtype=float)
-    k_rot, k_pos = _gain_matrix(k_rot), _gain_matrix(k_pos)
-    v = _pose_energy(dq.real, dq_to_pose(dq).position, xi, dqd.real,
-                     dq_to_pose(dqd).position, np.linalg.inv(k_rot),
-                     np.linalg.inv(k_pos))
-    return float(v[0]), float(v[1]), float(v[2])
-
-
 def _pose_energy(q, p, xi, qd, pd, kinv_r, kinv_p) -> np.ndarray:
     """(V, V1, V2) per row from the attitudes q, inertial positions p and
-    tau-scaled twists xi, against the goal attitude qd and position pd."""
+    tau-scaled twists xi, against the goal attitude qd and position pd.
+
+    V1 is the rotational part (_rotation_energy through K_rot^-1); V2 pairs
+    the inertial position error with the linear-rate energy through
+    K_pos^-1.  Nonnegative; zero only at the goal with zero twist.  Along
+    unforced rollouts V1 is non-increasing; V is convergent but not
+    monotone (the rotation-translation coupling term is sign-indefinite).
+    """
     v1 = _rotation_energy(q, qd, xi[..., :3], kinv_r)
     dp = pd - p
     v2 = 0.5 * np.sum(dp * dp, axis=-1) + _rate_energy(xi[..., 3:], kinv_p)

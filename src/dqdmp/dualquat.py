@@ -25,8 +25,9 @@ quaternions given by their real and dual parts), ``_error`` (the
 goal-relative pose), ``_exp`` (the screw exponential), ``_normalize`` and
 ``_step``.  ``_mul`` and ``_error`` take a single value's parts as floats
 and a stack's as columns (``quat._cols``); the other three take floats.
-The loop in ``dmp`` calls them directly, and ``dq_product``, ``dq_error``,
-``dq_exp``, ``dq_normalize`` and ``dq_step_body`` are thin calls into them.
+The loop in ``dmp`` calls them directly; ``dq_product``, ``dq_error`` and
+``dq_exp`` are thin calls into the first three, and ``_normalize`` and
+``_step`` have no public counterpart.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class Pose:
     orientation: np.ndarray
 
 
-def dq_identity() -> DualQuaternion:
-    return DualQuaternion(np.array([1.0, 0, 0, 0]), np.zeros(4))
-
-
 def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Dual quaternion product: (a.r (x) b.r) + eps (a.r (x) b.d + a.d (x) b.r)."""
     return _from_parts(_mul(_cols(a.real), _cols(a.dual), _cols(b.real), _cols(b.dual)))
@@ -107,24 +104,6 @@ def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
 def dq_conjugate(q: DualQuaternion) -> DualQuaternion:
     """Conjugate both parts; inverse of a unit dual quaternion."""
     return DualQuaternion(quat_conjugate(q.real), quat_conjugate(q.dual))
-
-
-def dq_add(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    return DualQuaternion(a.real + b.real, a.dual + b.dual)
-
-
-def dq_scale(a: DualQuaternion, s: float) -> DualQuaternion:
-    return DualQuaternion(s * a.real, s * a.dual)
-
-
-def dq_normalize(q: DualQuaternion) -> DualQuaternion:
-    """Re-project onto the unit constraints.
-
-    The real part is rescaled to unit norm and the component of the dual
-    part along it is removed.  Called after every integration step; keeps
-    constraint drift at rounding level over arbitrarily long rollouts.
-    """
-    return _from_parts(_normalize((*q.real, *q.dual)))
 
 
 def dq_constraint_errors(q: DualQuaternion) -> tuple[float, float]:
@@ -157,23 +136,15 @@ def dq_to_pose(dq: DualQuaternion) -> Pose:
     return Pose(dq_position(dq), dq.real.copy())
 
 
-def dq_error(dq: DualQuaternion, dq_d: DualQuaternion,
-             rotation_error: str = "vec") -> np.ndarray:
-    """6-vector pose error [rot_err, vec(p_e)] of dq relative to a goal dq_d.
+def dq_error(dq: DualQuaternion, dq_d: DualQuaternion) -> np.ndarray:
+    """6-vector pose error [vec(q_oe), vec(p_e)] of dq relative to a goal dq_d.
 
     Forms q_e = dq* (x) dq_d, extracts the carried translation
-    p_e = vec(2 q_oe* (x) q_pe), and pairs it with a rotation error that is
-    either the vector part of q_oe (default) or its full logarithm (which
-    takes single values only).
+    p_e = vec(2 q_oe* (x) q_pe), and pairs it with the rotation error, the
+    vector part of q_oe.
     """
     e = _error(_cols(dq.real), _cols(dq.dual), _cols(dq_d.real), _cols(dq_d.dual))
-    if rotation_error == "vec":
-        rot = e[1:4]
-    elif rotation_error == "log":
-        rot = quat_log(np.array(e[:4]))
-    else:
-        raise ValueError(f"unknown rotation_error {rotation_error!r}")
-    return np.array((*rot, *e[4:])).T
+    return np.array(e[1:]).T
 
 
 def dq_exp(xi: Twist) -> DualQuaternion:
@@ -212,7 +183,8 @@ def dq_log(dq: DualQuaternion) -> Twist:
 
 def dq_derivative_body(dq: DualQuaternion, xi_b: Twist) -> DualQuaternion:
     """Pose kinematics 1/2 q_hat (x) xi_b~ for a body-frame twist."""
-    return dq_scale(dq_product(dq, _pure(xi_b, BODY)), 0.5)
+    out = dq_product(dq, _pure(xi_b))
+    return DualQuaternion(0.5 * out.real, 0.5 * out.dual)
 
 
 def twist_body_from_demo(omega_b: np.ndarray, p_b: np.ndarray,
@@ -221,8 +193,8 @@ def twist_body_from_demo(omega_b: np.ndarray, p_b: np.ndarray,
 
     The linear component is p_b_dot + omega_b x p_b, i.e. the body-frame
     linear velocity; this is the unique choice consistent with the pose
-    kinematics used by dq_step_body (checked against a fine-step
-    integration oracle in the tests).
+    kinematics of the integrator's pose step ``_step`` (checked against a
+    fine-step integration oracle in the tests).
     """
     return Twist(np.asarray(omega_b, dtype=float),
                  np.asarray(p_b_dot, dtype=float) + np.cross(omega_b, p_b),
@@ -231,37 +203,14 @@ def twist_body_from_demo(omega_b: np.ndarray, p_b: np.ndarray,
 
 def twist_to_inertial(xi_b: Twist, dq: DualQuaternion) -> Twist:
     """Convert a body twist to the inertial frame: q_hat (x) xi~ (x) q_hat*."""
-    out = dq_product(dq, dq_product(_pure(xi_b, BODY), dq_conjugate(dq)))
+    out = dq_product(dq, dq_product(_pure(xi_b), dq_conjugate(dq)))
     return Twist(quat_vec(out.real), quat_vec(out.dual), INERTIAL)
 
 
-def twist_to_body(xi_s: Twist, dq: DualQuaternion) -> Twist:
-    """Convert an inertial twist to the body frame: q_hat* (x) xi~ (x) q_hat."""
-    out = dq_product(dq_conjugate(dq), dq_product(_pure(xi_s, INERTIAL), dq))
-    return Twist(quat_vec(out.real), quat_vec(out.dual), BODY)
-
-
-def dq_step_body(dq: DualQuaternion, xi_b: Twist, dt: float) -> DualQuaternion:
-    """Advance a pose by a constant body twist over dt.
-
-    Computes q_hat (x) exp(dt/2 xi) with the constraints re-enforced;
-    exact for constant xi.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    _require_frame(xi_b, BODY)
-    return _from_parts(_step(_floats(dq.real), _floats(dq.dual),
-                             _floats(0.5 * dt * xi_b.as_array())))
-
-
-def _require_frame(xi: Twist, frame: str) -> None:
-    if xi.frame != frame:
-        raise ValueError(f"expected a {frame}-frame twist, got {xi.frame!r}")
-
-
-def _pure(xi: Twist, frame: str) -> DualQuaternion:
-    """The twist [0, r] + eps [0, v] of the given frame as a dual quaternion."""
-    _require_frame(xi, frame)
+def _pure(xi: Twist) -> DualQuaternion:
+    """The body twist [0, r] + eps [0, v] as a dual quaternion."""
+    if xi.frame != BODY:
+        raise ValueError(f"expected a body-frame twist, got {xi.frame!r}")
     return DualQuaternion(np.array([0.0, *xi.r]), np.array([0.0, *xi.v]))
 
 

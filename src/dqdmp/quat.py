@@ -19,13 +19,14 @@ concurrently.  Each formula is written once, in component form, by a
 private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
 exponential) and ``_step`` (the exact exponential step with its
 renormalization).  The kernels run the integrator's loop over time in
-``dmp`` on plain floats, with sin and cos from ``math``, and the public
-functions here are thin calls into them.  ``_product`` and ``_rotate``
-take one value as Python floats and a stack as its columns (``_cols``),
-with the same bits per row either way: both run the same IEEE operations
-in the same order.  So the product, conjugate, vector part and rotations
-serve one value, a stack, or one value against a stack.  The exponential,
-logarithm, norm and step functions take single values.
+``dmp`` on plain floats, with sin and cos from ``math``; ``quat_product``
+and ``quat_exp`` are thin calls into the first two, and ``_step`` has no
+public counterpart.  ``_product`` and ``_rotate`` take one value as
+Python floats and a stack as its columns (``_cols``), with the same bits
+per row either way: both run the same IEEE operations in the same order.
+So the product, conjugate, vector part and rotations serve one value, a
+stack, or one value against a stack.  The exponential, logarithm and norm
+take single values.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ import numpy as np
 _AXIS_EPS = 1e-12
 # sign pattern of the conjugate
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_identity() -> np.ndarray:
-    """Identity rotation [1, 0, 0, 0]."""
-    return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _product(a, b):
@@ -146,34 +142,6 @@ def quat_log(q: np.ndarray) -> np.ndarray:
         return np.zeros(3)
     ang = np.arccos(np.clip(q[0], -1.0, 1.0))
     return (ang / vn) * np.array([q[1], q[2], q[3]])
-
-
-def orientation_error(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Rotation error vec(q1 (x) q2*) between two unit quaternions.
-
-    Zero iff q1 = +/- q2; its norm never exceeds 1 (it is the vector part
-    of a unit quaternion).
-    """
-    return quat_vec(quat_product(q1, quat_conjugate(q2)))
-
-
-def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
-    """Kinematic derivative 1/2 q (x) [0, omega] for a body-frame rate."""
-    return 0.5 * np.array(_product(_floats(q), (0.0, *_floats(omega_body))))
-
-
-def quat_step_body(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarray:
-    """Advance q by a constant body rate: q (x) exp(dt/2 * omega).
-
-    Exact for constant omega; the result is renormalized to absorb
-    floating-point drift.
-    """
-    return np.array(_step(_floats(q), _floats(0.5 * dt * np.asarray(omega_body)), True))
-
-
-def quat_step_inertial(q: np.ndarray, omega_inertial: np.ndarray, dt: float) -> np.ndarray:
-    """Advance q by a constant inertial rate: exp(dt/2 * omega) (x) q."""
-    return np.array(_step(_floats(q), _floats(0.5 * dt * np.asarray(omega_inertial)), False))
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ refused.
 
 from __future__ import annotations
 
-import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -156,8 +155,6 @@ class DerivedChannels:
     """Numerically differentiated body-frame channels of a trajectory."""
 
     omega_b: np.ndarray   # (n, 3) body angular velocity
-    p_b: np.ndarray       # (n, 3) position expressed in body axes
-    p_b_dot: np.ndarray   # (n, 3) time derivative of p_b
     xi: np.ndarray        # (n, 6) body twist [omega, v]
     xi_dot: np.ndarray    # (n, 6) body twist rate
 
@@ -189,8 +186,9 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
 
     The body rate comes from omega~ = 2 q* (x) qdot with qdot by central
     differences (one-sided second-order at the ends); the twist linear part
-    follows the body-frame convention of twist_body_from_demo.  Requires at
-    least four samples.
+    is p_b_dot + omega_b x p_b (twist_body_from_demo), with the body-axes
+    position p_b = R^T p differenced the same way.  Keeps the body rate,
+    the twist and its rate.  Requires at least four samples.
     """
     if len(traj) < 4:
         raise ValueError("trajectory too short to differentiate (need >= 4 samples)")
@@ -202,51 +200,7 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
     p_b_dot = np.gradient(p_b, traj.dt, axis=0, edge_order=2)
     xi = twist_body_from_demo(omega_b, p_b, p_b_dot).as_array()
     xi_dot = np.gradient(xi, traj.dt, axis=0, edge_order=2)
-    return DerivedChannels(omega_b, p_b, p_b_dot, xi, xi_dot)
-
-
-def resample(traj: Trajectory, new_dt: float) -> Trajectory:
-    """Resample onto a uniform grid of step ~new_dt covering [0, duration].
-
-    new_dt is snapped to duration/m (m = round(duration/new_dt)) so the
-    grid stays uniform and both endpoints are preserved exactly.  Positions
-    interpolate linearly, orientations along the shortest arc.
-    """
-    if new_dt <= 0.0:
-        raise ValueError("new_dt must be positive")
-    T = traj.duration
-    m = max(1, int(round(T / new_dt)))
-    t_new = np.arange(m + 1) * (T / m)
-    pos = np.empty((m + 1, 3))
-    quat = np.empty((m + 1, 4))
-    for j, tj in enumerate(t_new):
-        u = tj / traj.dt
-        k = min(int(np.floor(u)), len(traj) - 2)
-        w = u - k
-        if w <= 1e-12:       # on a sample: copy it bit-exactly
-            pos[j] = traj.positions[k]
-            quat[j] = traj.quaternions[k]
-            continue
-        if w >= 1.0 - 1e-12:
-            pos[j] = traj.positions[k + 1]
-            quat[j] = traj.quaternions[k + 1]
-            continue
-        pos[j] = (1.0 - w) * traj.positions[k] + w * traj.positions[k + 1]
-        quat[j] = _slerp(traj.quaternions[k], traj.quaternions[k + 1], w)
-    return Trajectory(t_new, pos, quat, scale=traj.scale, source=traj.source)
-
-
-def _slerp(qa: np.ndarray, qb: np.ndarray, w: float) -> np.ndarray:
-    """Shortest-arc interpolation between unit quaternions."""
-    dot = float(qa @ qb)
-    if dot < 0.0:           # ingestion keeps sequences sign-continuous,
-        qb, dot = -qb, -dot  # but stay safe for ad-hoc inputs
-    dot = min(dot, 1.0)
-    if dot > 1.0 - 1e-12:
-        out = (1.0 - w) * qa + w * qb
-        return out / np.linalg.norm(out)
-    ang = np.arccos(dot)
-    return (np.sin((1.0 - w) * ang) * qa + np.sin(w * ang) * qb) / np.sin(ang)
+    return DerivedChannels(omega_b, xi, xi_dot)
 
 
 # -- file round trip -------------------------------------------------------
@@ -359,12 +313,6 @@ def _parse_rows(rows: list[str], width: int) -> np.ndarray | None:
     except ValueError:
         return None
     return data if data.shape == (len(rows), width) else None
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    save_trajectory(traj, buf)
-    return buf.getvalue()
 
 
 # -- synthetic demonstrations ----------------------------------------------

@@ -5,7 +5,9 @@ timing wrapper, looking the attribute up in ``owner.__dict__``.  A refactor
 that drops an import (say ``design_matrix`` from ``dqdmp.cli``) would break
 the traced run, and no other test would notice.  The traced run's replays
 also make single-value calls that no rollout or training makes any more;
-those calls are made here with the same shapes.
+those calls are made here with the same shapes.  A last test holds the
+public surface to its callers: each name ``dqdmp`` exports is used by the
+library, the benchmark or the acceptance criteria.
 """
 
 import ast
@@ -18,8 +20,9 @@ import dqdmp.canonical as canonical
 import dqdmp.dualquat as dualquat
 from dqdmp import basis_scheme_a, phase
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-SRC = Path(__file__).resolve().parents[1] / "src" / "dqdmp"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+SRC = ROOT / "src" / "dqdmp"
 
 
 def load_spans():
@@ -70,3 +73,22 @@ def test_every_imported_name_is_used():
         unused += [f"{module}.{name}" for name in sorted(imported - used)
                    if (module, name) not in wrapped]
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_every_exported_name_has_a_caller():
+    # the package exports only what the library, the benchmark or the
+    # acceptance criteria use; unit tests alone do not keep a name alive
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    callers += [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert exported, "no exported names found"
+    assert not exported - used, f"exported but never used: {sorted(exported - used)}"

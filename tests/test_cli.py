@@ -24,7 +24,9 @@ from dqdmp import (
 )
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
 from dqdmp.dmp import model_frame_rates
-from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory, trajectory_to_csv
+from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory
+
+from conftest import trajectory_to_csv
 
 
 def run(argv):
@@ -533,4 +535,18 @@ def test_train_refuses_non_finite_forcing_targets(tmp_path, capsys):
     assert run(["train", "--variant", "classical", "--alpha-z", "1e200", "--beta-z", "1e200",
                 "--demo", str(demo), "-o", str(out)]) == 1
     assert_one_error_line(capsys, "non-finite forcing target -inf at sample 0, dimension 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["dq", "quat", "pose-decoupled", "classical"])
+def test_train_refuses_a_tau_whose_square_overflows(tmp_path, demo_file, capsys, variant):
+    # squared as a Python float, tau = 1e160 raised OverflowError: a traceback, not an error line
+    demo, out = demo_file, tmp_path / "m.json"
+    if variant == "classical":
+        demo = str(tmp_path / "minjerk.csv")
+        assert run(["gen", "minjerk", "-o", demo]) == 0
+        capsys.readouterr()
+    assert run(["train", "--variant", variant, "--tau", "1e160", "--demo", demo,
+                "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "non-finite forcing target", "at sample 0, dimension 0")
     assert not out.exists()

@@ -11,17 +11,18 @@ from dqdmp import (
     basis_scheme_a,
     dq_error,
     dq_from_pose,
+    dq_product,
     dq_rollout,
     dq_target_forcing,
     dq_to_pose,
     dq_train,
     gen_somersault,
-    lyapunov_value,
     phase,
 )
+from dqdmp.dmp import _pose_energy
 from dqdmp.dualquat import dq_constraint_errors
 
-from conftest import random_unit_dq
+from conftest import dq_add, dq_normalize, dq_scale, random_unit_dq
 
 BASIS = basis_scheme_a(30, 2.0)
 EYE3 = np.eye(3)
@@ -67,9 +68,6 @@ def rk4_unforced_dq_demo(start, goal, k, d, alpha_x, tau, dt, T):
     Independent oracle (RK4 on the flat 14-dim state); only the public
     error/product operations are used, not the package integrator.
     """
-    from dqdmp import dq_add, dq_normalize, dq_product
-    from dqdmp.dualquat import dq_scale
-
     e0 = dq_error(start, goal)
 
     def rhs(t, q, xi):
@@ -273,15 +271,23 @@ def test_dq_rollout_t_start_resumes_phase():
 # -- energy diagnostic ----------------------------------------------------------
 
 
+def pose_energy(dq, xi, goal, k_rot, k_pos):
+    """(V, V1, V2) of one pose state and tau-scaled twist against a goal,
+    through dmp._pose_energy, the formula of DqRollout.lyap."""
+    return _pose_energy(dq.real, dq_to_pose(dq).position, np.asarray(xi, dtype=float),
+                        goal.real, dq_to_pose(goal).position,
+                        np.linalg.inv(k_rot * EYE3), np.linalg.inv(k_pos * EYE3))
+
+
 def test_lyapunov_zero_at_goal(rng):
     goal = random_unit_dq(rng)
-    v, v1, v2 = lyapunov_value(goal, np.zeros(6), goal, 1.0, 1.0)
+    v, v1, v2 = pose_energy(goal, np.zeros(6), goal, 1.0, 1.0)
     assert v == 0.0 and v1 == 0.0 and v2 == 0.0
 
 
 def test_lyapunov_v1_is_chordal_distance_at_rest(rng):
     dq, goal = random_unit_dq(rng), random_unit_dq(rng)
-    _, v1, _ = lyapunov_value(dq, np.zeros(6), goal, 3.0, 5.0)
+    _, v1, _ = pose_energy(dq, np.zeros(6), goal, 3.0, 5.0)
     chordal = np.sum((goal.real - dq.real) ** 2)
     assert abs(v1 - chordal) <= 1e-12
 
@@ -290,21 +296,25 @@ def test_lyapunov_positive_off_goal(rng):
     for _ in range(100):
         dq, goal = random_unit_dq(rng), random_unit_dq(rng)
         xi = rng.normal(size=6)
-        v, v1, v2 = lyapunov_value(dq, xi, goal, 2.0, 4.0)
+        v, v1, v2 = pose_energy(dq, xi, goal, 2.0, 4.0)
         assert v >= 0.0 and v1 >= 0.0 and v2 >= 0.0
         assert v == pytest.approx(v1 + v2)
 
 
 def test_lyapunov_matches_rollout_diagnostics(rng):
+    # V1 = ||qd - q||^2 + 0.5 w K_rot^-1 w, V2 = 0.5 ||pd - p||^2 + 0.5 v K_pos^-1 v
     start, goal = random_unit_dq(rng), random_unit_dq(rng)
     k, d = 9.0, 12.0
     m = DualQuaternionDmp(k * EYE3, k * EYE3, d * EYE3, d * EYE3, BASIS,
                           np.zeros((6, 30)), start, goal, 1.0)
     roll = dq_rollout(m, dt=0.01, duration=1.0)
+    goal_position = dq_to_pose(goal).position
     for idx in (0, 17, 50, 100):
-        dq = DualQuaternion(roll.dq[idx, :4], roll.dq[idx, 4:])
-        v, v1, v2 = lyapunov_value(dq, roll.xi[idx], goal, k, k)
-        np.testing.assert_allclose(roll.lyap[idx], [v, v1, v2], atol=1e-12)
+        pose = dq_to_pose(DualQuaternion(roll.dq[idx, :4], roll.dq[idx, 4:]))
+        w, v = roll.xi[idx, :3], roll.xi[idx, 3:]
+        v1 = np.sum((goal.real - pose.orientation) ** 2) + 0.5 * (w @ w) / k
+        v2 = 0.5 * np.sum((goal_position - pose.position) ** 2) + 0.5 * (v @ v) / k
+        np.testing.assert_allclose(roll.lyap[idx], [v1 + v2, v1, v2], atol=1e-12)
 
 
 def test_dq_rollout_refuses_a_start_off_the_unit_constraints():

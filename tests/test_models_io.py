@@ -20,6 +20,8 @@ from dqdmp import (
     save_model,
 )
 
+from conftest import dq_identity
+
 
 def roundtrip(model):
     buf = io.StringIO()
@@ -119,7 +121,7 @@ def test_load_rejects_unknown_variant():
 
 def _docs():
     """One small valid document per variant, as save_model writes it."""
-    from dqdmp import ClassicalDmp, DualQuaternionDmp, QuaternionDmp, dq_identity
+    from dqdmp import ClassicalDmp, DualQuaternionDmp, QuaternionDmp
     basis = basis_scheme_a(5, 1.0)
     eye = np.eye(3)
     q = np.array([1.0, 0.0, 0.0, 0.0])

@@ -1,22 +1,38 @@
 import numpy as np
 
 from dqdmp import (
-    orientation_error,
+    DualQuaternion,
+    Twist,
+    dq_derivative_body,
     quat_conjugate,
-    quat_derivative,
     quat_exp,
-    quat_identity,
     quat_log,
     quat_product,
     quat_rotate,
     quat_rotate_inverse,
-    quat_step_body,
-    quat_step_inertial,
     quat_to_rotmat,
     quat_vec,
 )
+from dqdmp.dmp import _quat_error
+from dqdmp.quat import _step
 
-from conftest import random_rotvec, random_unit_quat
+from conftest import quat_identity, random_rotvec, random_unit_quat
+
+
+def step(q, omega, dt, body=True):
+    """The integrator's step through quat._step: q (x) exp(dt/2 omega) in the
+    body frame, exp(dt/2 omega) (x) q in the inertial frame."""
+    return np.array(_step(q.tolist(), (0.5 * dt * np.asarray(omega)).tolist(), body))
+
+
+def rotation_error(q, qd, body):
+    """Vector part of the rollout's rotation from q to qd (dmp._quat_error)."""
+    return np.array(_quat_error(q, qd, body)[1:])
+
+
+def rate(q, omega):
+    """1/2 q (x) [0, omega]: the rotation part of dq_derivative_body."""
+    return dq_derivative_body(DualQuaternion(q, np.zeros(4)), Twist(omega, np.zeros(3))).real
 
 
 def test_product_identity_element(rng):
@@ -126,67 +142,68 @@ def test_vec_of_conjugate_product_is_zero(rng):
 
 def test_orientation_error_self_is_zero(rng):
     q = random_unit_quat(rng)
-    np.testing.assert_allclose(orientation_error(q, q), np.zeros(3), atol=1e-15)
+    for body in (True, False):
+        np.testing.assert_allclose(rotation_error(q, q, body), np.zeros(3), atol=1e-15)
 
 
 def test_orientation_error_example():
-    np.testing.assert_allclose(
-        orientation_error(np.array([0.0, 1, 0, 0]), quat_identity()),
-        [1, 0, 0])
+    # vec(qd (x) q*) inertial, vec(q* (x) qd) body: both [1, 0, 0] from the identity
+    for body in (True, False):
+        np.testing.assert_allclose(
+            rotation_error(quat_identity(), np.array([0.0, 1, 0, 0]), body), [1, 0, 0])
 
 
 def test_orientation_error_bounded(rng):
     for _ in range(1000):
-        e = orientation_error(random_unit_quat(rng), random_unit_quat(rng))
-        assert np.linalg.norm(e) <= 1.0 + 1e-12
+        q, qd = random_unit_quat(rng), random_unit_quat(rng)
+        for body in (True, False):
+            assert np.linalg.norm(rotation_error(q, qd, body)) <= 1.0 + 1e-12
 
 
 def test_derivative_zero_rate():
     q = quat_exp(np.array([0.3, -0.2, 0.5]))
-    np.testing.assert_allclose(quat_derivative(q, np.zeros(3)), np.zeros(4))
+    np.testing.assert_allclose(rate(q, np.zeros(3)), np.zeros(4))
 
 
 def test_derivative_at_identity():
-    np.testing.assert_allclose(
-        quat_derivative(quat_identity(), np.array([1.0, 0, 0])),
-        [0, 0.5, 0, 0])
+    np.testing.assert_allclose(rate(quat_identity(), np.array([1.0, 0, 0])),
+                               [0, 0.5, 0, 0])
 
 
 def test_derivative_tangency(rng):
     # d/dt ||q||^2 = 2 <q, qdot> must vanish
     for _ in range(1000):
         q = random_unit_quat(rng)
-        qdot = quat_derivative(q, rng.normal(size=3))
+        qdot = rate(q, rng.normal(size=3))
         assert abs(q @ qdot) <= 1e-12
 
 
 def test_step_body_zero_rate(rng):
     q = random_unit_quat(rng)
-    np.testing.assert_allclose(quat_step_body(q, np.zeros(3), 0.5), q)
+    np.testing.assert_allclose(step(q, np.zeros(3), 0.5), q)
 
 
 def test_step_body_half_turn():
-    np.testing.assert_allclose(
-        quat_step_body(quat_identity(), np.array([np.pi, 0, 0]), 1.0),
-        [0, 1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(step(quat_identity(), np.array([np.pi, 0, 0]), 1.0),
+                               [0, 1, 0, 0], atol=1e-15)
 
 
 def test_step_body_substep_composition(rng):
     # the step is exact for constant rate, so substeps must compose exactly
     q = random_unit_quat(rng)
     omega = rng.normal(size=3)
-    one = quat_step_body(q, omega, 1.0)
+    one = step(q, omega, 1.0)
     many = q
     for _ in range(100):
-        many = quat_step_body(many, omega, 0.01)
+        many = step(many, omega, 0.01)
     assert min(np.linalg.norm(many - one), np.linalg.norm(many + one)) <= 1e-9
 
 
 def test_step_inertial_basics(rng):
     q = random_unit_quat(rng)
-    np.testing.assert_allclose(quat_step_inertial(q, np.zeros(3), 1.0), q)
+    np.testing.assert_allclose(step(q, np.zeros(3), 1.0, body=False), q)
     np.testing.assert_allclose(
-        quat_step_inertial(quat_identity(), np.array([np.pi, 0, 0]), 1.0),
+        step(quat_identity(), np.array([np.pi, 0, 0]), 1.0, body=False),
         [0, 1, 0, 0], atol=1e-15)
 
 
@@ -194,9 +211,9 @@ def test_steps_coincide_at_identity(rng):
     for _ in range(100):
         omega = rng.normal(size=3)
         dt = rng.uniform(0.01, 1.0)
-        np.testing.assert_allclose(
-            quat_step_body(quat_identity(), omega, dt),
-            quat_step_inertial(quat_identity(), omega, dt), atol=1e-15)
+        np.testing.assert_allclose(step(quat_identity(), omega, dt),
+                                   step(quat_identity(), omega, dt, body=False),
+                                   atol=1e-15)
 
 
 def test_rotmat_identity():
@@ -236,5 +253,5 @@ def test_rotate_helpers_match_rotmat(rng):
 def test_unit_norm_preserved_by_steps(rng):
     q = random_unit_quat(rng)
     for _ in range(100):
-        q = quat_step_body(q, rng.normal(size=3), 0.05)
+        q = step(q, rng.normal(size=3), 0.05)
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-9

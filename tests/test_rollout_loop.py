@@ -158,6 +158,29 @@ def test_rollouts_reject_a_start_velocity_of_the_wrong_length(rng):
         dq_rollout(dq, xi0=np.zeros(5), dt=0.01, duration=1.0)
 
 
+def test_quat_rollout_rejects_a_start_pose_of_the_wrong_length(rng):
+    # it failed with "not enough values to unpack (expected 4, got 3)"
+    _, quat, _ = _models(rng)
+    for duration in (0.0, 1.0):
+        with pytest.raises(ValueError, match="^the start pose must have 4 components$"):
+            quat_rollout(quat, q0=[0.6, 0.8, 0.0], dt=0.01, duration=duration)
+
+
+@pytest.mark.parametrize("variant, start", [
+    ("quat", {"q0": [np.nan, 0.0, 0.0, 0.0]}),
+    ("quat", {"omega0": [np.nan, 0.0, 0.0]}),
+    ("quat", {"omega0": [0.0, 0.0, -np.inf]}),
+    ("dq", {"xi0": [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]}),
+    ("dq", {"xi0": [0.0, 0.0, 0.0, 0.0, np.nan, 0.0]}),
+])
+def test_rollouts_refuse_a_non_finite_start(rng, variant, start):
+    # each failed as "non-finite state at sample 0 (t = 0): dt / tau too large?"
+    dq, quat, _ = _models(rng)
+    rollout, model = (dq_rollout, dq) if variant == "dq" else (quat_rollout, quat)
+    with pytest.raises(ValueError, match="^the start pose and velocity must be finite$"):
+        rollout(model, dt=0.01, duration=1.0, **start)
+
+
 # -- the loop over time makes no numpy call ----------------------------------------
 
 

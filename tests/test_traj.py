@@ -12,12 +12,13 @@ from dqdmp import (
     load_scalar_demo,
     load_trajectory,
     quat_exp,
-    quat_step_body,
     quat_to_rotmat,
-    resample,
     save_trajectory,
 )
-from dqdmp.traj import ScalarDemo, _read_table, csv_chunks, trajectory_to_csv
+from dqdmp.quat import _step
+from dqdmp.traj import ScalarDemo, _read_table, csv_chunks
+
+from conftest import trajectory_to_csv
 
 MINIMAL = """t,px,py,pz,qw,qx,qy,qz
 0,0,0,0,1,0,0,0
@@ -403,7 +404,6 @@ def test_differentiate_constant_pose():
     traj = Trajectory(np.arange(n) * 0.01, p, q)
     der = differentiate(traj)
     np.testing.assert_allclose(der.omega_b, 0, atol=1e-12)
-    np.testing.assert_allclose(der.p_b_dot, 0, atol=1e-12)
     np.testing.assert_allclose(der.xi, 0, atol=1e-12)
     np.testing.assert_allclose(der.xi_dot, 0, atol=1e-12)
 
@@ -422,7 +422,7 @@ def test_differentiate_recovers_constant_rate(rng):
     q = np.empty((n, 4))
     q[0] = [1.0, 0, 0, 0]
     for k in range(1, n):
-        q[k] = quat_step_body(q[k - 1], omega, 0.01)
+        q[k] = _step(q[k - 1].tolist(), (0.005 * omega).tolist(), True)
     traj = Trajectory(np.arange(n) * 0.01, np.zeros((n, 3)), q)
     der = differentiate(traj)
     assert np.max(np.linalg.norm(der.omega_b - omega, axis=1)) <= 1e-4
@@ -451,41 +451,6 @@ def test_differentiate_smooth_twist_rate():
     for k in range(1, len(mag) - 1):
         bound = 10.0 * max(mag[k - 1], mag[k + 1]) + 1e-9
         assert mag[k] <= bound
-
-
-# -- resampling ----------------------------------------------------------------
-
-
-def test_resample_same_dt_is_identity():
-    traj = gen_somersault(5.0, 2.0, 0.02)
-    out = resample(traj, 0.02)
-    np.testing.assert_array_equal(out.positions, traj.positions)
-    np.testing.assert_array_equal(out.quaternions, traj.quaternions)
-
-
-def test_resample_preserves_endpoints():
-    traj = gen_somersault(5.0, 2.0, 0.02)
-    out = resample(traj, 0.03)
-    np.testing.assert_array_equal(out.positions[0], traj.positions[0])
-    np.testing.assert_array_equal(out.positions[-1], traj.positions[-1])
-    np.testing.assert_array_equal(out.quaternions[-1], traj.quaternions[-1])
-    assert abs(out.duration - traj.duration) < 1e-12
-
-
-def test_resample_down_up_round_trip():
-    traj = gen_somersault(50.0, 18.9, 0.01)
-    back = resample(resample(traj, 0.015), 0.01)
-    assert len(back) == len(traj)
-    pos_err = np.max(np.linalg.norm(back.positions - traj.positions, axis=1))
-    dots = np.abs(np.sum(back.quaternions * traj.quaternions, axis=1))
-    ang_err = np.max(2 * np.arccos(np.clip(dots, 0, 1)))
-    assert pos_err < 1e-3 and ang_err < 1e-3
-
-
-def test_resample_rejects_bad_dt():
-    traj = gen_somersault(5.0, 2.0, 0.02)
-    with pytest.raises(ValueError):
-        resample(traj, -0.1)
 
 
 # -- generators ----------------------------------------------------------------
@@ -543,7 +508,7 @@ def test_somersault_kinematic_consistency():
     pdot_fd = np.gradient(traj.positions, 0.01, axis=0, edge_order=2)
     for k in range(len(traj)):
         R = quat_to_rotmat(traj.quaternions[k])
-        v_s = R @ (der.p_b_dot[k] + np.cross(der.omega_b[k], der.p_b[k]))
+        v_s = R @ der.xi[k, 3:]  # p_b_dot + omega_b x p_b
         assert np.linalg.norm(pdot_fd[k] - v_s) <= 1e-3
 
 
