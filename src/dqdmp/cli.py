@@ -4,9 +4,10 @@ Subcommands
 -----------
 gen      write a synthetic demonstration (somersault trajectory CSV or
          scalar min-jerk demo CSV)
-train    fit a primitive (classical | quat | dq | pose-decoupled) to a
-         demo file and write the model JSON
-rollout  integrate a trained model and write a plot-ready CSV table
+train    fit a primitive (classical | quat | dq | pose-decoupled; every
+         orientation in the body frame) to a demo and write the model JSON
+rollout  integrate a trained model and write a plot-ready CSV table; a
+         --goal may set only components the model has a state for
 compare  train both the coupled and the decoupled pose model on one demo
          and report reproduction / consistency metrics
 
@@ -117,8 +118,7 @@ def cmd_train(args) -> int:
             elif args.variant == "quat":
                 model = quat_train(traj, tau, args.k_rot,
                                    args.d_ratio * np.sqrt(args.k_rot),
-                                   basis_scheme_a(args.kernels, args.alpha_x),
-                                   frame=args.frame)
+                                   basis_scheme_a(args.kernels, args.alpha_x))
             else:  # pose-decoupled
                 model = pose_train(
                     traj, tau, args.alpha_x, args.pos_kernels, args.k_pos,
@@ -147,21 +147,23 @@ def _print_fit_residuals(model) -> None:
 # rollout
 
 
-def _parse_goal(text: str):
-    """The goal position and the unit goal quaternion (or None) of --goal;
-    each refusal names the flag."""
+def _parse_goal(text: str, model):
+    """The goal position and the unit goal quaternion (or None) of --goal,
+    refused if it sets a component the model has no state for; each refusal
+    names the flag."""
     try:
         vals = [float(v) for v in text.split(",")]
         if not np.isfinite(vals).all():
             raise ValueError("components must be finite")
-        if len(vals) == 3:
-            return np.array(vals), None
-        if len(vals) != 7:
+        if len(vals) not in (3, 7):
             raise ValueError("takes 'px,py,pz' or 'px,py,pz,qw,qx,qy,qz'")
-        # summed on floats, a norm past the float range is inf, not a numpy warning
-        if sum(v * v for v in vals[3:]) == np.inf:
-            raise ValueError("quaternion norm overflows")
-        return np.array(vals[:3]), quat_normalize(np.array(vals[3:]))
+        pos = np.array(vals[:3])
+        quat = quat_normalize(np.array(vals[3:])) if len(vals) == 7 else None
+        if isinstance(model, QuaternionDmp) and (quat is None or pos.any()):
+            raise ValueError("a quaternion model has only an attitude: give '0,0,0,qw,qx,qy,qz'")
+        if isinstance(model, ClassicalDmp) and (quat is not None or pos[1:].any()):
+            raise ValueError("a classical model has only px: give 'px,0,0'")
+        return pos, quat
     except ValueError as exc:
         raise ValueError(f"--goal {text!r}: {exc}") from None
 
@@ -171,7 +173,7 @@ def cmd_rollout(args) -> int:
         model = load_model(args.model)
         goal_pos = goal_quat = None
         if args.goal is not None:
-            goal_pos, goal_quat = _parse_goal(args.goal)
+            goal_pos, goal_quat = _parse_goal(args.goal, model)
         table = _rollout_table(model, args.dt, args.duration, args.tau,
                                goal_pos, goal_quat)
     except (ValueError, OSError) as exc:
@@ -337,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="damping = d-ratio * sqrt(stiffness)")
     t.add_argument("--tau", type=float, default=None,
                    help="time scale; defaults to the demo duration")
-    t.add_argument("--frame", choices=["body", "inertial"], default="body")
     t.add_argument("--alpha-z", type=float, default=25.0)
     t.add_argument("--beta-z", type=float, default=6.25)
     t.add_argument("--pos-kernels", type=int, default=30)

@@ -2,11 +2,11 @@
 
 All three share the same structure: a goal attractor (spring-damper on a
 pose error), a phase-gated learned forcing term, and the clock
-x = exp(-alpha_x t / tau).  The internal velocity states are the
-tau-scaled ones of the governing dynamics (z = tau ydot,
-omega_state = tau omega, xi_state = tau xi), which makes every rollout
-exactly covariant under time rescaling: doubling tau and dt reproduces the
-same discrete path on a stretched clock.
+x = exp(-alpha_x t / tau); orientation is in the body frame only.  The
+internal velocity states are the tau-scaled ones of the governing dynamics
+(z = tau ydot, omega_state = tau omega, xi_state = tau xi), which makes
+every rollout exactly covariant under time rescaling: doubling tau and dt
+reproduces the same discrete path on a stretched clock.
 
 Integration is semi-implicit Euler: the velocity state steps first, then
 the pose advances by the exact exponential step with the new velocity.
@@ -67,7 +67,6 @@ from .quat import (
     _step as _quat_step,
     quat_norm,
     quat_normalize,
-    quat_rotate,
 )
 from .traj import ScalarDemo, Trajectory, open_text
 
@@ -110,12 +109,9 @@ class ClassicalDmp:
 
 @dataclass(frozen=True)
 class QuaternionDmp:
-    """Orientation primitive; frame selects the angular-velocity convention.
-
-    In the body frame the error is vec(q* (x) q_d) and the pose steps on
-    the right; in the inertial frame the error is vec(q_d (x) q*) and the
-    pose steps on the left.
-    """
+    """Orientation primitive in the body frame, the only frame it takes: the
+    error is vec(q* (x) q_d), the rate a body rate and the pose steps on the
+    right."""
 
     frame: str
     k_gain: np.ndarray           # (3, 3)
@@ -238,6 +234,7 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if duration is None:
+        phase(0.0, alpha_x, tau)  # blames a bad tau, not the duration 1.5 tau
         duration = 1.5 * tau
     if not (duration >= 0.0 and np.isfinite(duration)):
         raise ValueError("duration must be non-negative and finite")
@@ -351,60 +348,41 @@ def _unit_quat(q, what: str) -> np.ndarray:
 # quaternion variant
 
 
-def _is_body(frame: str) -> bool:
-    """Whether frame is BODY; a frame other than BODY or INERTIAL raises."""
-    if frame not in (BODY, INERTIAL):
+def _check_body(frame: str) -> None:
+    """Raise on a frame other than BODY, the one frame of a quaternion model."""
+    if frame != BODY:
         raise ValueError(f"unknown frame {frame!r}")
-    return frame == BODY
 
 
-def _quat_error(q, qd, body: bool):
-    """Components of the rotation from q to the goal qd, q* (x) qd in the
-    body frame and qd (x) q* in the inertial frame; its vector part is the
-    rotation error.  q and qd are 4-sequences of floats or of stack columns."""
-    return _product(_conj(q), qd) if body else _product(qd, _conj(q))
+def _quat_error(q, qd):
+    """Components of q* (x) qd, the rotation from q to the goal qd; its vector
+    part is the rotation error.  q and qd are 4-sequences of floats or of
+    stack columns."""
+    return _product(_conj(q), qd)
 
 
 def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
                         omega_dot: np.ndarray, xs: np.ndarray,
                         qd: np.ndarray, q0: np.ndarray, tau: float,
-                        k_gain: np.ndarray, d_gain: np.ndarray,
-                        frame: str) -> np.ndarray:
-    """Per-sample forcing targets for the orientation primitive.
-
-    omega and omega_dot must be expressed in the model frame; the targets
-    are those of _target_block.
-    """
-    body = _is_body(frame)
-    e0 = np.array(_quat_error(q0, qd, body)[1:])
-    e = np.array(_quat_error(quats.T, qd, body)[1:]).T
+                        k_gain: np.ndarray, d_gain: np.ndarray) -> np.ndarray:
+    """Per-sample forcing targets for the orientation primitive from the body
+    rate omega and its derivative; the targets are those of _target_block."""
+    e0 = np.array(_quat_error(q0, qd)[1:])
+    e = np.array(_quat_error(quats.T, qd)[1:]).T
     return _target_block(omega_dot, omega, e, e0, xs, tau, k_gain, d_gain)
 
 
-def model_frame_rates(traj: Trajectory, frame: str) -> tuple[np.ndarray, np.ndarray]:
-    """Demonstrated angular rate and its derivative in the model frame."""
-    der = traj.derived()
-    omega, omega_dot = der.omega_b, der.xi_dot[:, :3]
-    if frame == INERTIAL:
-        # omega_s = R omega_b; the transport term R(omega x omega) vanishes
-        omega = quat_rotate(traj.quaternions, omega)
-        omega_dot = quat_rotate(traj.quaternions, omega_dot)
-    return omega, omega_dot
-
-
 def quat_train(traj: Trajectory, tau: float, k_gain, d_gain,
-               basis: GaussianBasis, frame: str = BODY) -> QuaternionDmp:
+               basis: GaussianBasis) -> QuaternionDmp:
     """Fit the orientation primitive to a demonstration's attitude track."""
-    _is_body(frame)
-    k_gain = _gain_matrix(k_gain)
-    d_gain = _gain_matrix(d_gain)
-    omega, omega_dot = model_frame_rates(traj, frame)
+    k_gain, d_gain = _gain_matrix(k_gain), _gain_matrix(d_gain)
+    der = traj.derived()
     xs = phase(traj.t, basis.alpha_x, tau)
     q0, qd = traj.quaternions[0], traj.quaternions[-1]
-    fd = quat_target_forcing(traj.quaternions, omega, omega_dot, xs, qd, q0,
-                             tau, k_gain, d_gain, frame)
+    fd = quat_target_forcing(traj.quaternions, der.xi[:, :3], der.xi_dot[:, :3], xs,
+                             qd, q0, tau, k_gain, d_gain)
     weights, res = _fit(xs, fd, basis)
-    return QuaternionDmp(frame, k_gain, d_gain, basis, weights,
+    return QuaternionDmp(BODY, k_gain, d_gain, basis, weights,
                          q0.copy(), qd.copy(), float(tau), res)
 
 
@@ -444,16 +422,17 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
-    body, goal = _is_body(model.frame), qd.tolist()
+    _check_body(model.frame)
+    goal = qd.tolist()
     k, d = model.k_gain.ravel().tolist(), model.d_gain.ravel().tolist()
 
     def step(p, w, x, f, h, half, c):
-        _, e0, e1, e2 = _quat_error(p, goal, body)
+        _, e0, e1, e2 = _quat_error(p, goal)
         w0, w1, w2 = _drive(w, (e0, e1, e2), c[0], f, x, k, d, h)
-        return _quat_step(p, (half * w0, half * w1, half * w2), body), (w0, w1, w2)
+        return _quat_step(p, (half * w0, half * w1, half * w2)), (w0, w1, w2)
 
     ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
-                                       lambda p: _quat_error(p, goal, body), step)
+                                       lambda p: _quat_error(p, goal), step)
     v1 = _rotation_energy(qs, qd, oms, np.linalg.inv(model.k_gain))
     return QuatRollout(ts, xs, qs, oms, f, e, v1)
 
@@ -626,7 +605,7 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     axes = tuple(ClassicalDmp(alpha_z, beta_z, pos_basis, weights[dim],
                               float(y0[dim]), float(g[dim]), float(tau), res[dim:dim + 1])
                  for dim in range(3))
-    orientation = quat_train(traj, tau, k_rot, d_rot, rot_basis, frame=BODY)
+    orientation = quat_train(traj, tau, k_rot, d_rot, rot_basis)
     return PoseDecoupledDmp(axes, orientation)
 
 
@@ -766,7 +745,7 @@ def _model_from_doc(doc: dict):
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
                             b["y0"], b["goal"], doc["tau"])
     if variant == "quaternion":
-        _is_body(doc["frame"])
+        _check_body(doc["frame"])
         return QuaternionDmp(doc["frame"], _gain_matrix(g["k"]), _gain_matrix(g["d"]),
                              basis, weights, _unit_quat(b["q0"], "q0"),
                              _unit_quat(b["qd"], "qd"), doc["tau"])

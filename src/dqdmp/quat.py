@@ -17,11 +17,11 @@ Conventions used throughout the package:
 All functions are pure and allocate fresh arrays; they are safe to call
 concurrently.  Each formula is written once, in component form, by a
 private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
-exponential) and ``_step`` (the exact exponential step with its
-renormalization).  The kernels run the integrator's loop over time in
-``dmp`` on plain floats, with sin and cos from ``math``; ``quat_product``
-and ``quat_exp`` are thin calls into the first two, and ``_step`` has no
-public counterpart.  ``_product`` and ``_rotate`` take one value as
+exponential) and ``_step`` (the exact step of a body rate on the right,
+q (x) exp(r), renormalized).  The kernels run the integrator's loop over
+time in ``dmp`` on plain floats, with sin and cos from ``math``;
+``quat_product`` and ``quat_exp`` are thin calls into the first two, and
+``_step`` has no public counterpart.  ``_product`` and ``_rotate`` take one value as
 Python floats and a stack as its columns (``_cols``), with the same bits
 per row either way: both run the same IEEE operations in the same order.
 So the product, conjugate, vector part and rotations serve one value, a
@@ -88,7 +88,11 @@ def quat_norm(q: np.ndarray) -> float:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Rescale to unit norm. Raises on a near-zero quaternion."""
+    """Rescale to unit norm. Raises on a near-zero quaternion and on one whose
+    squared norm overflows (an infinite component included); NaN stays NaN."""
+    # summed on floats, a norm past the float range is inf, not a numpy warning
+    if sum(v * v for v in q.ravel().tolist()) == math.inf:
+        raise ValueError("cannot normalize a quaternion whose squared norm overflows")
     n = quat_norm(q)
     if n < _AXIS_EPS:
         raise ValueError("cannot normalize near-zero quaternion")
@@ -108,11 +112,10 @@ def _exp(r):
     return math.cos(th), st * rx, st * ry, st * rz
 
 
-def _step(q, r, body: bool):
-    """Components of normalize(q (x) exp(r)) (body) or normalize(exp(r) (x) q)
-    (inertial) for a float 4-sequence q and a float 3-sequence r."""
-    s = _exp(r)
-    w, x, y, z = _product(q, s) if body else _product(s, q)
+def _step(q, r):
+    """Components of normalize(q (x) exp(r)), the step of a body rate, for a
+    float 4-sequence q and a float 3-sequence r."""
+    w, x, y, z = _product(q, _exp(r))
     inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
     return w * inv, x * inv, y * inv, z * inv
 

@@ -96,7 +96,7 @@ class Trajectory:
     # -- derived channels -------------------------------------------------
 
     def derived(self) -> "DerivedChannels":
-        """Body-frame velocity channels, computed once and cached."""
+        """Body twist channels, computed once and cached."""
         if self._derived is None:
             self._derived = differentiate(self)
         return self._derived
@@ -152,9 +152,9 @@ def _sign_continuous(q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DerivedChannels:
-    """Numerically differentiated body-frame channels of a trajectory."""
+    """Numerically differentiated body-frame channels of a trajectory; the
+    body rate is the twist's angular part xi[:, :3]."""
 
-    omega_b: np.ndarray   # (n, 3) body angular velocity
     xi: np.ndarray        # (n, 6) body twist [omega, v]
     xi_dot: np.ndarray    # (n, 6) body twist rate
 
@@ -187,8 +187,8 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
     The body rate comes from omega~ = 2 q* (x) qdot with qdot by central
     differences (one-sided second-order at the ends); the twist linear part
     is p_b_dot + omega_b x p_b (twist_body_from_demo), with the body-axes
-    position p_b = R^T p differenced the same way.  Keeps the body rate,
-    the twist and its rate.  Requires at least four samples.
+    position p_b = R^T p differenced the same way.  Keeps the twist (its
+    angular part is the body rate) and its rate; needs four samples or more.
     """
     if len(traj) < 4:
         raise ValueError("trajectory too short to differentiate (need >= 4 samples)")
@@ -200,7 +200,7 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
     p_b_dot = np.gradient(p_b, traj.dt, axis=0, edge_order=2)
     xi = twist_body_from_demo(omega_b, p_b, p_b_dot).as_array()
     xi_dot = np.gradient(xi, traj.dt, axis=0, edge_order=2)
-    return DerivedChannels(omega_b, xi, xi_dot)
+    return DerivedChannels(xi, xi_dot)
 
 
 # -- file round trip -------------------------------------------------------

@@ -23,7 +23,6 @@ from dqdmp import (
     save_model,
 )
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
-from dqdmp.dmp import model_frame_rates
 from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory
 
 from conftest import trajectory_to_csv
@@ -124,11 +123,10 @@ def test_train_prints_the_residuals_of_the_fit(tmp_path, demo_file, capsys, vari
             demo = ScalarDemo(traj.t, traj.positions[:, dim], vel[:, dim], acc[:, dim])
             f = classical_target_forcing(demo, m.goal, m.tau, m.alpha_z, m.beta_z)
             expected += residual_lines(m, demo, f[:, None], "(scalar)")
-        q = model.orientation
-        omega, omega_dot = model_frame_rates(traj, q.frame)
-        f = quat_target_forcing(traj.quaternions, omega, omega_dot,
+        q, der = model.orientation, traj.derived()
+        f = quat_target_forcing(traj.quaternions, der.xi[:, :3], der.xi_dot[:, :3],
                                 phase(traj.t, q.basis.alpha_x, q.tau), q.qd, q.q0,
-                                q.tau, q.k_gain, q.d_gain, q.frame)
+                                q.tau, q.k_gain, q.d_gain)
         expected += residual_lines(q, traj, f)
     assert len(expected) == 6
     assert printed == expected
@@ -455,6 +453,16 @@ def test_rollout_rejects_infinite_tau(tmp_path, dq_model_file, capsys):
     assert not out.exists()
 
 
+def test_rollout_blames_a_negative_tau_not_the_default_duration(tmp_path, dq_model_file,
+                                                                capsys):
+    # the default duration 1.5 tau was checked first: "duration must be non-negative"
+    out = tmp_path / "roll.csv"
+    capsys.readouterr()  # the fixture's training report
+    assert run(["rollout", "--model", dq_model_file, "--tau", "-5", "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "error: alpha_x and tau must be positive and finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["gen", "somersault", "--radius", "nan"], "radius"),
     (["gen", "somersault", "--radius", "inf"], "radius"),
@@ -549,4 +557,62 @@ def test_train_refuses_a_tau_whose_square_overflows(tmp_path, demo_file, capsys,
     assert run(["train", "--variant", variant, "--tau", "1e160", "--demo", demo,
                 "-o", str(out)]) == 1
     assert_one_error_line(capsys, "non-finite forcing target", "at sample 0, dimension 0")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def quat_model_file(tmp_path_factory, demo_file):
+    path = tmp_path_factory.mktemp("model") / "quat.json"
+    assert run(["train", "--variant", "quat", "--demo", demo_file, "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def classical_model_file(tmp_path_factory):
+    demo = tmp_path_factory.mktemp("model") / "reach.csv"
+    path = demo.with_suffix(".json")
+    assert run(["gen", "minjerk", "-o", str(demo)]) == 0
+    assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("model, goal", [
+    ("quat_model_file", "1,2,3"),
+    ("quat_model_file", "0,0,0"),
+    ("quat_model_file", "1,0,0,0,1,0,0"),
+    ("classical_model_file", "2,7,7"),
+    ("classical_model_file", "2,0,1"),
+    ("classical_model_file", "2,0,0,1,0,0,0"),
+])
+def test_rollout_refuses_a_goal_component_the_model_has_no_state_for(
+        tmp_path, capsys, request, model, goal):
+    # each component was dropped: exit 0 and the table of the goal without it
+    path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
+    capsys.readouterr()  # the fixture's training report
+    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
+                "-o", str(out)]) == 1
+    assert_one_error_line(capsys, f"error: --goal {goal!r}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, goal", [("quat_model_file", "0,0,0,0,1,0,0"),
+                                         ("classical_model_file", "2,0,0")])
+def test_rollout_takes_a_goal_the_model_has_a_state_for(tmp_path, request, model, goal):
+    path, a, b = request.getfixturevalue(model), tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["rollout", "--model", path, "--duration", "1", "-o", str(a)]) == 0
+    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
+                "-o", str(b)]) == 0
+    assert a.read_text() != b.read_text()
+
+
+def test_rollout_refuses_an_inertial_quaternion_model(tmp_path, capsys, quat_model_file):
+    # the inertial convention is gone: its file is refused, not rolled out as body
+    with open(quat_model_file) as fh:
+        doc = json.load(fh)
+    doc["frame"] = "inertial"
+    path, out = tmp_path / "inertial.json", tmp_path / "roll.csv"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()  # the fixture's training report
+    assert run(["rollout", "--model", str(path), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "error: unknown frame 'inertial'")
     assert not out.exists()

@@ -127,7 +127,7 @@ def test_quat_forcing_zero_for_stationary_demo(rng):
     omega = np.zeros((n, 3))
     xs = phase(np.arange(n) * 0.01, 2.0, 1.0)
     fd = quat_target_forcing(quats, omega, omega, xs, q, q, 1.0,
-                             4.0 * np.eye(3), 6.0 * np.eye(3), "body")
+                             4.0 * np.eye(3), 6.0 * np.eye(3))
     np.testing.assert_allclose(fd, 0.0, atol=1e-12)
 
 
@@ -179,30 +179,8 @@ def test_quat_forcing_zero_for_unforced_rollout(rng):
     xs = phase(t, 2.0, 1.0)
     omega = oms / 1.0
     omega_dot = np.gradient(omega, dt, axis=0, edge_order=2)
-    fd = quat_target_forcing(qs, omega, omega_dot, xs, qd, q0, 1.0, k, d,
-                             "body")
+    fd = quat_target_forcing(qs, omega, omega_dot, xs, qd, q0, 1.0, k, d)
     assert np.max(np.abs(fd)) <= 1e-5
-
-
-def test_quat_forcing_frames_agree_for_pitch_demo():
-    # a single-axis demo has identical body and inertial rates, so the two
-    # error orientations must produce the same initial forcing
-    T, dt = 2.0, 0.01
-    n = int(round(T / dt))
-    t = np.arange(n + 1) * dt
-    s, _, _ = _minjerk_s(t / T)
-    quats = np.stack([np.cos(0.5 * s), np.zeros(n + 1), np.sin(0.5 * s),
-                      np.zeros(n + 1)], axis=1)
-    traj = Trajectory(t, np.zeros((n + 1, 3)), quats)
-    der = traj.derived()
-    omega_dot = np.gradient(der.omega_b, dt, axis=0, edge_order=2)
-    xs = phase(t, 2.0, T)
-    args = (traj.quaternions, der.omega_b, omega_dot, xs, quats[-1], quats[0],
-            T, 4.0 * np.eye(3), 6.0 * np.eye(3))
-    fd_body = quat_target_forcing(*args, "body")
-    fd_inertial = quat_target_forcing(*args, "inertial")
-    assert np.all(np.isfinite(fd_body))
-    np.testing.assert_allclose(fd_body[0], fd_inertial[0], atol=1e-9)
 
 
 def test_quat_rollout_stationary_at_goal(rng):
@@ -215,7 +193,7 @@ def test_quat_rollout_stationary_at_goal(rng):
         assert abs(abs(roll.q[k] @ q) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("frame", ["body", "inertial"])
+@pytest.mark.parametrize("frame", ["body"])
 def test_quat_unforced_convergence(rng, frame):
     # goal attractor alone: geodesic error below 1e-3 rad by t = 10 tau
     k, d = 625.0, 250.0
@@ -231,24 +209,11 @@ def test_quat_unforced_convergence(rng, frame):
 
 def test_quat_reproduction_two_axis_demo():
     traj = two_axis_attitude_demo()
-    m = quat_train(traj, traj.duration, 25.0, 50.0, BASIS, frame="body")
+    m = quat_train(traj, traj.duration, 25.0, 50.0, BASIS)
     roll = quat_rollout(m, dt=traj.dt, duration=traj.duration)
     dots = np.abs(np.sum(roll.q * traj.quaternions, axis=1))
     ang = 2 * np.arccos(np.clip(dots, 0, 1))
     assert np.sqrt(np.mean(ang**2)) < 0.02
-
-
-def test_quat_frame_consistency():
-    # body- and inertial-frame models trained on one demo must agree
-    traj = two_axis_attitude_demo()
-    dt = 0.002
-    rolls = {}
-    for frame in ("body", "inertial"):
-        m = quat_train(traj, traj.duration, 25.0, 50.0, BASIS, frame=frame)
-        rolls[frame] = quat_rollout(m, dt=dt, duration=traj.duration)
-    dots = np.abs(np.sum(rolls["body"].q * rolls["inertial"].q, axis=1))
-    ang = 2 * np.arccos(np.clip(dots, 0, 1))
-    assert np.max(ang) < 1e-3
 
 
 def test_quat_rollout_v1_non_increasing(rng):
@@ -267,7 +232,7 @@ def test_quat_train_zero_weights_on_unforced_demo(rng):
     m0 = QuaternionDmp("body", k, d, BASIS, np.zeros((3, 30)), q0, qd, 1.0)
     roll = quat_rollout(m0, dt=5e-4, duration=25.0)
     traj = Trajectory(roll.t, np.zeros((len(roll.t), 3)), roll.q)
-    m = quat_train(traj, 1.0, k, d, BASIS, frame="body")
+    m = quat_train(traj, 1.0, k, d, BASIS)
     assert np.max(np.abs(m.weights)) <= 1e-3
 
 
@@ -358,7 +323,7 @@ def test_classical_train_refuses_gains_the_loader_refuses(alpha_z, beta_z):
 
 
 def test_quat_rollout_refuses_an_unknown_frame(rng):
-    # "Body" is not "body": it rolled out as inertial
+    # "Body" is not "body", the one frame a quaternion model takes
     q = random_unit_quat(rng)
     m = QuaternionDmp("Body", np.eye(3), np.eye(3), BASIS, np.zeros((3, 30)), q, q, 1.0)
     with pytest.raises(ValueError, match="unknown frame 'Body'"):

@@ -344,7 +344,7 @@ def test_step_pure_rotation_reduces_to_quat_step(rng):
     w = rng.normal(size=3)
     out = step(dq_identity(), Twist(w, np.zeros(3)), 0.37)
     np.testing.assert_allclose(out.real, quat_step([1.0, 0.0, 0.0, 0.0],
-                                                   (0.5 * 0.37 * w).tolist(), True),
+                                                   (0.5 * 0.37 * w).tolist()),
                                atol=1e-12)
     np.testing.assert_allclose(out.dual, np.zeros(4), atol=1e-12)
 

@@ -47,11 +47,10 @@ def test_classical_roundtrip_bytes_and_fields():
 
 def test_quaternion_roundtrip():
     traj = gen_somersault(5.0, 3.0, 0.01)
-    m = quat_train(traj, 3.0, 2.0, 9.0, basis_scheme_a(25, 1.0),
-                   frame="inertial")
+    m = quat_train(traj, 3.0, 2.0, 9.0, basis_scheme_a(25, 1.0))
     text, loaded, again = roundtrip(m)
     assert text == again
-    assert loaded.frame == "inertial"
+    assert loaded.frame == "body"
     np.testing.assert_array_equal(loaded.k_gain, m.k_gain)
     np.testing.assert_array_equal(loaded.weights, m.weights)
     np.testing.assert_array_equal(loaded.q0, m.q0)
@@ -177,6 +176,7 @@ BAD_FILES = {
     "alpha_x negative": ("classical", lambda d: d["basis"].update(alpha_x=-1.0)),
     "alpha_x zero": ("quaternion", lambda d: d["basis"].update(alpha_x=0.0)),
     "n_kernels off": ("dual_quaternion", lambda d: d["basis"].update(n_kernels=7)),
+    "frame inertial": ("quaternion", lambda d: d.update(frame="inertial")),
 }
 
 

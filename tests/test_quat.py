@@ -19,15 +19,14 @@ from dqdmp.quat import _step
 from conftest import quat_identity, random_rotvec, random_unit_quat
 
 
-def step(q, omega, dt, body=True):
-    """The integrator's step through quat._step: q (x) exp(dt/2 omega) in the
-    body frame, exp(dt/2 omega) (x) q in the inertial frame."""
-    return np.array(_step(q.tolist(), (0.5 * dt * np.asarray(omega)).tolist(), body))
+def step(q, omega, dt):
+    """The integrator's step of a body rate through quat._step: q (x) exp(dt/2 omega)."""
+    return np.array(_step(q.tolist(), (0.5 * dt * np.asarray(omega)).tolist()))
 
 
-def rotation_error(q, qd, body):
-    """Vector part of the rollout's rotation from q to qd (dmp._quat_error)."""
-    return np.array(_quat_error(q, qd, body)[1:])
+def rotation_error(q, qd):
+    """Vector part of the rollout's rotation q* (x) qd from q to qd (dmp._quat_error)."""
+    return np.array(_quat_error(q, qd)[1:])
 
 
 def rate(q, omega):
@@ -142,22 +141,19 @@ def test_vec_of_conjugate_product_is_zero(rng):
 
 def test_orientation_error_self_is_zero(rng):
     q = random_unit_quat(rng)
-    for body in (True, False):
-        np.testing.assert_allclose(rotation_error(q, q, body), np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(rotation_error(q, q), np.zeros(3), atol=1e-15)
 
 
 def test_orientation_error_example():
-    # vec(qd (x) q*) inertial, vec(q* (x) qd) body: both [1, 0, 0] from the identity
-    for body in (True, False):
-        np.testing.assert_allclose(
-            rotation_error(quat_identity(), np.array([0.0, 1, 0, 0]), body), [1, 0, 0])
+    # vec(q* (x) qd) is [1, 0, 0] from the identity
+    np.testing.assert_allclose(
+        rotation_error(quat_identity(), np.array([0.0, 1, 0, 0])), [1, 0, 0])
 
 
 def test_orientation_error_bounded(rng):
     for _ in range(1000):
         q, qd = random_unit_quat(rng), random_unit_quat(rng)
-        for body in (True, False):
-            assert np.linalg.norm(rotation_error(q, qd, body)) <= 1.0 + 1e-12
+        assert np.linalg.norm(rotation_error(q, qd)) <= 1.0 + 1e-12
 
 
 def test_derivative_zero_rate():
@@ -197,23 +193,6 @@ def test_step_body_substep_composition(rng):
     for _ in range(100):
         many = step(many, omega, 0.01)
     assert min(np.linalg.norm(many - one), np.linalg.norm(many + one)) <= 1e-9
-
-
-def test_step_inertial_basics(rng):
-    q = random_unit_quat(rng)
-    np.testing.assert_allclose(step(q, np.zeros(3), 1.0, body=False), q)
-    np.testing.assert_allclose(
-        step(quat_identity(), np.array([np.pi, 0, 0]), 1.0, body=False),
-        [0, 1, 0, 0], atol=1e-15)
-
-
-def test_steps_coincide_at_identity(rng):
-    for _ in range(100):
-        omega = rng.normal(size=3)
-        dt = rng.uniform(0.01, 1.0)
-        np.testing.assert_allclose(step(quat_identity(), omega, dt),
-                                   step(quat_identity(), omega, dt, body=False),
-                                   atol=1e-15)
 
 
 def test_rotmat_identity():

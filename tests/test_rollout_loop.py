@@ -166,6 +166,37 @@ def test_quat_rollout_rejects_a_start_pose_of_the_wrong_length(rng):
             quat_rollout(quat, q0=[0.6, 0.8, 0.0], dt=0.01, duration=duration)
 
 
+@pytest.mark.parametrize("q0", [[1e200, 1e200, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]],
+                         ids=["overflowing", "infinite"])
+def test_quat_rollout_refuses_a_start_whose_squared_norm_overflows(rng, q0):
+    # the first printed an overflow warning, normalized to zeros and raised
+    # ZeroDivisionError; the second warned of an invalid divide first
+    _, quat, _ = _models(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^cannot normalize a quaternion whose squared "
+                                             "norm overflows$"):
+            quat_rollout(quat, q0=q0, dt=0.01, duration=1.0)
+
+
+def test_quat_rollout_keeps_the_bits_of_a_large_finite_start(rng):
+    _, quat, _ = _models(rng)
+    q0 = 1e150 * random_unit_quat(rng)
+    roll = quat_rollout(quat, q0=q0, dt=0.01, duration=0.0)
+    assert np.array_equal(roll.q[0], q0 / float(np.sqrt(q0 @ q0)))
+
+
+@pytest.mark.parametrize("tau", [-5.0, np.nan, -np.inf])
+def test_rollouts_blame_a_bad_tau_not_the_default_duration(rng, tau):
+    # the default duration 1.5 tau was checked first: "duration must be non-negative"
+    dq, quat, classical = _models(rng)
+    for run in (lambda: dq_rollout(dq, tau_override=tau),
+                lambda: quat_rollout(quat, tau_override=tau),
+                lambda: classical_rollout(classical, classical.y0, 0.01, tau_override=tau)):
+        with pytest.raises(ValueError, match="^alpha_x and tau must be positive and finite$"):
+            run()
+
+
 @pytest.mark.parametrize("variant, start", [
     ("quat", {"q0": [np.nan, 0.0, 0.0, 0.0]}),
     ("quat", {"omega0": [np.nan, 0.0, 0.0]}),

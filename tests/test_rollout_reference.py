@@ -14,7 +14,6 @@ import pytest
 from conftest import random_rotvec, random_unit_dq, random_unit_quat
 from dqdmp import (
     BODY,
-    INERTIAL,
     DualQuaternion,
     DualQuaternionDmp,
     QuaternionDmp,
@@ -67,23 +66,18 @@ def _quad_energy(u0, u1, u2, kinv, kinv_diag):
     return 0.5 * float(u @ (kinv @ u))
 
 
-def _quat_error(q, qd, frame):
-    if frame == BODY:
-        return quat_vec(quat_product(quat_conjugate(q), qd))
-    return quat_vec(quat_product(qd, quat_conjugate(q)))
+def _quat_error(q, qd):
+    return quat_vec(quat_product(quat_conjugate(q), qd))
 
 
-def _quat_error_raw(q, qd, body):
+def _quat_error_raw(q, qd):
     aw, ax, ay, az = float(q[0]), float(q[1]), float(q[2]), float(q[3])
     bw, bx, by, bz = float(qd[0]), float(qd[1]), float(qd[2]), float(qd[3])
-    if body:
-        _, ex, ey, ez = _conj_product(aw, ax, ay, az, bw, bx, by, bz)
-    else:
-        _, ex, ey, ez = _product(bw, bx, by, bz, aw, -ax, -ay, -az)
+    _, ex, ey, ez = _conj_product(aw, ax, ay, az, bw, bx, by, bz)
     return np.array([ex, ey, ez])
 
 
-def _quat_step_raw(q, zr, body):
+def _quat_step_raw(q, zr):
     rx, ry, rz = float(zr[0]), float(zr[1]), float(zr[2])
     th = (rx * rx + ry * ry + rz * rz) ** 0.5
     if th < 1e-12:
@@ -92,10 +86,7 @@ def _quat_step_raw(q, zr, body):
         st = np.sin(th) / th
         sw, sx, sy, sz = np.cos(th), st * rx, st * ry, st * rz
     aw, ax, ay, az = float(q[0]), float(q[1]), float(q[2]), float(q[3])
-    if body:
-        w, x, y, z = _product(aw, ax, ay, az, sw, sx, sy, sz)
-    else:
-        w, x, y, z = _product(sw, sx, sy, sz, aw, ax, ay, az)
+    w, x, y, z = _product(aw, ax, ay, az, sw, sx, sy, sz)
     inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
     return np.array([w * inv, x * inv, y * inv, z * inv])
 
@@ -124,8 +115,7 @@ def reference_quat_rollout(model, q0=None, omega0=None, dt=0.01, duration=None,
     out_v1 = np.empty(n + 1)
     kinv = np.linalg.inv(model.k_gain)
     kinv_diag = tuple(np.diag(kinv)) if _diag_gains(model.k_gain) is not None else None
-    e0 = _quat_error(model.q0, qd, model.frame)
-    body = model.frame == BODY
+    e0 = _quat_error(model.q0, qd)
     K, D, W = model.k_gain, model.d_gain, model.weights
     K3 = _diag_gains(K)
     D3 = _diag_gains(D)
@@ -137,7 +127,7 @@ def reference_quat_rollout(model, q0=None, omega0=None, dt=0.01, duration=None,
     out_q[0], out_om[0] = q, om
     out_v1[0] = _rot_energy(q, qd, om, kinv, kinv_diag)
     for k in range(n):
-        e = _quat_error_raw(q, qd, body)
+        e = _quat_error_raw(q, qd)
         f = forcing_rows(xs[k], model.basis, W) if forcing_active else zero3
         out_e[k], out_f[k] = e, f
         u = e - e0 * xs[k] + f
@@ -145,10 +135,10 @@ def reference_quat_rollout(model, q0=None, omega0=None, dt=0.01, duration=None,
             om = om + dt_tau * (K3 * u - D3 * om)
         else:
             om = om + dt_tau * (K @ u - D @ om)
-        q = _quat_step_raw(q, half * om, body)
+        q = _quat_step_raw(q, half * om)
         out_q[k + 1], out_om[k + 1] = q, om
         out_v1[k + 1] = _rot_energy(q, qd, om, kinv, kinv_diag)
-    out_e[n] = _quat_error(q, qd, model.frame)
+    out_e[n] = _quat_error(q, qd)
     out_f[n] = forcing_rows(xs[n], model.basis, W)
     return dict(t=ts, x=xs, q=out_q, omega=out_om, forcing=out_f, error=out_e,
                 v1=out_v1)
@@ -314,7 +304,7 @@ def assert_states(got, want, names, full):
 CASES = [(full, forced) for full in (False, True) for forced in (False, True)]
 
 
-@pytest.mark.parametrize("frame", [BODY, INERTIAL])
+@pytest.mark.parametrize("frame", [BODY])
 @pytest.mark.parametrize("full,forced", CASES)
 def test_quat_rollout_matches_reference(rng, frame, full, forced):
     K, D = gains(rng, full)
@@ -383,7 +373,7 @@ def test_dq_distinct_rotation_and_translation_blocks_bit_exact(rng, forced):
         assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
 
 
-@pytest.mark.parametrize("frame", [BODY, INERTIAL])
+@pytest.mark.parametrize("frame", [BODY])
 def test_quat_distinct_per_axis_gains_bit_exact(rng, frame):
     m = QuaternionDmp(frame, K_ROT, D_ROT, BASIS, weights(rng, 3, True),
                       random_unit_quat(rng), random_unit_quat(rng), 0.9)
@@ -424,7 +414,7 @@ def test_dq_rollout_at_the_benchmark_shape_bit_exact(rng, forced):
     assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
 
 
-@pytest.mark.parametrize("frame", [BODY, INERTIAL])
+@pytest.mark.parametrize("frame", [BODY])
 @pytest.mark.parametrize("forced", [False, True])
 def test_quat_rollout_at_the_benchmark_shape_bit_exact(rng, frame, forced):
     m = QuaternionDmp(frame, BENCH_K, BENCH_D, BASIS, weights(rng, 3, forced),
