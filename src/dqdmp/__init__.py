@@ -52,7 +52,6 @@ from .dualquat import (
     dq_product,
     dq_to_pose,
     dq_derivative_body,
-    twist_body_from_demo,
     twist_to_inertial,
 )
 from .quat import (

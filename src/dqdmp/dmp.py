@@ -53,7 +53,6 @@ from .dualquat import (
     INERTIAL,
     DualQuaternion,
     Pose,
-    Twist,
     _error as _dq_error,
     _step as _dq_step,
     dq_error,
@@ -70,6 +69,8 @@ from .quat import (
 )
 from .traj import ScalarDemo, Trajectory, open_text
 
+# the longest float array numpy can make: a longer time grid is refused
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
 _FIT_RESIDUALS = dict(default=None, compare=False, repr=False)
@@ -240,6 +241,9 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
         raise ValueError("duration must be non-negative and finite")
     if not np.isfinite(t_start):
         raise ValueError("t_start must be finite")
+    if not duration / dt < _MAX_SAMPLES:
+        raise ValueError(f"duration {duration:g} over dt {dt:g} is more samples "
+                         f"than an array can hold")
     ts = t_start + np.arange(int(round(duration / dt)) + 1) * dt
     return ts, phase(ts, alpha_x, tau)
 
@@ -520,7 +524,8 @@ class DqRollout:
 
 
 def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
-               xi0=None, dt: float = 0.01, duration: float | None = None,
+               xi0: np.ndarray | None = None, dt: float = 0.01,
+               duration: float | None = None,
                goal_override: DualQuaternion | None = None,
                tau_override: float | None = None,
                t_start: float = 0.0) -> DqRollout:
@@ -528,6 +533,7 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
 
     Semi-implicit Euler on the twist state followed by the exact
     exponential pose step; unit constraints re-enforced every step.
+    xi0 is the tau-scaled start twist [omega_b, v_b], zero by default.
     goal_override retargets the attractor (and the start-error shaping
     term) without retraining; a goal off the unit constraints raises.
     tau_override rescales time.  t_start offsets the clock so a rollout
@@ -541,14 +547,7 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     goal = goal_override if goal_override is not None else model.dqd
     goal_position = dq_to_pose(goal).position
     start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
-    if xi0 is None:
-        xi = np.zeros(6)
-    elif isinstance(xi0, Twist):
-        if xi0.frame != BODY:
-            raise ValueError("dq_rollout expects a body-frame start twist")
-        xi = xi0.as_array()
-    else:
-        xi = np.asarray(xi0, dtype=float)
+    xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
     gr, gd = goal.real.tolist(), goal.dual.tolist()
     kr, kp, dr, dp = (g.ravel().tolist() for g in (model.k_rot, model.k_pos,
                                                    model.d_rot, model.d_pos))
@@ -644,6 +643,8 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = No
 # model files
 
 _FORMAT_VERSION = 1
+# the one frame a file of each variant may name
+_FRAMES = {"classical": INERTIAL, "quaternion": BODY, "dual_quaternion": BODY}
 
 
 def _basis_doc(basis: GaussianBasis) -> dict:
@@ -670,7 +671,7 @@ def _model_doc(model) -> dict:
         return {
             "format_version": _FORMAT_VERSION,
             "variant": "classical",
-            "frame": INERTIAL,
+            "frame": _FRAMES["classical"],
             "tau": model.tau,
             "gains": {"alpha_z": model.alpha_z, "beta_z": model.beta_z},
             "basis": _basis_doc(model.basis),
@@ -678,10 +679,11 @@ def _model_doc(model) -> dict:
             "boundary": {"y0": model.y0, "goal": model.goal},
         }
     if isinstance(model, QuaternionDmp):
+        _check_body(model.frame)
         return {
             "format_version": _FORMAT_VERSION,
             "variant": "quaternion",
-            "frame": model.frame,
+            "frame": _FRAMES["quaternion"],
             "tau": model.tau,
             "gains": {"k": model.k_gain.tolist(), "d": model.d_gain.tolist()},
             "basis": _basis_doc(model.basis),
@@ -692,7 +694,7 @@ def _model_doc(model) -> dict:
         return {
             "format_version": _FORMAT_VERSION,
             "variant": "dual_quaternion",
-            "frame": BODY,
+            "frame": _FRAMES["dual_quaternion"],
             "tau": model.tau,
             "gains": {"k_rot": model.k_rot.tolist(), "k_pos": model.k_pos.tolist(),
                       "d_rot": model.d_rot.tolist(), "d_pos": model.d_pos.tolist()},
@@ -726,6 +728,8 @@ def _model_from_doc(doc: dict):
     dims = {"classical": 1, "quaternion": 3, "dual_quaternion": 6}.get(variant)
     if dims is None:
         raise ValueError(f"unknown model variant {variant!r}")
+    if doc["frame"] != _FRAMES[variant]:
+        raise ValueError(f"unknown frame {doc['frame']!r}")
     if not 0.0 < doc["tau"] < np.inf:
         raise ValueError("tau must be positive and finite")
     basis = _basis_from_doc(doc["basis"])
@@ -745,8 +749,7 @@ def _model_from_doc(doc: dict):
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
                             b["y0"], b["goal"], doc["tau"])
     if variant == "quaternion":
-        _check_body(doc["frame"])
-        return QuaternionDmp(doc["frame"], _gain_matrix(g["k"]), _gain_matrix(g["d"]),
+        return QuaternionDmp(BODY, _gain_matrix(g["k"]), _gain_matrix(g["d"]),
                              basis, weights, _unit_quat(b["q0"], "q0"),
                              _unit_quat(b["qd"], "qd"), doc["tau"])
     return DualQuaternionDmp(

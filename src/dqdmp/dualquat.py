@@ -7,9 +7,9 @@ carries the translation (``p_b`` is the position expressed in body axes,
 satisfies ``||real|| = 1`` and ``<real, dual> = 0``.
 
 Twists are 6-vectors ``(r, v)`` with an explicit frame tag.  In the body
-frame the linear component is the body-frame linear velocity,
+frame the linear component is the inertial velocity in body axes,
 
-    v = p_b_dot + omega_b x p_b  ( = R(q)^T p_s_dot ),
+    v = R(q)^T p_s_dot,
 
 which is exactly the convention under which the pose kinematics read
 ``d(q_hat)/dt = 1/2 q_hat (x) xi_b~``.  Mixing frames is treated as a
@@ -17,17 +17,17 @@ programming error and raises.
 
 Everything here is a pure function over immutable values.  The parts of a
 ``DualQuaternion`` or ``Pose`` may also be ``(n, 4)`` / ``(n, 3)`` stacks;
-the product, conjugate, encoding (``dq_from_pose``), position, error and
-``twist_body_from_demo`` functions then work row by row with the bits of
-the single-value call.  As in ``quat``, each formula of the integrator is
-written once, in component form: ``_mul`` (the product of two dual
-quaternions given by their real and dual parts), ``_error`` (the
-goal-relative pose), ``_exp`` (the screw exponential), ``_normalize`` and
-``_step``.  ``_mul`` and ``_error`` take a single value's parts as floats
-and a stack's as columns (``quat._cols``); the other three take floats.
-The loop in ``dmp`` calls them directly; ``dq_product``, ``dq_error`` and
-``dq_exp`` are thin calls into the first three, and ``_normalize`` and
-``_step`` have no public counterpart.
+the product, conjugate, encoding (``dq_from_pose``), position and error
+functions then work row by row with the bits of the single-value call.
+As in ``quat``, each formula of the integrator is written once, in
+component form: ``_mul`` (the product of two dual quaternions given by
+their real and dual parts), ``_error`` (the goal-relative pose), ``_exp``
+(the screw exponential), ``_normalize`` and ``_step``.  ``_mul`` and
+``_error`` take a single value's parts as floats and a stack's as columns
+(``quat._cols``); the other three take floats.  The loop in ``dmp`` calls
+them directly; ``dq_product``, ``dq_error`` and ``dq_exp`` are thin calls
+into the first three, and ``_normalize`` and ``_step`` have no public
+counterpart.
 """
 
 from __future__ import annotations
@@ -185,20 +185,6 @@ def dq_derivative_body(dq: DualQuaternion, xi_b: Twist) -> DualQuaternion:
     """Pose kinematics 1/2 q_hat (x) xi_b~ for a body-frame twist."""
     out = dq_product(dq, _pure(xi_b))
     return DualQuaternion(0.5 * out.real, 0.5 * out.dual)
-
-
-def twist_body_from_demo(omega_b: np.ndarray, p_b: np.ndarray,
-                         p_b_dot: np.ndarray) -> Twist:
-    """Assemble the body twist from body rate and body-frame position data.
-
-    The linear component is p_b_dot + omega_b x p_b, i.e. the body-frame
-    linear velocity; this is the unique choice consistent with the pose
-    kinematics of the integrator's pose step ``_step`` (checked against a
-    fine-step integration oracle in the tests).
-    """
-    return Twist(np.asarray(omega_b, dtype=float),
-                 np.asarray(p_b_dot, dtype=float) + np.cross(omega_b, p_b),
-                 BODY)
 
 
 def twist_to_inertial(xi_b: Twist, dq: DualQuaternion) -> Twist:

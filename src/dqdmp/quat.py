@@ -84,16 +84,17 @@ def quat_vec(q: np.ndarray) -> np.ndarray:
 
 
 def quat_norm(q: np.ndarray) -> float:
-    return float(np.sqrt(q @ q))
+    """Euclidean norm; inf, with no warning, when the squared norm overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(q @ q))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Rescale to unit norm. Raises on a near-zero quaternion and on one whose
     squared norm overflows (an infinite component included); NaN stays NaN."""
-    # summed on floats, a norm past the float range is inf, not a numpy warning
-    if sum(v * v for v in q.ravel().tolist()) == math.inf:
-        raise ValueError("cannot normalize a quaternion whose squared norm overflows")
     n = quat_norm(q)
+    if n == math.inf:
+        raise ValueError("cannot normalize a quaternion whose squared norm overflows")
     if n < _AXIS_EPS:
         raise ValueError("cannot normalize near-zero quaternion")
     return q / n

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualquat import twist_body_from_demo
 from .quat import quat_conjugate, quat_product, quat_rotate_inverse, quat_vec
 
 _HEADER = "t,px,py,pz,qw,qx,qy,qz"
@@ -184,23 +183,22 @@ class ScalarDemo:
 def differentiate(traj: Trajectory) -> DerivedChannels:
     """Derive body twist channels by second-order finite differences.
 
-    The body rate comes from omega~ = 2 q* (x) qdot with qdot by central
-    differences (one-sided second-order at the ends); the twist linear part
-    is p_b_dot + omega_b x p_b (twist_body_from_demo), with the body-axes
-    position p_b = R^T p differenced the same way.  Keeps the twist (its
-    angular part is the body rate) and its rate; needs four samples or more.
+    Velocities are central differences (one-sided second-order at the
+    ends).  The body rate comes from omega~ = 2 q* (x) qdot; the twist's
+    linear part is R(q)^T pdot, the inertial velocity rotated into body
+    axes, so it does not depend on where the world origin sits.  Keeps the
+    twist (its angular part is the body rate) and its rate; needs four
+    samples or more.
     """
     if len(traj) < 4:
         raise ValueError("trajectory too short to differentiate (need >= 4 samples)")
-    q = traj.quaternions
-    qdot = np.gradient(q, traj.dt, axis=0, edge_order=2)
+    q, dt = traj.quaternions, traj.dt
+    qdot = np.gradient(q, dt, axis=0, edge_order=2)
     # vec() discards the O(dt^2) scalar part left by differencing unit data
     omega_b = 2.0 * quat_vec(quat_product(quat_conjugate(q), qdot))
-    p_b = quat_rotate_inverse(q, traj.positions)
-    p_b_dot = np.gradient(p_b, traj.dt, axis=0, edge_order=2)
-    xi = twist_body_from_demo(omega_b, p_b, p_b_dot).as_array()
-    xi_dot = np.gradient(xi, traj.dt, axis=0, edge_order=2)
-    return DerivedChannels(xi, xi_dot)
+    v_b = quat_rotate_inverse(q, np.gradient(traj.positions, dt, axis=0, edge_order=2))
+    xi = np.concatenate([omega_b, v_b], axis=1)
+    return DerivedChannels(xi, np.gradient(xi, dt, axis=0, edge_order=2))
 
 
 # -- file round trip -------------------------------------------------------

@@ -297,10 +297,12 @@ def test_compare_reports_both_models(tmp_path, demo_file, capsys):
 
 
 # compare.csv of the demo_file fixture, as written before compare lost its
-# --dt option; the rollouts run on the demo's own step either way
+# --dt option; the rollouts run on the demo's own step either way.  The dq
+# row's position and residual columns were re-taken when the twist's linear
+# part became R^T pdot (its orientation columns kept their bits)
 COMPARE_ROWS = {
-    "dq": [0.065188627067516963, 0.0071363668577911297, 0.068206625034697183,
-           0.0018496440117741928, 0.12197415242532636, 0.27948710706036572],
+    "dq": [0.06753361208911611, 0.0071363668577911297, 0.070378142368910462,
+           0.0018496440117741928, 0.12203823540304169, 0.27968889027239757],
     "pose_decoupled": [0.035885064235494105, 0.0071777044524886932, 0.0017480606119206529,
                        0.0018885337152848517, 0.067736630663808362, 0.13943702683004852],
 }
@@ -450,6 +452,17 @@ def test_rollout_rejects_infinite_tau(tmp_path, dq_model_file, capsys):
     assert run(["rollout", "--model", dq_model_file, "--tau", "inf",
                 "--duration", "1", "-o", str(out)]) == 1
     assert_one_error_line(capsys, "tau must be positive and finite")
+    assert not out.exists()
+
+
+def test_rollout_refuses_a_step_no_time_grid_can_hold(tmp_path, dq_model_file, capsys):
+    # it printed numpy's "error: Maximum allowed size exceeded"
+    out = tmp_path / "roll.csv"
+    capsys.readouterr()  # the fixture's training report
+    assert run(["rollout", "--model", dq_model_file, "--dt", "1e-300",
+                "--duration", "1", "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "error: duration 1 over dt 1e-300 is more samples "
+                                  "than an array can hold")
     assert not out.exists()
 
 

@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dqdmp import (
-    BODY,
     INERTIAL,
     DualQuaternion,
     DualQuaternionDmp,
@@ -21,7 +22,6 @@ from dqdmp import (
     quat_product,
     quat_to_rotmat,
     quat_vec,
-    twist_body_from_demo,
     twist_to_inertial,
 )
 from dqdmp.dualquat import _step, dq_constraint_errors
@@ -298,41 +298,6 @@ def test_derivative_rejects_inertial_twist(rng):
         dq_derivative_body(dq, Twist(np.zeros(3), np.zeros(3), INERTIAL))
 
 
-def test_twist_from_demo_zeros():
-    tw = twist_body_from_demo(np.zeros(3), np.zeros(3), np.zeros(3))
-    np.testing.assert_allclose(tw.as_array(), np.zeros(6))
-    assert tw.frame == BODY
-
-
-def test_twist_from_demo_no_rotation(rng):
-    pdot = rng.normal(size=3)
-    tw = twist_body_from_demo(np.zeros(3), rng.normal(size=3), pdot)
-    np.testing.assert_allclose(tw.v, pdot)
-
-
-def test_twist_from_demo_cross_term():
-    # omega x p_b with omega = z, p_b = x gives +y
-    tw = twist_body_from_demo(np.array([0.0, 0, 1]), np.array([1.0, 0, 0]),
-                              np.zeros(3))
-    np.testing.assert_allclose(tw.v, [0, 1, 0], atol=1e-15)
-
-
-def test_twist_from_demo_consistent_with_flow(rng):
-    # propagate a pose by a constant twist; the demo channels recovered by
-    # finite differences must reproduce that twist's linear part
-    for _ in range(20):
-        dq = random_unit_dq(rng)
-        w, v = rng.normal(size=3), rng.normal(size=3)
-        h = 1e-6
-        nxt = step(dq, Twist(w, v), h)
-        pa, pb = dq_to_pose(dq), dq_to_pose(nxt)
-        Ra, Rb = quat_to_rotmat(pa.orientation), quat_to_rotmat(pb.orientation)
-        p_b_a, p_b_b = Ra.T @ pa.position, Rb.T @ pb.position
-        p_b_dot = (p_b_b - p_b_a) / h
-        tw = twist_body_from_demo(w, p_b_a, p_b_dot)
-        np.testing.assert_allclose(tw.v, v, atol=1e-4)
-
-
 def test_step_zero_twist(rng):
     dq = random_unit_dq(rng)
     out = step(dq, Twist(np.zeros(3), np.zeros(3)), 0.1)
@@ -367,8 +332,6 @@ def test_step_rejects_bad_inputs(rng):
                           basis_scheme_a(5, 1.0), np.zeros((6, 5)), dq, dq, 1.0)
     with pytest.raises(ValueError, match="dt must be positive"):
         dq_rollout(m, dt=0.0)
-    with pytest.raises(ValueError, match="body-frame"):
-        dq_rollout(m, xi0=Twist(np.zeros(3), np.zeros(3), INERTIAL))
 
 
 def test_constraints_hold_over_long_random_walk(rng):
@@ -377,6 +340,16 @@ def test_constraints_hold_over_long_random_walk(rng):
         dq = step(dq, Twist(rng.normal(size=3) * 0.05, rng.normal(size=3) * 0.05), 0.01)
     nerr, derr = dq_constraint_errors(dq)
     assert nerr <= 1e-6 and derr <= 1e-6
+
+
+def test_to_pose_refuses_an_overflowing_real_part():
+    # quat_norm printed an overflow warning before the unit check raised
+    dq = DualQuaternion(np.array([1e200, 1e200, 0.0, 0.0]), np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^dual quaternion violates unit constraints "
+                                             r"\(norm err inf,"):
+            dq_to_pose(dq)
 
 
 def test_normalize_restores_constraints(rng):

@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ def test_quaternion_roundtrip():
     np.testing.assert_array_equal(loaded.weights, m.weights)
     np.testing.assert_array_equal(loaded.q0, m.q0)
     np.testing.assert_array_equal(loaded.qd, m.qd)
+
+
+def test_a_quaternion_model_of_another_frame_is_not_saved_as_body():
+    # the file's frame comes from the variant, so the model's must match it
+    m = quat_train(gen_somersault(5.0, 3.0, 0.01), 3.0, 2.0, 9.0, basis_scheme_a(25, 1.0))
+    with pytest.raises(ValueError, match="^unknown frame 'inertial'$"):
+        save_model(replace(m, frame="inertial"), io.StringIO())
 
 
 def test_dual_quaternion_roundtrip_and_rollout_equivalence():
@@ -177,6 +185,10 @@ BAD_FILES = {
     "alpha_x zero": ("quaternion", lambda d: d["basis"].update(alpha_x=0.0)),
     "n_kernels off": ("dual_quaternion", lambda d: d["basis"].update(n_kernels=7)),
     "frame inertial": ("quaternion", lambda d: d.update(frame="inertial")),
+    "dq frame inertial": ("dual_quaternion", lambda d: d.update(frame="inertial")),
+    "dq frame unknown": ("dual_quaternion", lambda d: d.update(frame="banana")),
+    "classical frame body": ("classical", lambda d: d.update(frame="body")),
+    "qd overflows": ("quaternion", lambda d: d["boundary"].update(qd=[1e200, 1e200, 0.0, 0.0])),
 }
 
 
@@ -197,6 +209,21 @@ def test_bad_weights_are_named_for_what_is_wrong(case):
     with pytest.raises(ValueError) as exc:
         load_model(io.StringIO(json.dumps(doc)))
     assert str(exc.value) == WEIGHTS_MESSAGES[case]
+
+
+@pytest.mark.parametrize("case, frame", [("frame inertial", "inertial"),
+                                         ("dq frame inertial", "inertial"),
+                                         ("dq frame unknown", "banana"),
+                                         ("classical frame body", "body")])
+def test_a_frame_the_variant_does_not_have_is_refused(case, frame):
+    # only quaternion files had their frame checked: the others loaded as
+    # whatever frame their variant has
+    variant, edit = BAD_FILES[case]
+    doc = _docs()[variant]
+    edit(doc)
+    with pytest.raises(ValueError) as exc:
+        load_model(io.StringIO(json.dumps(doc)))
+    assert str(exc.value) == f"unknown frame {frame!r}"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILES))

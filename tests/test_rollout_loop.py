@@ -179,6 +179,27 @@ def test_quat_rollout_refuses_a_start_whose_squared_norm_overflows(rng, q0):
             quat_rollout(quat, q0=q0, dt=0.01, duration=1.0)
 
 
+def test_quat_rollout_refuses_a_goal_whose_squared_norm_overflows(rng):
+    # quat_norm printed an overflow warning before the unit check raised
+    _, quat, _ = _models(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^goal_override must be a unit quaternion"):
+            quat_rollout(quat, goal_override=[1e200, 1e200, 0.0, 0.0], dt=0.01, duration=1.0)
+
+
+def test_rollouts_refuse_a_time_grid_no_array_can_hold(rng):
+    # each failed with numpy's "Maximum allowed size exceeded"; a step this
+    # small is refused before any array is made
+    dq, quat, classical = _models(rng)
+    kw = dict(dt=1e-300, duration=1.0)
+    for run in (lambda: dq_rollout(dq, **kw), lambda: quat_rollout(quat, **kw),
+                lambda: classical_rollout(classical, classical.y0, **kw)):
+        with pytest.raises(ValueError, match="^duration 1 over dt 1e-300 is more samples "
+                                             "than an array can hold$"):
+            run()
+
+
 def test_quat_rollout_keeps_the_bits_of_a_large_finite_start(rng):
     _, quat, _ = _models(rng)
     q0 = 1e150 * random_unit_quat(rng)

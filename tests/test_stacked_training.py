@@ -35,7 +35,6 @@ from dqdmp import (
     quat_rotate_inverse,
     quat_train,
     quat_vec,
-    twist_body_from_demo,
 )
 from dqdmp.dmp import DqRollout
 from dqdmp.dualquat import dq_position
@@ -91,10 +90,6 @@ def test_dual_quaternion_kernels_equal_single_calls(rng):
     assert np.array_equal(dq_product(goal, stacked).as_array(),
                           [dq_product(goal, d).as_array() for d in single])
     assert np.array_equal(dq_position(stacked), [dq_position(d) for d in single])
-    omega, p_b, p_b_dot = (rng.normal(size=(N, 3)) for _ in range(3))
-    assert np.array_equal(twist_body_from_demo(omega, p_b, p_b_dot).as_array(),
-                          rows(lambda *a: twist_body_from_demo(*a).as_array(),
-                               omega, p_b, p_b_dot))
 
 
 def test_single_values_reach_the_kernels_as_floats(rng, monkeypatch):
@@ -204,16 +199,12 @@ def reference_fit(xs, targets, basis):
 def reference_twists(traj):
     q, n = traj.quaternions, len(traj)
     qdot = np.gradient(q, traj.dt, axis=0, edge_order=2)
-    omega_b, p_b = np.empty((n, 3)), np.empty((n, 3))
-    for k in range(n):
-        omega_b[k] = 2.0 * quat_vec(quat_product(quat_conjugate(q[k]), qdot[k]))
-        p_b[k] = quat_rotate_inverse(q[k], traj.positions[k])
-    p_b_dot = np.gradient(p_b, traj.dt, axis=0, edge_order=2)
+    pdot = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
     xi = np.empty((n, 6))
     for k in range(n):
-        xi[k, :3] = omega_b[k]
-        xi[k, 3:] = p_b_dot[k] + np.cross(omega_b[k], p_b[k])
-    return omega_b, xi, np.gradient(xi, traj.dt, axis=0, edge_order=2)
+        xi[k, :3] = 2.0 * quat_vec(quat_product(quat_conjugate(q[k]), qdot[k]))
+        xi[k, 3:] = quat_rotate_inverse(q[k], pdot[k])
+    return xi[:, :3].copy(), xi, np.gradient(xi, traj.dt, axis=0, edge_order=2)
 
 
 def reference_dq_weights(traj, tau, k_rot, k_pos, d_rot, d_pos, basis):
