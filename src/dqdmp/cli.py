@@ -148,9 +148,10 @@ def _print_fit_residuals(model) -> None:
 
 
 def _parse_goal(text: str, model):
-    """The goal position and the unit goal quaternion (or None) of --goal,
-    refused if it sets a component the model has no state for; each refusal
-    names the flag."""
+    """--goal as the model's rollout takes its goal override: px, a unit
+    quaternion, a unit dual quaternion or the baseline's (position, unit
+    quaternion or None).  Refused, by the flag's name, if it sets a component
+    the model has no state for or breaks the goal checks of the rollout."""
     try:
         vals = [float(v) for v in text.split(",")]
         if not np.isfinite(vals).all():
@@ -163,7 +164,16 @@ def _parse_goal(text: str, model):
             raise ValueError("a quaternion model has only an attitude: give '0,0,0,qw,qx,qy,qz'")
         if isinstance(model, ClassicalDmp) and (quat is not None or pos[1:].any()):
             raise ValueError("a classical model has only px: give 'px,0,0'")
-        return pos, quat
+        if isinstance(model, QuaternionDmp):
+            return quat
+        if isinstance(model, DualQuaternionDmp):
+            attitude = dq_to_pose(model.dqd).orientation if quat is None else quat
+            goal = dq_from_pose(Pose(pos, attitude))
+            dq_to_pose(goal)  # refuses a goal off the unit constraints
+            return goal
+        for m, g in zip([model] if isinstance(model, ClassicalDmp) else model.position, vals):
+            classical_rollout(m, m.y0, 1.0, 0.0, goal_override=g)  # refuses an overflowing energy
+        return vals[0] if isinstance(model, ClassicalDmp) else (pos, quat)
     except ValueError as exc:
         raise ValueError(f"--goal {text!r}: {exc}") from None
 
@@ -171,11 +181,8 @@ def _parse_goal(text: str, model):
 def cmd_rollout(args) -> int:
     try:
         model = load_model(args.model)
-        goal_pos = goal_quat = None
-        if args.goal is not None:
-            goal_pos, goal_quat = _parse_goal(args.goal, model)
-        table = _rollout_table(model, args.dt, args.duration, args.tau,
-                               goal_pos, goal_quat)
+        goal = None if args.goal is None else _parse_goal(args.goal, model)
+        table = _rollout_table(model, args.dt, args.duration, args.tau, goal)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     with _text_sink(args.output) as fh:
@@ -185,15 +192,16 @@ def cmd_rollout(args) -> int:
 
 
 def _rollout_table(model, dt: float, duration: float | None,
-                   tau_override: float | None, goal_pos, goal_quat):
-    """Roll a model out and lay its states out in the _ROLLOUT_HEADER
+                   tau_override: float | None, goal):
+    """Roll a model out to the goal override of _parse_goal (None for the
+    model's own goal) and lay its states out in the _ROLLOUT_HEADER
     columns, with the physical (not tau-scaled) twist."""
     tau = tau_override
     if tau is None:
         tau = model.orientation.tau if isinstance(model, PoseDecoupledDmp) else model.tau
     if isinstance(model, ClassicalDmp):
         roll = classical_rollout(model, model.y0, dt, duration, tau_override=tau_override,
-                                 goal_override=None if goal_pos is None else goal_pos[0])
+                                 goal_override=goal)
         zero, one = np.zeros(len(roll.t)), np.ones(len(roll.t))
         return np.column_stack([roll.t, roll.x, roll.y, zero, zero,
                                 one, zero, zero, zero, zero, zero, zero,
@@ -201,23 +209,19 @@ def _rollout_table(model, dt: float, duration: float | None,
                                 roll.energy, zero, roll.energy])
     if isinstance(model, QuaternionDmp):
         roll = quat_rollout(model, dt=dt, duration=duration,
-                            goal_override=goal_quat, tau_override=tau_override)
+                            goal_override=goal, tau_override=tau_override)
         zero = np.zeros(len(roll.t))
         return np.column_stack([roll.t, roll.x, zero, zero, zero, roll.q,
                                 roll.omega / tau, zero, zero, zero,
                                 roll.v1, roll.v1, zero])
     if isinstance(model, DualQuaternionDmp):
-        goal_dq = None
-        if goal_pos is not None:
-            base = dq_to_pose(model.dqd)
-            goal_dq = dq_from_pose(Pose(
-                goal_pos, goal_quat if goal_quat is not None else base.orientation))
         roll = dq_rollout(model, dt=dt, duration=duration,
-                          goal_override=goal_dq, tau_override=tau_override)
+                          goal_override=goal, tau_override=tau_override)
         pos, quat = roll.poses()
         return np.column_stack([roll.t, roll.x, pos, quat, roll.xi / tau,
                                 roll.lyap])
     if isinstance(model, PoseDecoupledDmp):
+        goal_pos, goal_quat = (None, None) if goal is None else goal
         roll = pose_rollout(model, dt, duration, goal_position=goal_pos,
                             goal_quat=goal_quat, tau_override=tau_override)
         return np.column_stack([roll.t, roll.x, roll.positions, roll.q,

@@ -9,17 +9,18 @@ every rollout exactly covariant under time rescaling: doubling tau and dt
 reproduces the same discrete path on a stretched clock.
 
 Integration is semi-implicit Euler: the velocity state steps first, then
-the pose advances by the exact exponential step with the new velocity.
-The pose never leaves its manifold (unit norms are re-enforced each step)
-and, for the rotational states, the discrete step inherits the
-monotonically decreasing rotational energy of the continuous dynamics.
-The quaternion and dual-quaternion rollouts run on one driver,
-``_integrate``; each variant passes it one step closure built from the
-pose-step kernels ``quat._step`` / ``dualquat._step``, which have no public
-counterpart, and from ``_drive``, once per 3x3 (K, D) gain block.  The
-loop over time makes no numpy call (sin and cos come from ``math``): plain
-floats, states packed into preallocated arrays, the forcing grid from
-before the loop and the finiteness check, error rows and energies after.
+the pose advances by the exact exponential step with the new velocity.  The
+rotation is renormalized each step, and the discrete step inherits the
+monotonically decreasing rotational energy of the continuous dynamics.  The
+quaternion and dual-quaternion rollouts run on one driver, ``_integrate``,
+each with a step closure built from ``_drive``, once per 3x3 (K, D) gain
+block, and the float kernels of ``quat`` and ``dualquat``.  The dq loop
+state is (q, p), rotation and inertial position, stepped by the screw
+exponential ``dualquat._screw``; ``DqRollout.dq`` is encoded after the
+loop.  The loop over time makes no numpy call (sin and cos come from
+``math``): plain floats, states packed into preallocated arrays, the
+forcing grid from before the loop and the finiteness check, error rows and
+energies after.
 The energies exist only as rollout columns (``QuatRollout.v1``,
 ``DqRollout.lyap``, ``ClassicalRollout.energy``, ``PoseRollout.energy``).
 The scalar primitive keeps its own short float loop: its position step is
@@ -53,8 +54,7 @@ from .dualquat import (
     INERTIAL,
     DualQuaternion,
     Pose,
-    _error as _dq_error,
-    _step as _dq_step,
+    _screw,
     dq_error,
     dq_from_pose,
     dq_position,
@@ -63,9 +63,12 @@ from .dualquat import (
 from .quat import (
     _conj,
     _product,
-    _step as _quat_step,
+    _exp,
+    _rotate,
+    _turn,
     quat_norm,
     quat_normalize,
+    quat_to_rotmat,
 )
 from .traj import ScalarDemo, Trajectory, open_text
 
@@ -221,7 +224,10 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
         yk += dt * zk / tau
         y[k + 1], z[k + 1] = yk, zk
     _check_finite(ts, y, z)
-    energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / (az * bz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / (az * bz)
+    if not np.isfinite(energy).all():
+        raise ValueError(f"classical rollout: the energy overflows (start {y0:g}, goal {g:g})")
     return ClassicalRollout(ts, xs, y, z, f, energy)
 
 
@@ -433,7 +439,7 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     def step(p, w, x, f, h, half, c):
         _, e0, e1, e2 = _quat_error(p, goal)
         w0, w1, w2 = _drive(w, (e0, e1, e2), c[0], f, x, k, d, h)
-        return _quat_step(p, (half * w0, half * w1, half * w2)), (w0, w1, w2)
+        return _turn(p, _exp((half * w0, half * w1, half * w2))), (w0, w1, w2)
 
     ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
                                        lambda p: _quat_error(p, goal), step)
@@ -531,8 +537,8 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
                t_start: float = 0.0) -> DqRollout:
     """Integrate the coupled pose primitive with the shared driver.
 
-    Semi-implicit Euler on the twist state followed by the exact
-    exponential pose step; unit constraints re-enforced every step.
+    Semi-implicit Euler on the twist state, then the exact screw step of
+    the (rotation, position) state; .dq is encoded after the loop.
     xi0 is the tau-scaled start twist [omega_b, v_b], zero by default.
     goal_override retargets the attractor (and the start-error shaping
     term) without retraining; a goal off the unit constraints raises.
@@ -548,27 +554,37 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     goal_position = dq_to_pose(goal).position
     start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
     xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
-    gr, gd = goal.real.tolist(), goal.dual.tolist()
+    gq, (gx, gy, gz) = goal.real.tolist(), goal_position.tolist()
+    # R(q_d)^T row by row: vec(2 q_oe* (x) q_pe) of dq_error is R(q_d)^T (p_d - p)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = quat_to_rotmat(goal.real).T.ravel().tolist()
     kr, kp, dr, dp = (g.ravel().tolist() for g in (model.k_rot, model.k_pos,
                                                    model.d_rot, model.d_pos))
 
+    def error(p):
+        qw, qx, qy, qz, px, py, pz = p
+        ex, ey, ez = gx - px, gy - py, gz - pz
+        return (*_quat_error((qw, qx, qy, qz), gq), a0 * ex + a1 * ey + a2 * ez,
+                a3 * ex + a4 * ey + a5 * ez, a6 * ex + a7 * ey + a8 * ez)
+
     def step(p, v, x, f, h, half, c):
-        rw, rx, ry, rz, dw, dx, dy, dz = p
-        pr, pd = (rw, rx, ry, rz), (dw, dx, dy, dz)
-        _, e0, e1, e2, e3, e4, e5 = _dq_error(pr, pd, gr, gd)
+        qw, qx, qy, qz, px, py, pz = p
+        _, e0, e1, e2, e3, e4, e5 = error(p)
         f0, f1, f2, f3, f4, f5 = f
         v0, v1, v2, v3, v4, v5 = v
         r0, r1, r2 = _drive((v0, v1, v2), (e0, e1, e2), c[0], (f0, f1, f2), x, kr, dr, h)
         t0, t1, t2 = _drive((v3, v4, v5), (e3, e4, e5), c[1], (f3, f4, f5), x, kp, dp, h)
-        return (_dq_step(pr, pd, (half * r0, half * r1, half * r2,
-                                  half * t0, half * t1, half * t2)),
+        s, t = _screw((half * r0, half * r1, half * r2, half * t0, half * t1, half * t2))
+        ux, uy, uz = _rotate(qw, qx, qy, qz, t)
+        return ((*_turn((qw, qx, qy, qz), s), px + ux, py + uy, pz + uz),
                 (r0, r1, r2, t0, t1, t2))
 
-    ts, xs, dqs, xis, f, e = _integrate(
-        model, tau, dt, duration, t_start, model.dq0.as_array(), start.as_array(), xi,
-        lambda p: _dq_error(p[:4], p[4:], gr, gd), step)
-    positions = dq_position(DualQuaternion(dqs[:, :4], dqs[:, 4:]))
-    lyap = _pose_energy(dqs[:, :4], positions, xis, goal.real, goal_position,
+    anchor, first = (np.concatenate([d.real, dq_position(d)]) for d in (model.dq0, start))
+    ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start, anchor, first,
+                                          xi, error, step)
+    q, positions = poses[:, :4], poses[:, 4:]
+    dqs = dq_from_pose(Pose(positions, q)).as_array()
+    dqs[0] = start.as_array()
+    lyap = _pose_energy(q, positions, xis, goal.real, goal_position,
                         np.linalg.inv(model.k_rot), np.linalg.inv(model.k_pos))
     return DqRollout(ts, xs, dqs, xis, f, e, lyap)
 

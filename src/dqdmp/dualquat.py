@@ -19,15 +19,12 @@ Everything here is a pure function over immutable values.  The parts of a
 ``DualQuaternion`` or ``Pose`` may also be ``(n, 4)`` / ``(n, 3)`` stacks;
 the product, conjugate, encoding (``dq_from_pose``), position and error
 functions then work row by row with the bits of the single-value call.
-As in ``quat``, each formula of the integrator is written once, in
-component form: ``_mul`` (the product of two dual quaternions given by
-their real and dual parts), ``_error`` (the goal-relative pose), ``_exp``
-(the screw exponential), ``_normalize`` and ``_step``.  ``_mul`` and
-``_error`` take a single value's parts as floats and a stack's as columns
-(``quat._cols``); the other three take floats.  The loop in ``dmp`` calls
-them directly; ``dq_product``, ``dq_error`` and ``dq_exp`` are thin calls
-into the first three, and ``_normalize`` and ``_step`` have no public
-counterpart.
+As in ``quat``, each formula is written once, in component form, under
+``dq_product``, ``dq_error`` and ``dq_exp``: ``_mul`` (the product from real
+and dual parts) and ``_error`` (the goal-relative pose) on a single value's
+floats or a stack's columns (``quat._cols``), and ``_screw`` (the screw
+exponential as a rotation quaternion and an inertial translation) on
+floats.  The rollout in ``dmp`` steps (rotation, position) with ``_screw``.
 """
 
 from __future__ import annotations
@@ -98,7 +95,8 @@ class Pose:
 
 def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Dual quaternion product: (a.r (x) b.r) + eps (a.r (x) b.d + a.d (x) b.r)."""
-    return _from_parts(_mul(_cols(a.real), _cols(a.dual), _cols(b.real), _cols(b.dual)))
+    p = _mul(_cols(a.real), _cols(a.dual), _cols(b.real), _cols(b.dual))
+    return DualQuaternion(np.array(p[:4]).T, np.array(p[4:]).T)
 
 
 def dq_conjugate(q: DualQuaternion) -> DualQuaternion:
@@ -148,14 +146,11 @@ def dq_error(dq: DualQuaternion, dq_d: DualQuaternion) -> np.ndarray:
 
 
 def dq_exp(xi: Twist) -> DualQuaternion:
-    """Exponential of a twist displacement (r, v) into a unit dual quaternion.
-
-    The real part is quat_exp(r); the dual part is the screw-motion closed
-    form, so the result equals the exact flow of
-    d(q_hat)/ds = q_hat (x) (r~ + eps v~) from the identity over unit s.
-    Requires ||r|| < pi.
-    """
-    return DualQuaternion(*map(np.array, _exp(_floats(xi.as_array()))))
+    """Exponential of a twist displacement (r, v): the pose of _screw, the flow
+    of d(q_hat)/ds = q_hat (x) (r~ + eps v~) from the identity over unit s,
+    as a unit dual quaternion.  Requires ||r|| < pi."""
+    rotation, t = _screw(_floats(xi.as_array()))
+    return dq_from_pose(Pose(np.array(t), np.array(rotation)))
 
 
 def dq_log(dq: DualQuaternion) -> Twist:
@@ -201,11 +196,7 @@ def _pure(xi: Twist) -> DualQuaternion:
 
 
 # ---------------------------------------------------------------------------
-# component kernels over the flat [real, dual] 8-sequence
-
-
-def _from_parts(p) -> DualQuaternion:
-    return DualQuaternion(np.array(p[:4]).T, np.array(p[4:]).T)
+# component kernels
 
 
 def _mul(ar, ad, br, bd):
@@ -218,46 +209,33 @@ def _mul(ar, ad, br, bd):
 
 def _error(pr, pd, gr, gd):
     """Components [q_oe, p_e] of the pose g = gr + eps gd relative to the
-    pose p = pr + eps pd.
-
-    q_oe = pr* (x) gr is the rotation between them and
-    p_e = vec(2 q_oe* (x) q_pe), with q_pe the dual part of p* (x) g, the
-    translation it carries.  The parts are 4-sequences of floats or columns.
-    """
+    pose p = pr + eps pd, for 4-sequence parts of floats or columns: the
+    rotation q_oe = pr* (x) gr and the translation p_e = vec(2 q_oe* (x) q_pe)
+    carried by q_pe, the dual part of p* (x) g."""
     qw, qx, qy, qz, fw, fx, fy, fz = _mul(_conj(pr), _conj(pd), gr, gd)
     _, px, py, pz = _product(_conj((qw, qx, qy, qz)), (fw, fx, fy, fz))
     return qw, qx, qy, qz, 2.0 * px, 2.0 * py, 2.0 * pz
 
 
-def _exp(z):
-    """Parts (real, dual) of the screw exponential of the float 6-sequence
-    z = (r, v), rotation then translation; requires ||r|| < pi."""
+def _screw(z):
+    """Rotation quaternion and inertial translation t of the screw exponential
+    of the float 6-sequence z = (r, v): the pose d(q_hat)/ds = q_hat (x)
+    (r~ + eps v~) reaches from the identity at s = 1.  With r = th n,
+    d = n . v and m = (v - d n) / th, t = 2 d n + sin(2 th) m
+    - (1 - cos(2 th)) (m x n).  Requires ||r|| < pi."""
     rx, ry, rz, ux, uy, uz = z
     th = (rx * rx + ry * ry + rz * rz) ** 0.5
     if th < 1e-12:
-        return (1.0, 0.0, 0.0, 0.0), (0.0, ux, uy, uz)
+        return (1.0, 0.0, 0.0, 0.0), (2.0 * ux, 2.0 * uy, 2.0 * uz)
     if th >= math.pi:
         raise ValueError(f"twist rotation magnitude {th:.6f} outside the exp domain")
     nx, ny, nz = rx / th, ry / th, rz / th
     d = nx * ux + ny * uy + nz * uz
     mx, my, mz = (ux - d * nx) / th, (uy - d * ny) / th, (uz - d * nz) / th
     st, ct = math.sin(th), math.cos(th)
+    # sin 2th = 2 st ct and 1 - cos 2th = 2 st^2, with no cancellation at small th
+    a, b = st * ct, st * st
     return ((ct, st * nx, st * ny, st * nz),
-            (-d * st, st * mx + d * ct * nx, st * my + d * ct * ny, st * mz + d * ct * nz))
-
-
-def _normalize(p):
-    """Components of p re-projected onto the unit constraints: the real
-    part rescaled to unit norm, the dual part's component along it removed."""
-    rw, rx, ry, rz, dw, dx, dy, dz = p
-    inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
-    rw, rx, ry, rz = rw * inv, rx * inv, ry * inv, rz * inv
-    dw, dx, dy, dz = dw * inv, dx * inv, dy * inv, dz * inv
-    dot = rw * dw + rx * dx + ry * dy + rz * dz
-    return (rw, rx, ry, rz, dw - dot * rw, dx - dot * rx, dy - dot * ry, dz - dot * rz)
-
-
-def _step(pr, pd, z):
-    """Components of normalize(p (x) exp(z)) for the float 4-sequence parts
-    of a pose p and a float 6-sequence twist displacement z = (r, v)."""
-    return _normalize(_mul(pr, pd, *_exp(z)))
+            (2.0 * (d * nx + a * mx - b * (my * nz - mz * ny)),
+             2.0 * (d * ny + a * my - b * (mz * nx - mx * nz)),
+             2.0 * (d * nz + a * mz - b * (mx * ny - my * nx))))

@@ -17,16 +17,17 @@ Conventions used throughout the package:
 All functions are pure and allocate fresh arrays; they are safe to call
 concurrently.  Each formula is written once, in component form, by a
 private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
-exponential) and ``_step`` (the exact step of a body rate on the right,
-q (x) exp(r), renormalized).  The kernels run the integrator's loop over
-time in ``dmp`` on plain floats, with sin and cos from ``math``;
-``quat_product`` and ``quat_exp`` are thin calls into the first two, and
-``_step`` has no public counterpart.  ``_product`` and ``_rotate`` take one value as
-Python floats and a stack as its columns (``_cols``), with the same bits
-per row either way: both run the same IEEE operations in the same order.
-So the product, conjugate, vector part and rotations serve one value, a
-stack, or one value against a stack.  The exponential, logarithm and norm
-take single values.
+exponential), ``_rotate`` (a vector turned by a quaternion) and ``_turn``
+(q (x) s, renormalized: the exact step of a body rate is
+``_turn(q, _exp(r))``).  The kernels run the integrator's loop over time in
+``dmp`` on plain floats, with sin and cos from ``math``; ``quat_product``,
+``quat_exp``, ``quat_rotate`` and ``quat_rotate_inverse`` are thin calls
+into the first three, and ``_turn`` has no public counterpart.
+``_product`` and ``_rotate`` take one value as Python floats and a stack as
+its columns (``_cols``), with the same bits per row either way: both run
+the same IEEE operations in the same order.  So the product, conjugate,
+vector part and rotations serve one value, a stack, or one value against a
+stack.  The exponential, logarithm and norm take single values.
 """
 
 from __future__ import annotations
@@ -113,10 +114,10 @@ def _exp(r):
     return math.cos(th), st * rx, st * ry, st * rz
 
 
-def _step(q, r):
-    """Components of normalize(q (x) exp(r)), the step of a body rate, for a
-    float 4-sequence q and a float 3-sequence r."""
-    w, x, y, z = _product(q, _exp(r))
+def _turn(q, s):
+    """Components of normalize(q (x) s) for float 4-sequences q and s; the
+    step of a body rate on the right is _turn(q, _exp(r))."""
+    w, x, y, z = _product(q, s)
     inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
     return w * inv, x * inv, y * inv, z * inv
 
@@ -167,25 +168,24 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the body frame to the inertial frame."""
     w, x, y, z = _cols(q)
-    return _rotate(w, x, y, z, _cols(v))
+    return np.array(_rotate(w, x, y, z, _cols(v))).T
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the inertial frame to the body frame."""
     w, x, y, z = _cols(q)
-    return _rotate(w, -x, -y, -z, _cols(v))
+    return np.array(_rotate(w, -x, -y, -z, _cols(v))).T
 
 
-def _rotate(w, ux, uy, uz, v) -> np.ndarray:
-    """Rotate v = (vx, vy, vz) by the unit quaternion [w, ux, uy, uz]."""
+def _rotate(w, ux, uy, uz, v):
+    """Components of v = (vx, vy, vz) rotated by the unit quaternion
+    [w, ux, uy, uz], for floats or stack columns."""
     # v + 2 w (u x v) + 2 u x (u x v), crosses written out (np.cross has
     # far too much dispatch overhead for single 3-vectors)
     vx, vy, vz = v
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)
-    return np.array([
-        vx + w * tx + uy * tz - uz * ty,
-        vy + w * ty + uz * tx - ux * tz,
-        vz + w * tz + ux * ty - uy * tx,
-    ]).T
+    return (vx + w * tx + uy * tz - uz * ty,
+            vy + w * ty + uz * tx - ux * tz,
+            vz + w * tz + ux * ty - uy * tx)

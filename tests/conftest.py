@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dqdmp import DualQuaternion, Pose, dq_from_pose, save_trajectory
-from dqdmp.dualquat import _from_parts, _normalize
 
 
 @pytest.fixture
@@ -49,8 +48,11 @@ def dq_scale(a: DualQuaternion, s: float) -> DualQuaternion:
 
 
 def dq_normalize(q: DualQuaternion) -> DualQuaternion:
-    """Re-projection onto the unit constraints by the integrator's kernel."""
-    return _from_parts(_normalize((*q.real, *q.dual)))
+    """Re-projection onto the unit constraints: the real part rescaled to unit
+    norm, the dual part's component along it removed."""
+    n = np.linalg.norm(q.real)
+    real, dual = q.real / n, q.dual / n
+    return DualQuaternion(real, dual - (real @ dual) * real)
 
 
 def trajectory_to_csv(traj) -> str:

@@ -608,6 +608,28 @@ def test_rollout_refuses_a_goal_component_the_model_has_no_state_for(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, goal", [("pose_model_file", "1e300,1e300,1e300"),
+                                         ("classical_model_file", "1e300,0,0"),
+                                         ("dq_model_file", "1e50,1e50,1e50")])
+def test_rollout_blames_a_far_goal_on_the_flag(tmp_path, capsys, request, model, goal):
+    # the pose model wrote inf energies under two numpy warnings and exited 0;
+    # the dq model failed on its unit constraints and named no flag
+    path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
+    capsys.readouterr()  # the fixture's training report
+    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "0.1",
+                "-o", str(out)]) == 1
+    assert_one_error_line(capsys, f"error: --goal {goal!r}: ")
+    assert not out.exists()
+
+
+def test_rollout_takes_a_far_dq_goal_its_encoding_holds(tmp_path, dq_model_file):
+    out = tmp_path / "roll.csv"
+    assert run(["rollout", "--model", dq_model_file, "--goal", "1e12,1e12,1e12",
+                "--duration", "1", "-o", str(out)]) == 0
+    _, data = load_rollout_table(out)
+    assert np.isfinite(data).all()
+
+
 @pytest.mark.parametrize("model, goal", [("quat_model_file", "0,0,0,0,1,0,0"),
                                          ("classical_model_file", "2,0,0")])
 def test_rollout_takes_a_goal_the_model_has_a_state_for(tmp_path, request, model, goal):

@@ -278,6 +278,15 @@ def test_classical_rollout_refuses_non_finite_start_or_goal(y0, goal):
         classical_rollout(m, y0, 0.01, 1.0)
 
 
+@pytest.mark.parametrize("goal_override, z0", [(1e300, 0.0), (None, 1e200)])
+def test_classical_rollout_refuses_an_energy_that_overflows(goal_override, z0):
+    # 0.5 (g - y)^2 + 0.5 z^2 / (alpha_z beta_z) overflowed under two numpy
+    # warnings, and the rollout returned its inf energies
+    m = ClassicalDmp(25.0, 6.25, BASIS, np.zeros(30), 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="the energy overflows"):
+        classical_rollout(m, 0.0, 0.01, 0.1, z0=z0, goal_override=goal_override)
+
+
 def test_pose_rollout_refuses_non_finite_goal_position():
     # refused before the integrator turns it into a non-finite state
     m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)

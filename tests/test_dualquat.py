@@ -24,13 +24,12 @@ from dqdmp import (
     quat_vec,
     twist_to_inertial,
 )
-from dqdmp.dualquat import _step, dq_constraint_errors
-from dqdmp.quat import _step as quat_step
+from dqdmp.dualquat import _screw, dq_constraint_errors
+from dqdmp.quat import _exp, _turn, quat_rotate
 
 from conftest import (
     dq_add,
     dq_identity,
-    dq_normalize,
     dq_scale,
     quat_identity,
     random_rotvec,
@@ -39,12 +38,12 @@ from conftest import (
 )
 
 
-def step(dq, xi, dt):
-    """The integrator's pose step through dualquat._step: q_hat (x) exp(dt/2 xi)
-    with the constraints re-enforced."""
-    z = (0.5 * dt * xi.as_array()).tolist()
-    p = _step(dq.real.tolist(), dq.dual.tolist(), z)
-    return DualQuaternion(np.array(p[:4]), np.array(p[4:]))
+def step(q, p, xi, dt):
+    """The rollout's pose step on the rotation q and inertial position p for a
+    body twist xi over dt: (s, t) = _screw(dt/2 xi), q <- normalize(q (x) s),
+    p <- p + R(q) t."""
+    s, t = _screw((0.5 * dt * xi.as_array()).tolist())
+    return np.array(_turn(q.tolist(), s)), p + quat_rotate(q, np.array(t))
 
 
 def ode_exp_oracle(r, v, nsteps=4000):
@@ -299,30 +298,41 @@ def test_derivative_rejects_inertial_twist(rng):
 
 
 def test_step_zero_twist(rng):
-    dq = random_unit_dq(rng)
-    out = step(dq, Twist(np.zeros(3), np.zeros(3)), 0.1)
-    np.testing.assert_allclose(out.real, dq.real, atol=1e-15)
-    np.testing.assert_allclose(out.dual, dq.dual, atol=1e-15)
+    q, p = random_unit_quat(rng), rng.normal(size=3)
+    q1, p1 = step(q, p, Twist(np.zeros(3), np.zeros(3)), 0.1)
+    np.testing.assert_allclose(q1, q, atol=1e-15)
+    assert np.array_equal(p1, p)
 
 
 def test_step_pure_rotation_reduces_to_quat_step(rng):
     w = rng.normal(size=3)
-    out = step(dq_identity(), Twist(w, np.zeros(3)), 0.37)
-    np.testing.assert_allclose(out.real, quat_step([1.0, 0.0, 0.0, 0.0],
-                                                   (0.5 * 0.37 * w).tolist()),
+    q, p = step(quat_identity(), np.zeros(3), Twist(w, np.zeros(3)), 0.37)
+    np.testing.assert_allclose(q, _turn([1.0, 0.0, 0.0, 0.0], _exp((0.5 * 0.37 * w).tolist())),
                                atol=1e-12)
-    np.testing.assert_allclose(out.dual, np.zeros(4), atol=1e-12)
+    assert np.array_equal(p, np.zeros(3))
 
 
 def test_step_substep_composition(rng):
-    dq = random_unit_dq(rng)
+    q, p = random_unit_quat(rng), rng.normal(size=3)
     tw = Twist(random_rotvec(rng, 1.5), rng.normal(size=3))
-    one = step(dq, tw, 1.0)
-    many = dq
+    one = step(q, p, tw, 1.0)
+    many = q, p
     for _ in range(100):
-        many = step(many, tw, 0.01)
-    np.testing.assert_allclose(many.real, one.real, atol=1e-9)
-    np.testing.assert_allclose(many.dual, one.dual, atol=1e-9)
+        many = step(*many, tw, 0.01)
+    np.testing.assert_allclose(many[0], one[0], atol=1e-9)
+    np.testing.assert_allclose(many[1], one[1], atol=1e-9)
+
+
+def test_step_is_the_dual_quaternion_step(rng):
+    # (q, p) stepped by the screw kernel is the pose of q_hat (x) exp(dt/2 xi)
+    for _ in range(200):
+        pose = Pose(rng.uniform(-50.0, 50.0, 3), random_unit_quat(rng))
+        tw = Twist(random_rotvec(rng, 2.0), rng.normal(size=3))
+        q, p = step(pose.orientation, pose.position, tw, 0.5)
+        want = dq_to_pose(dq_product(dq_from_pose(pose),
+                                     dq_exp(Twist(0.25 * tw.r, 0.25 * tw.v))))
+        np.testing.assert_allclose(q, want.orientation, atol=1e-15)
+        np.testing.assert_allclose(p, want.position, atol=1e-12)
 
 
 def test_step_rejects_bad_inputs(rng):
@@ -335,11 +345,11 @@ def test_step_rejects_bad_inputs(rng):
 
 
 def test_constraints_hold_over_long_random_walk(rng):
-    dq = random_unit_dq(rng)
+    q, p = random_unit_quat(rng), rng.normal(size=3)
     for _ in range(10000):
-        dq = step(dq, Twist(rng.normal(size=3) * 0.05, rng.normal(size=3) * 0.05), 0.01)
-    nerr, derr = dq_constraint_errors(dq)
-    assert nerr <= 1e-6 and derr <= 1e-6
+        q, p = step(q, p, Twist(rng.normal(size=3) * 0.05, rng.normal(size=3) * 0.05), 0.01)
+    nerr, derr = dq_constraint_errors(dq_from_pose(Pose(p, q)))
+    assert nerr <= 1e-12 and derr <= 1e-12
 
 
 def test_to_pose_refuses_an_overflowing_real_part():
@@ -350,13 +360,6 @@ def test_to_pose_refuses_an_overflowing_real_part():
         with pytest.raises(ValueError, match="^dual quaternion violates unit constraints "
                                              r"\(norm err inf,"):
             dq_to_pose(dq)
-
-
-def test_normalize_restores_constraints(rng):
-    dq = random_unit_dq(rng)
-    dirty = DualQuaternion(dq.real * 1.001, dq.dual + 1e-3 * dq.real)
-    nerr, derr = dq_constraint_errors(dq_normalize(dirty))
-    assert nerr <= 1e-12 and derr <= 1e-12
 
 
 # -- frame duality ---------------------------------------------------------------

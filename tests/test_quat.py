@@ -14,14 +14,14 @@ from dqdmp import (
     quat_vec,
 )
 from dqdmp.dmp import _quat_error
-from dqdmp.quat import _step
+from dqdmp.quat import _exp, _turn
 
 from conftest import quat_identity, random_rotvec, random_unit_quat
 
 
 def step(q, omega, dt):
-    """The integrator's step of a body rate through quat._step: q (x) exp(dt/2 omega)."""
-    return np.array(_step(q.tolist(), (0.5 * dt * np.asarray(omega)).tolist()))
+    """The integrator's step of a body rate: q (x) exp(dt/2 omega), renormalized."""
+    return np.array(_turn(q.tolist(), _exp((0.5 * dt * np.asarray(omega)).tolist())))
 
 
 def rotation_error(q, qd):

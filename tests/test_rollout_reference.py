@@ -1,11 +1,16 @@
 """The shared rollout driver against the per-variant loops it replaced.
 
-The reference loops below are the earlier ``quat_rollout`` and
-``dq_rollout``, with their float-level helpers, transcribed as they were:
-a diagonal-gain fast path, the error, step and energy formulas written out
-on floats, and the energies evaluated inside the loop.  For diagonal gains
-the driver must reproduce their states bit for bit; for full gains the
-summation order of the gain products differs, so states agree to 1e-12.
+The reference loops below are ``quat_rollout`` and ``dq_rollout`` written
+the way the earlier per-variant loops were: a diagonal-gain fast path, the
+error, step and energy formulas written out on floats, and the energies
+evaluated inside the loop.  For diagonal gains the driver must reproduce
+their states bit for bit; for full gains the summation order of the gain
+products differs, so states agree to 1e-12.
+
+The dq reference steps the rotation and the inertial position, as the
+driver does.  ``dual_quaternion_loop`` is the dq rollout as it ran on a
+unit dual quaternion state, before it moved onto (q, p): a second,
+independent check that the two states carry the same math.
 """
 
 import numpy as np
@@ -18,12 +23,19 @@ from dqdmp import (
     DualQuaternionDmp,
     QuaternionDmp,
     basis_scheme_a,
+    Pose,
+    Trajectory,
+    dq_from_pose,
     dq_rollout,
     dq_to_pose,
+    dq_train,
+    gen_somersault,
     quat_conjugate,
     quat_normalize,
     quat_product,
     quat_rollout,
+    quat_rotate,
+    quat_to_rotmat,
     quat_vec,
 )
 from dqdmp.canonical import forcing_rows, phase
@@ -213,8 +225,10 @@ def _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag=None, kinv_p_diag
     return v1 + v2, v1, v2
 
 
-def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
+def dual_quaternion_loop(model, dq0=None, xi0=None, dt=0.01, duration=None,
                          goal_override=None, tau_override=None, t_start=0.0):
+    """dq_rollout on a unit dual quaternion state: the error from four
+    products, the step q_hat (x) exp(z) with the constraints re-enforced."""
     tau = float(tau_override) if tau_override is not None else model.tau
     goal = goal_override if goal_override is not None else model.dqd
     if duration is None:
@@ -268,6 +282,117 @@ def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
         out_l[k + 1] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p,
                                  kinv_r_diag, kinv_p_diag)
     out_e[n] = _dq_error_raw(qr, qd_, gr, gd)
+    out_f[n] = forcing_rows(xs[n], basis, W)
+    return dict(t=ts, x=xs, dq=out_dq, xi=out_xi, forcing=out_f, error=out_e,
+                lyap=out_l)
+
+
+def _qp_error_raw(q, p, gr, gp, rt):
+    """Rotation error vec(q* (x) q_d) and translation error R(q_d)^T (p_d - p)."""
+    aw, ax, ay, az = float(q[0]), float(q[1]), float(q[2]), float(q[3])
+    gw, gx, gy, gz = float(gr[0]), float(gr[1]), float(gr[2]), float(gr[3])
+    _, ex, ey, ez = _conj_product(aw, ax, ay, az, gw, gx, gy, gz)
+    dx, dy, dz = float(gp[0]) - float(p[0]), float(gp[1]) - float(p[1]), float(gp[2]) - float(p[2])
+    return np.array([ex, ey, ez] + [float(rt[i, 0]) * dx + float(rt[i, 1]) * dy
+                                    + float(rt[i, 2]) * dz for i in range(3)])
+
+
+def _qp_step_raw(q, p, zr, zv):
+    """q <- normalize(q (x) s) and p <- p + R(q) t for the screw exponential
+    (s, t) of z = (zr, zv)."""
+    rx, ry, rz = float(zr[0]), float(zr[1]), float(zr[2])
+    ux, uy, uz = float(zv[0]), float(zv[1]), float(zv[2])
+    th = (rx * rx + ry * ry + rz * rz) ** 0.5
+    if th < 1e-12:
+        sw, sx, sy, sz = 1.0, 0.0, 0.0, 0.0
+        tx, ty, tz = 2.0 * ux, 2.0 * uy, 2.0 * uz
+    else:
+        if th >= np.pi:
+            raise ValueError(f"step rotation magnitude {th:.6f} outside the exp domain")
+        nx, ny, nz = rx / th, ry / th, rz / th
+        d = nx * ux + ny * uy + nz * uz
+        mx, my, mz = (ux - d * nx) / th, (uy - d * ny) / th, (uz - d * nz) / th
+        st, ct = np.sin(th), np.cos(th)
+        sw, sx, sy, sz = ct, st * nx, st * ny, st * nz
+        a, b = st * ct, st * st
+        tx = 2.0 * (d * nx + a * mx - b * (my * nz - mz * ny))
+        ty = 2.0 * (d * ny + a * my - b * (mz * nx - mx * nz))
+        tz = 2.0 * (d * nz + a * mz - b * (mx * ny - my * nx))
+    aw, ax, ay, az = float(q[0]), float(q[1]), float(q[2]), float(q[3])
+    w, x, y, z = _product(aw, ax, ay, az, sw, sx, sy, sz)
+    inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
+    # R(q) t as t + 2 w (u x t) + 2 u x (u x t)
+    cx = 2.0 * (ay * tz - az * ty)
+    cy = 2.0 * (az * tx - ax * tz)
+    cz = 2.0 * (ax * ty - ay * tx)
+    return (np.array([w * inv, x * inv, y * inv, z * inv]),
+            np.array([float(p[0]) + (tx + aw * cx + ay * cz - az * cy),
+                      float(p[1]) + (ty + aw * cy + az * cx - ax * cz),
+                      float(p[2]) + (tz + aw * cz + ax * cy - ay * cx)]))
+
+
+def _qp_lyap_raw(q, p, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag=None, kinv_p_diag=None):
+    v1 = _rot_energy(q, gr, xi[:3], kinv_r, kinv_r_diag)
+    d = gp - p
+    v2 = 0.5 * float(d @ d) + _quad_energy(float(xi[3]), float(xi[4]), float(xi[5]),
+                                           kinv_p, kinv_p_diag)
+    return v1 + v2, v1, v2
+
+
+def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
+                         goal_override=None, tau_override=None, t_start=0.0):
+    tau = float(tau_override) if tau_override is not None else model.tau
+    goal = goal_override if goal_override is not None else model.dqd
+    if duration is None:
+        duration = 1.5 * tau
+    start = dq0 if dq0 is not None else model.dq0
+    xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float).copy()
+    n = int(round(duration / dt))
+    ts = t_start + np.arange(n + 1) * dt
+    xs = phase(ts, model.basis.alpha_x, tau)
+    out_dq = np.empty((n + 1, 8))
+    out_xi = np.empty((n + 1, 6))
+    out_f = np.empty((n + 1, 6))
+    out_e = np.empty((n + 1, 6))
+    out_l = np.empty((n + 1, 3))
+    q, p = start.real.copy(), dq_to_pose(start).position
+    gr, gp = goal.real, dq_to_pose(goal).position
+    rt = quat_to_rotmat(gr).T
+    K_r, K_p, D_r, D_p = model.k_rot, model.k_pos, model.d_rot, model.d_pos
+    kinv_r, kinv_p = np.linalg.inv(K_r), np.linalg.inv(K_p)
+    K6 = _diag_gains(K_r, K_p)
+    D6 = _diag_gains(D_r, D_p)
+    diag = K6 is not None and D6 is not None
+    kinv_r_diag = tuple(np.diag(kinv_r)) if _diag_gains(K_r) is not None else None
+    kinv_p_diag = tuple(np.diag(kinv_p)) if _diag_gains(K_p) is not None else None
+    W = model.weights
+    basis = model.basis
+    forcing_active = bool(np.any(W))
+    zero6 = np.zeros(6)
+    e0 = _qp_error_raw(model.dq0.real, dq_to_pose(model.dq0).position, gr, gp, rt)
+    half = dt / (2.0 * tau)
+    dt_tau = dt / tau
+    out_dq[0] = start.as_array()
+    out_xi[0] = xi
+    out_l[0] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag, kinv_p_diag)
+    for k in range(n):
+        e = _qp_error_raw(q, p, gr, gp, rt)
+        f = forcing_rows(xs[k], basis, W) if forcing_active else zero6
+        out_e[k], out_f[k] = e, f
+        u = e - e0 * xs[k] + f
+        if diag:
+            xi = xi + dt_tau * (K6 * u - D6 * xi)
+        else:
+            rhs = np.empty(6)
+            rhs[:3] = K_r @ u[:3] - D_r @ xi[:3]
+            rhs[3:] = K_p @ u[3:] - D_p @ xi[3:]
+            xi = xi + dt_tau * rhs
+        q, p = _qp_step_raw(q, p, half * xi[:3], half * xi[3:])
+        out_dq[k + 1] = dq_from_pose(Pose(p, q)).as_array()
+        out_xi[k + 1] = xi
+        out_l[k + 1] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r, kinv_p,
+                                    kinv_r_diag, kinv_p_diag)
+    out_e[n] = _qp_error_raw(q, p, gr, gp, rt)
     out_f[n] = forcing_rows(xs[n], basis, W)
     return dict(t=ts, x=xs, dq=out_dq, xi=out_xi, forcing=out_f, error=out_e,
                 lyap=out_l)
@@ -422,3 +547,48 @@ def test_quat_rollout_at_the_benchmark_shape_bit_exact(rng, frame, forced):
     got, want = quat_rollout(m, **BENCH_RUN), reference_quat_rollout(m, **BENCH_RUN)
     assert len(got.t) == 2858
     assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
+
+
+# -- the (q, p) loop against the dual-quaternion loop it replaced -----------------
+# Same math, other state: the rotation error and step are the same float
+# operations, so the quaternions (and the rotation twist) stay bit for bit;
+# the translation, now R(q_d)^T (p_d - p) and p + R(q) t, moves by rounding.
+
+_TILT = np.array([0.9, 0.3, -0.2, 0.25]) / np.linalg.norm([0.9, 0.3, -0.2, 0.25])
+_MOUNT = np.array([0.8, -0.1, 0.5, 0.3]) / np.linalg.norm([0.8, -0.1, 0.5, 0.3])
+
+
+def _loop_case(tilted):
+    """The 50 m reference loop's dq model, as criterion 5 trains and rolls it,
+    on the loop itself or on it tilted, body-mounted and moved by
+    (300, -200, 50) m."""
+    loop = gen_somersault(50.0, 18.9, 0.01)
+    if tilted:
+        loop = Trajectory(loop.t, quat_rotate(_TILT, loop.positions) + [300.0, -200.0, 50.0],
+                          quat_product(quat_product(_TILT, loop.quaternions), _MOUNT))
+    T = loop.duration
+    m = dq_train(loop, T, 1.0, 1.0, 10.0, 10.0, basis_scheme_a(30, 0.05))
+    return m, dict(xi0=loop.derived().xi[0] * T, dt=loop.dt, duration=T)
+
+
+def _bench_case(rng, forced):
+    m = DualQuaternionDmp(BENCH_K, BENCH_K, BENCH_D, BENCH_D, BASIS,
+                          weights(rng, 6, forced), random_unit_dq(rng),
+                          random_unit_dq(rng), 1.0)
+    return m, BENCH_RUN
+
+
+@pytest.mark.parametrize("case", ["loop", "tilted_offset_loop", "bench_unforced",
+                                  "bench_forced"])
+def test_dq_rollout_is_the_dual_quaternion_loop(rng, case):
+    m, kw = (_loop_case(case == "tilted_offset_loop") if "loop" in case
+             else _bench_case(rng, case == "bench_forced"))
+    got, want = dq_rollout(m, **kw), dual_quaternion_loop(m, **kw)
+    assert np.array_equal(got.dq[:, :4], want["dq"][:, :4])
+    assert np.array_equal(got.xi[:, :3], want["xi"][:, :3])
+    positions = got.poses()[0]
+    want_positions = np.array([dq_to_pose(DualQuaternion(d[:4], d[4:])).position
+                               for d in want["dq"]])
+    scale = np.max(np.abs(want_positions))
+    assert np.max(np.abs(positions - want_positions)) <= 1e-9 * scale
+    assert np.max(np.abs(got.xi - want["xi"])) <= 1e-9 * np.max(np.abs(want["xi"]))

@@ -21,7 +21,7 @@ from dqdmp import (
     quat_to_rotmat,
     save_trajectory,
 )
-from dqdmp.quat import _step
+from dqdmp.quat import _exp, _turn
 from dqdmp.traj import ScalarDemo, _read_table, csv_chunks
 
 from conftest import random_unit_quat, trajectory_to_csv
@@ -427,7 +427,7 @@ def test_differentiate_recovers_constant_rate(rng):
     q = np.empty((n, 4))
     q[0] = [1.0, 0, 0, 0]
     for k in range(1, n):
-        q[k] = _step(q[k - 1].tolist(), (0.005 * omega).tolist())
+        q[k] = _turn(q[k - 1].tolist(), _exp((0.005 * omega).tolist()))
     traj = Trajectory(np.arange(n) * 0.01, np.zeros((n, 3)), q)
     der = differentiate(traj)
     assert np.max(np.linalg.norm(der.xi[:, :3] - omega, axis=1)) <= 1e-4
