@@ -13,18 +13,19 @@ the pose advances by the exact exponential step with the new velocity.  The
 rotation is renormalized each step, and the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.  The
 quaternion and dual-quaternion rollouts run on one driver, ``_integrate``,
-each with a step closure built from ``_drive``, once per 3x3 (K, D) gain
-block, and the float kernels of ``quat`` and ``dualquat``.  The dq loop
-state is (q, p), rotation and inertial position, stepped by the screw
-exponential ``dualquat._screw``; ``DqRollout.dq`` is encoded after the
-loop.  The loop over time makes no numpy call (sin and cos come from
-``math``): plain floats, states packed into preallocated arrays, the
-forcing grid from before the loop and the finiteness check, error rows and
-energies after.
-The energies exist only as rollout columns (``QuatRollout.v1``,
-``DqRollout.lyap``, ``ClassicalRollout.energy``, ``PoseRollout.energy``).
-The scalar primitive keeps its own short float loop: its position step is
-Euler, its forcing unscaled and it has no start-error term.
+each with a step closure built from the float kernels of ``quat`` and
+``dualquat`` and one ``_gain_kernel`` per (K, D) gain block.  Every such gain
+is per-axis, a positive, finite scalar or diagonal 3x3 matrix; a model
+refuses any other by name.  The dq loop state is (q, p), rotation and
+inertial position, stepped by the screw exponential ``dualquat._screw``;
+``DqRollout.dq`` is encoded after the loop.  The loop over time makes no
+numpy call (sin and cos come from ``math``): plain floats, states packed
+into preallocated arrays, the forcing grid before the loop and the
+finiteness check, error rows and energies after.  The energies exist only
+as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
+``ClassicalRollout.energy``, ``PoseRollout.energy``).  The scalar primitive
+keeps its own short float loop: its position step is Euler, its forcing
+unscaled and it has no start-error term.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -79,18 +80,19 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _FIT_RESIDUALS = dict(default=None, compare=False, repr=False)
 
 
-def _gain_matrix(g) -> np.ndarray:
-    """Promote a scalar gain to gain * I; validate positive definiteness."""
+def _gain_matrix(g, name: str) -> np.ndarray:
+    """A gain's 3x3 matrix (g I for a scalar g); refused unless diagonal, positive, finite."""
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gains must be finite")
-    if g.ndim == 0:
-        g = float(g) * np.eye(3)
-    if g.shape != (3, 3):
-        raise ValueError("gains must be scalars or 3x3 matrices")
-    if not np.allclose(g, g.T, atol=1e-12) or np.any(np.linalg.eigvalsh(g) <= 0.0):
-        raise ValueError("gain matrices must be symmetric positive definite")
+    g = np.diag(np.full(3, g)) if g.ndim == 0 else g
+    k = np.diag(g) if g.shape == (3, 3) else np.zeros(3)
+    if not (np.all((0.0 < k) & (k < np.inf)) and np.array_equal(g, np.diag(k))):
+        raise ValueError(f"{name} must be a positive, finite scalar or diagonal 3x3 matrix")
     return g
+
+
+def _check_gains(model, *names: str) -> None:
+    for name in names:
+        object.__setattr__(model, name, _gain_matrix(getattr(model, name), name))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +120,8 @@ class QuaternionDmp:
     right."""
 
     frame: str
-    k_gain: np.ndarray           # (3, 3)
-    d_gain: np.ndarray           # (3, 3)
+    k_gain: np.ndarray           # (3, 3) diagonal
+    d_gain: np.ndarray           # (3, 3) diagonal
     basis: GaussianBasis
     weights: np.ndarray          # (3, N)
     q0: np.ndarray               # (4,)
@@ -127,21 +129,27 @@ class QuaternionDmp:
     tau: float
     fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
+    def __post_init__(self):
+        _check_gains(self, "k_gain", "d_gain")
+
 
 @dataclass(frozen=True)
 class DualQuaternionDmp:
     """Coupled pose primitive over unit dual quaternions (body frame)."""
 
-    k_rot: np.ndarray            # (3, 3)
-    k_pos: np.ndarray            # (3, 3)
-    d_rot: np.ndarray            # (3, 3)
-    d_pos: np.ndarray            # (3, 3)
+    k_rot: np.ndarray            # (3, 3) diagonal
+    k_pos: np.ndarray            # (3, 3) diagonal
+    d_rot: np.ndarray            # (3, 3) diagonal
+    d_pos: np.ndarray            # (3, 3) diagonal
     basis: GaussianBasis
     weights: np.ndarray          # (6, N)
     dq0: DualQuaternion
     dqd: DualQuaternion
     tau: float
     fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
+
+    def __post_init__(self):
+        _check_gains(self, "k_rot", "k_pos", "d_rot", "d_pos")
 
 
 @dataclass(frozen=True)
@@ -264,9 +272,9 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     goal-relative pose, its rotation's scalar part and then the goal error;
     it also takes the columns of stacked poses.
     step(pose, vel, x, f, dt / tau, dt / (2 tau), e0) -> (pose, vel) drives
-    the tau-scaled velocity with u = e - e0 x + f, e0 the error of the
-    trained start pose (anchor) in blocks of three, then moves the pose by
-    dt / (2 tau) times the new velocity (the half-angle convention).
+    the tau-scaled velocity per axis (_gain_kernel) with u = e - e0 x + f, e0
+    the error of the trained start pose (anchor) in blocks of three, then
+    moves the pose by dt / (2 tau) times the new velocity (half-angle).
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
     if start.shape != anchor.shape:
@@ -299,33 +307,25 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     return ts, xs, poses, vels, forcing, np.array(error(poses.T)[1:]).T
 
 
-def _drive(v, e, c, f, x: float, k, d, dt_tau: float):
-    """_gain_step of the velocity block v driven by u = e - c x + f from the
-    error e, start error c, phase x and forcing f (float 3-sequences)."""
-    (e0, e1, e2), (c0, c1, c2), (f0, f1, f2) = e, c, f
-    return _gain_step(v, (e0 - c0 * x + f0, e1 - c1 * x + f1, e2 - c2 * x + f2),
-                      k, d, dt_tau)
+def _gain_kernel(k: np.ndarray, d: np.ndarray):
+    """drive(v0, v1, v2, e0, e1, e2, c, f0, f1, f2, x, h) of one per-axis (K, D) block,
+    gains bound once: v_i + h (k_i (e_i - c_i x + f_i) - d_i v_i) per axis."""
+    (k0, k1, k2), (d0, d1, d2) = np.diag(k).tolist(), np.diag(d).tolist()
 
-
-def _gain_step(v, u, k, d, dt_tau: float):
-    """v + dt_tau (K u - D v) for one 3x3 gain block on float 3-sequences;
-    k and d are the row-major entries, each product summed left to right."""
-    v0, v1, v2 = v
-    u0, u1, u2 = u
-    return (v0 + dt_tau * ((k[0] * u0 + k[1] * u1 + k[2] * u2)
-                           - (d[0] * v0 + d[1] * v1 + d[2] * v2)),
-            v1 + dt_tau * ((k[3] * u0 + k[4] * u1 + k[5] * u2)
-                           - (d[3] * v0 + d[4] * v1 + d[5] * v2)),
-            v2 + dt_tau * ((k[6] * u0 + k[7] * u1 + k[8] * u2)
-                           - (d[6] * v0 + d[7] * v1 + d[8] * v2)))
+    def drive(v0, v1, v2, e0, e1, e2, c, f0, f1, f2, x: float, h: float):
+        c0, c1, c2 = c
+        return (v0 + h * (k0 * (e0 - c0 * x + f0) - d0 * v0),
+                v1 + h * (k1 * (e1 - c1 * x + f1) - d1 * v1),
+                v2 + h * (k2 * (e2 - c2 * x + f2) - d2 * v2))
+    return drive
 
 
 def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
-    """K^-1 (tau^2 acc + tau D vel) - e + e0 x per sample: the forcing that
-    makes _drive reproduce a demonstration on one 3x3 (K, D) gain block."""
+    """(tau^2 acc + tau D vel) / K - e + e0 x per sample and axis: the forcing
+    that makes _gain_kernel reproduce a demonstration on one (K, D) block."""
     # a numpy square overflows to inf, which the fit refuses; a float's raises
-    drive = np.float64(tau) ** 2 * acc + vel @ (tau * d).T
-    return drive @ np.linalg.inv(k).T - e + e0 * xs[:, None]
+    drive = np.float64(tau) ** 2 * acc + vel * (tau * np.diag(d))
+    return drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
 
 
 def _check_finite(ts: np.ndarray, *states: np.ndarray) -> None:
@@ -343,8 +343,8 @@ def _rotation_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
 
 
 def _rate_energy(vel: np.ndarray, kinv: np.ndarray) -> np.ndarray:
-    """0.5 v^T K^-1 v per row of tau-scaled velocities."""
-    return 0.5 * np.sum(vel * (vel @ kinv.T), axis=-1)
+    """0.5 v^T K^-1 v per row of tau-scaled velocities; kinv is diag(K^-1)."""
+    return 0.5 * np.sum(vel * (vel * kinv), axis=-1)
 
 
 def _unit_quat(q, what: str) -> np.ndarray:
@@ -385,7 +385,7 @@ def quat_target_forcing(quats: np.ndarray, omega: np.ndarray,
 def quat_train(traj: Trajectory, tau: float, k_gain, d_gain,
                basis: GaussianBasis) -> QuaternionDmp:
     """Fit the orientation primitive to a demonstration's attitude track."""
-    k_gain, d_gain = _gain_matrix(k_gain), _gain_matrix(d_gain)
+    k_gain, d_gain = _gain_matrix(k_gain, "k_gain"), _gain_matrix(d_gain, "d_gain")
     der = traj.derived()
     xs = phase(traj.t, basis.alpha_x, tau)
     q0, qd = traj.quaternions[0], traj.quaternions[-1]
@@ -434,16 +434,16 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
     _check_body(model.frame)
     goal = qd.tolist()
-    k, d = model.k_gain.ravel().tolist(), model.d_gain.ravel().tolist()
+    drive = _gain_kernel(model.k_gain, model.d_gain)
 
     def step(p, w, x, f, h, half, c):
-        _, e0, e1, e2 = _quat_error(p, goal)
-        w0, w1, w2 = _drive(w, (e0, e1, e2), c[0], f, x, k, d, h)
+        (_, e0, e1, e2), (w0, w1, w2), (f0, f1, f2) = _quat_error(p, goal), w, f
+        w0, w1, w2 = drive(w0, w1, w2, e0, e1, e2, c[0], f0, f1, f2, x, h)
         return _turn(p, _exp((half * w0, half * w1, half * w2))), (w0, w1, w2)
 
     ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
                                        lambda p: _quat_error(p, goal), step)
-    v1 = _rotation_energy(qs, qd, oms, np.linalg.inv(model.k_gain))
+    v1 = _rotation_energy(qs, qd, oms, 1.0 / np.diag(model.k_gain))
     return QuatRollout(ts, xs, qs, oms, f, e, v1)
 
 
@@ -476,8 +476,8 @@ def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
     Six independent weight fits against the shared phase; boundary poses
     are the demonstration endpoints.
     """
-    k_rot, k_pos = _gain_matrix(k_rot), _gain_matrix(k_pos)
-    d_rot, d_pos = _gain_matrix(d_rot), _gain_matrix(d_pos)
+    k_rot, k_pos = _gain_matrix(k_rot, "k_rot"), _gain_matrix(k_pos, "k_pos")
+    d_rot, d_pos = _gain_matrix(d_rot, "d_rot"), _gain_matrix(d_pos, "d_pos")
     der = traj.derived()
     dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
     start = DualQuaternion(dqs[0, :4], dqs[0, 4:])
@@ -518,15 +518,15 @@ class DqRollout:
     t: np.ndarray
     x: np.ndarray
     dq: np.ndarray       # (n, 8) flattened [real, dual]
+    p: np.ndarray        # (n, 3) inertial positions, as the loop held them
     xi: np.ndarray       # (n, 6)
     forcing: np.ndarray  # (n, 6)
     error: np.ndarray    # (n, 6)
     lyap: np.ndarray     # (n, 3)
 
     def poses(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positions (n,3), quaternions (n,4)) extracted from the states."""
-        return (dq_position(DualQuaternion(self.dq[:, :4], self.dq[:, 4:])),
-                self.dq[:, :4].copy())
+        """(positions (n,3), quaternions (n,4)) of the states."""
+        return self.p.copy(), self.dq[:, :4].copy()
 
 
 def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
@@ -550,15 +550,16 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     unwinds the long way, and converges more slowly for it.
     """
     tau = float(tau_override) if tau_override is not None else model.tau
-    goal = goal_override if goal_override is not None else model.dqd
+    goal = (model.dqd if goal_override is None
+            else _unit_dq(goal_override.as_array(), "goal_override"))
     goal_position = dq_to_pose(goal).position
     start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
     xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
     gq, (gx, gy, gz) = goal.real.tolist(), goal_position.tolist()
     # R(q_d)^T row by row: vec(2 q_oe* (x) q_pe) of dq_error is R(q_d)^T (p_d - p)
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = quat_to_rotmat(goal.real).T.ravel().tolist()
-    kr, kp, dr, dp = (g.ravel().tolist() for g in (model.k_rot, model.k_pos,
-                                                   model.d_rot, model.d_pos))
+    drive_r = _gain_kernel(model.k_rot, model.d_rot)
+    drive_p = _gain_kernel(model.k_pos, model.d_pos)
 
     def error(p):
         qw, qx, qy, qz, px, py, pz = p
@@ -569,10 +570,9 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     def step(p, v, x, f, h, half, c):
         qw, qx, qy, qz, px, py, pz = p
         _, e0, e1, e2, e3, e4, e5 = error(p)
-        f0, f1, f2, f3, f4, f5 = f
-        v0, v1, v2, v3, v4, v5 = v
-        r0, r1, r2 = _drive((v0, v1, v2), (e0, e1, e2), c[0], (f0, f1, f2), x, kr, dr, h)
-        t0, t1, t2 = _drive((v3, v4, v5), (e3, e4, e5), c[1], (f3, f4, f5), x, kp, dp, h)
+        (f0, f1, f2, f3, f4, f5), (v0, v1, v2, v3, v4, v5) = f, v
+        r0, r1, r2 = drive_r(v0, v1, v2, e0, e1, e2, c[0], f0, f1, f2, x, h)
+        t0, t1, t2 = drive_p(v3, v4, v5, e3, e4, e5, c[1], f3, f4, f5, x, h)
         s, t = _screw((half * r0, half * r1, half * r2, half * t0, half * t1, half * t2))
         ux, uy, uz = _rotate(qw, qx, qy, qz, t)
         return ((*_turn((qw, qx, qy, qz), s), px + ux, py + uy, pz + uz),
@@ -581,12 +581,12 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     anchor, first = (np.concatenate([d.real, dq_position(d)]) for d in (model.dq0, start))
     ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start, anchor, first,
                                           xi, error, step)
-    q, positions = poses[:, :4], poses[:, 4:]
+    q, positions = poses[:, :4], poses[:, 4:].copy()
     dqs = dq_from_pose(Pose(positions, q)).as_array()
     dqs[0] = start.as_array()
     lyap = _pose_energy(q, positions, xis, goal.real, goal_position,
-                        np.linalg.inv(model.k_rot), np.linalg.inv(model.k_pos))
-    return DqRollout(ts, xs, dqs, xis, f, e, lyap)
+                        1.0 / np.diag(model.k_rot), 1.0 / np.diag(model.k_pos))
+    return DqRollout(ts, xs, dqs, positions, xis, f, e, lyap)
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +731,8 @@ def _model_doc(model) -> dict:
 
 def _model_from_doc(doc: dict):
     """Rebuild a model from its document, checking what a rollout relies on:
-    a positive tau, weights of shape (dims, n_kernels), symmetric positive
-    definite gains, positive scalar gains and unit boundary poses."""
+    a positive tau, weights of shape (dims, n_kernels), positive per-axis
+    gains and unit boundary poses."""
     version = doc.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
@@ -765,13 +765,10 @@ def _model_from_doc(doc: dict):
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
                             b["y0"], b["goal"], doc["tau"])
     if variant == "quaternion":
-        return QuaternionDmp(BODY, _gain_matrix(g["k"]), _gain_matrix(g["d"]),
-                             basis, weights, _unit_quat(b["q0"], "q0"),
+        return QuaternionDmp(BODY, g["k"], g["d"], basis, weights, _unit_quat(b["q0"], "q0"),
                              _unit_quat(b["qd"], "qd"), doc["tau"])
-    return DualQuaternionDmp(
-        _gain_matrix(g["k_rot"]), _gain_matrix(g["k_pos"]),
-        _gain_matrix(g["d_rot"]), _gain_matrix(g["d_pos"]), basis, weights,
-        _unit_dq(b["dq0"], "dq0"), _unit_dq(b["dqd"], "dqd"), doc["tau"])
+    return DualQuaternionDmp(g["k_rot"], g["k_pos"], g["d_rot"], g["d_pos"], basis, weights,
+                             _unit_dq(b["dq0"], "dq0"), _unit_dq(b["dqd"], "dqd"), doc["tau"])
 
 
 def _unit_dq(a, what: str) -> DualQuaternion:
@@ -779,7 +776,10 @@ def _unit_dq(a, what: str) -> DualQuaternion:
     if a.shape != (8,):
         raise ValueError(f"{what} must be a dual quaternion [real, dual]")
     dq = DualQuaternion(a[:4], a[4:])
-    dq_to_pose(dq)  # refuses a pose off the unit constraints
+    try:
+        dq_to_pose(dq)  # refuses a pose off the unit constraints
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
     return dq
 
 

@@ -502,6 +502,17 @@ def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, gain", [(["--k-rot", "-1"], "k_rot"),
+                                         (["--k-pos", "0"], "k_pos"),
+                                         (["--d-ratio", "-2"], "d_rot")])
+def test_train_names_the_gain_it_refuses(tmp_path, demo_file, capsys, flags, gain):
+    # each was refused as "gain matrices must be symmetric positive definite"
+    out = tmp_path / "m.json"
+    assert run(["train", "--demo", demo_file, *flags, "-o", str(out)]) == 1
+    assert_one_error_line(capsys, f"error: {gain} must be ")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def pose_model_file(tmp_path_factory, demo_file):
     path = tmp_path_factory.mktemp("model") / "pose.json"

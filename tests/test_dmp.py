@@ -1,5 +1,7 @@
 """Classical and quaternion primitive tests (training oracles + rollouts)."""
 
+import io
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,22 +9,29 @@ import pytest
 
 from dqdmp import (
     ClassicalDmp,
+    DualQuaternionDmp,
+    Pose,
     QuaternionDmp,
     Trajectory,
     basis_scheme_a,
     classical_rollout,
     classical_target_forcing,
     classical_train,
+    dq_from_pose,
+    dq_rollout,
+    dq_train,
     gen_min_jerk,
     gen_somersault,
     phase,
     pose_rollout,
+    load_model,
     pose_train,
     quat_exp,
     quat_product,
     quat_rollout,
     quat_target_forcing,
     quat_train,
+    save_model,
 )
 from dqdmp.traj import ScalarDemo, _minjerk_s
 
@@ -246,20 +255,76 @@ def test_quat_rollout_rejects_bad_dt(rng):
 
 def test_gain_validation():
     from dqdmp.dmp import _gain_matrix
-    with pytest.raises(ValueError):
-        _gain_matrix(-1.0)
-    with pytest.raises(ValueError):
-        _gain_matrix(np.diag([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        _gain_matrix(np.ones((2, 2)))
-    np.testing.assert_allclose(_gain_matrix(2.0), 2.0 * np.eye(3))
+    for bad in (-1.0, np.diag([1.0, 1.0, 0.0]), np.ones((2, 2)), np.ones((3, 3))):
+        with pytest.raises(ValueError, match="^k_gain must be "):
+            _gain_matrix(bad, "k_gain")
+    np.testing.assert_allclose(_gain_matrix(2.0, "k_gain"), 2.0 * np.eye(3))
 
 
 @pytest.mark.parametrize("gain", [np.inf, np.nan, np.diag([1.0, np.inf, 1.0])])
 def test_gain_validation_refuses_non_finite(gain):
     from dqdmp.dmp import _gain_matrix
-    with pytest.raises(ValueError, match="^gains must be finite$"):
-        _gain_matrix(gain)
+    with pytest.raises(ValueError, match="^d_rot must be a positive, finite scalar or "
+                                         "diagonal 3x3 matrix$"):
+        _gain_matrix(gain, "d_rot")
+
+
+# symmetric positive definite, so it was taken before gains were per-axis
+OFF_DIAGONAL = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("gain", ["k_rot", "k_pos", "d_rot", "d_pos"])
+def test_dq_train_refuses_an_off_diagonal_gain_by_name(gain):
+    traj = gen_somersault(10.0, 2.0, 0.01)
+    kw = dict(k_rot=1.0, k_pos=1.0, d_rot=10.0, d_pos=10.0) | {gain: OFF_DIAGONAL}
+    with pytest.raises(ValueError, match=f"^{gain} must be "):
+        dq_train(traj, 2.0, basis=basis_scheme_a(10, 0.05), **kw)
+
+
+@pytest.mark.parametrize("gain", ["k_gain", "d_gain"])
+def test_quat_train_refuses_an_off_diagonal_gain_by_name(gain):
+    traj = gen_somersault(10.0, 2.0, 0.01)
+    kw = dict(k_gain=1.0, d_gain=10.0) | {gain: OFF_DIAGONAL}
+    with pytest.raises(ValueError, match=f"^{gain} must be "):
+        quat_train(traj, 2.0, basis=basis_scheme_a(10, 0.05), **kw)
+
+
+@pytest.mark.parametrize("gain", ["k_rot", "k_pos", "d_rot", "d_pos"])
+def test_dq_rollout_of_a_built_model_refuses_an_off_diagonal_gain(gain):
+    start = dq_from_pose(Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])))
+    kw = dict(k_rot=np.eye(3), k_pos=np.eye(3), d_rot=np.eye(3), d_pos=np.eye(3)) | {
+        gain: OFF_DIAGONAL}
+    with pytest.raises(ValueError, match=f"^{gain} must be "):
+        dq_rollout(DualQuaternionDmp(basis=BASIS, weights=np.zeros((6, 30)), dq0=start,
+                                     dqd=start, tau=1.0, **kw), dt=0.01, duration=0.1)
+
+
+@pytest.mark.parametrize("gain", ["k_gain", "d_gain"])
+def test_quat_rollout_of_a_built_model_refuses_an_off_diagonal_gain(gain):
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    kw = dict(k_gain=np.eye(3), d_gain=np.eye(3)) | {gain: OFF_DIAGONAL}
+    with pytest.raises(ValueError, match=f"^{gain} must be "):
+        quat_rollout(QuaternionDmp("body", basis=BASIS, weights=np.zeros((3, 30)),
+                                   q0=q, qd=q, tau=1.0, **kw), dt=0.01, duration=0.1)
+
+
+@pytest.mark.parametrize("variant, key, gain", [("quaternion", "k", "k_gain"),
+                                                ("quaternion", "d", "d_gain"),
+                                                ("dual_quaternion", "k_pos", "k_pos"),
+                                                ("dual_quaternion", "d_rot", "d_rot")])
+def test_load_model_refuses_an_off_diagonal_gain_by_name(variant, key, gain):
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    if variant == "quaternion":
+        m = QuaternionDmp("body", np.eye(3), np.eye(3), BASIS, np.zeros((3, 30)), q, q, 1.0)
+    else:
+        start = dq_from_pose(Pose(np.zeros(3), q))
+        m = DualQuaternionDmp(*[np.eye(3)] * 4, BASIS, np.zeros((6, 30)), start, start, 1.0)
+    buf = io.StringIO()
+    save_model(m, buf)
+    doc = json.loads(buf.getvalue())
+    doc["gains"][key] = OFF_DIAGONAL.tolist()
+    with pytest.raises(ValueError, match=f"^{gain} must be "):
+        load_model(io.StringIO(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("k_pos, d_pos", [(0.0, 0.0), (1.0, 0.0), (-1.0, 10.0),

@@ -1,5 +1,8 @@
 """Coupled pose-primitive tests: forcing extraction, training, rollout."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from dqdmp import (
     dq_to_pose,
     dq_train,
     gen_somersault,
+    load_model,
     phase,
+    save_model,
 )
 from dqdmp.dmp import _pose_energy
 from dqdmp.dualquat import dq_constraint_errors
@@ -276,7 +281,7 @@ def pose_energy(dq, xi, goal, k_rot, k_pos):
     through dmp._pose_energy, the formula of DqRollout.lyap."""
     return _pose_energy(dq.real, dq_to_pose(dq).position, np.asarray(xi, dtype=float),
                         goal.real, dq_to_pose(goal).position,
-                        np.linalg.inv(k_rot * EYE3), np.linalg.inv(k_pos * EYE3))
+                        np.full(3, 1.0 / k_rot), np.full(3, 1.0 / k_pos))
 
 
 def test_lyapunov_zero_at_goal(rng):
@@ -326,3 +331,24 @@ def test_dq_rollout_refuses_a_start_off_the_unit_constraints():
     off = DualQuaternion(m.dq0.real, m.dq0.dual + 1e-3 * m.dq0.real)  # <real, dual> != 0
     with pytest.raises(ValueError, match="unit constraints"):
         dq_rollout(m, dq0=off, dt=0.01, duration=1.0)
+
+
+def test_a_boundary_pose_off_the_unit_constraints_is_named():
+    # each got the bare "dual quaternion violates unit constraints (...)"
+    m = train_small(small_somersault())
+    doubled = DualQuaternion(2.0 * m.dqd.real, m.dqd.dual)
+    with pytest.raises(ValueError, match="^goal_override: dual quaternion violates unit"):
+        dq_rollout(m, goal_override=doubled, dt=0.01, duration=1.0)
+    with pytest.raises(ValueError, match="^dq0: dual quaternion violates unit"):
+        dq_rollout(m, dq0=doubled, dt=0.01, duration=1.0)
+    for name in ("dq0", "dqd"):
+        doc = json.loads(_saved(m))
+        doc["boundary"][name] = doubled.as_array().tolist()
+        with pytest.raises(ValueError, match=f"^{name}: dual quaternion violates unit"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+
+def _saved(model) -> str:
+    buf = io.StringIO()
+    save_model(model, buf)
+    return buf.getvalue()

@@ -165,8 +165,8 @@ BAD_FILES = {
     "weights rows": ("quaternion", lambda d: d["weights"].pop()),
     "gains not positive definite": ("dual_quaternion",
                                     lambda d: d["gains"].update(k_rot=(-np.eye(3)).tolist())),
-    "gains not symmetric": ("quaternion",
-                            lambda d: d["gains"].update(d=[[1, 2, 0], [0, 1, 0], [0, 0, 1]])),
+    "gains not diagonal": ("quaternion",
+                           lambda d: d["gains"].update(d=[[2, 1, 0], [1, 2, 0], [0, 0, 1]])),
     "tau not positive": ("quaternion", lambda d: d.update(tau=0.0)),
     "alpha_z not positive": ("classical", lambda d: d["gains"].update(alpha_z=0.0)),
     "beta_z not positive": ("classical", lambda d: d["gains"].update(beta_z=-6.25)),

@@ -3,9 +3,8 @@
 The reference loops below are ``quat_rollout`` and ``dq_rollout`` written
 the way the earlier per-variant loops were: a diagonal-gain fast path, the
 error, step and energy formulas written out on floats, and the energies
-evaluated inside the loop.  For diagonal gains the driver must reproduce
-their states bit for bit; for full gains the summation order of the gain
-products differs, so states agree to 1e-12.
+evaluated inside the loop.  The driver must reproduce their states bit for
+bit, for scalar gains (K = k I) and for distinct per-axis gains alike.
 
 The dq reference steps the rotation and the inertial position, as the
 driver does.  ``dual_quaternion_loop`` is the dq rollout as it ran on a
@@ -62,20 +61,12 @@ def _conj_product(aw, ax, ay, az, bw, bx, by, bz):
 
 
 def _diag_gains(*mats):
-    diags = []
-    for m in mats:
-        if np.any(m != np.diag(np.diag(m))):
-            return None
-        diags.append(np.diag(m))
-    return np.concatenate(diags)
+    return np.concatenate([np.diag(m) for m in mats])
 
 
-def _quad_energy(u0, u1, u2, kinv, kinv_diag):
-    if kinv_diag is not None:
-        return 0.5 * (u0 * u0 * kinv_diag[0] + u1 * u1 * kinv_diag[1]
-                      + u2 * u2 * kinv_diag[2])
-    u = np.array([u0, u1, u2])
-    return 0.5 * float(u @ (kinv @ u))
+def _quad_energy(u0, u1, u2, kinv_diag):
+    return 0.5 * (u0 * u0 * kinv_diag[0] + u1 * u1 * kinv_diag[1]
+                  + u2 * u2 * kinv_diag[2])
 
 
 def _quat_error(q, qd):
@@ -103,10 +94,10 @@ def _quat_step_raw(q, zr):
     return np.array([w * inv, x * inv, y * inv, z * inv])
 
 
-def _rot_energy(q, qd, omega, kinv, kinv_diag=None):
+def _rot_energy(q, qd, omega, kinv_diag):
     d = qd - q
     return float(d @ d) + _quad_energy(float(omega[0]), float(omega[1]),
-                                       float(omega[2]), kinv, kinv_diag)
+                                       float(omega[2]), kinv_diag)
 
 
 def reference_quat_rollout(model, q0=None, omega0=None, dt=0.01, duration=None,
@@ -125,31 +116,25 @@ def reference_quat_rollout(model, q0=None, omega0=None, dt=0.01, duration=None,
     out_f = np.empty((n + 1, 3))
     out_e = np.empty((n + 1, 3))
     out_v1 = np.empty(n + 1)
-    kinv = np.linalg.inv(model.k_gain)
-    kinv_diag = tuple(np.diag(kinv)) if _diag_gains(model.k_gain) is not None else None
+    kinv_diag = tuple(np.diag(np.linalg.inv(model.k_gain)))
     e0 = _quat_error(model.q0, qd)
-    K, D, W = model.k_gain, model.d_gain, model.weights
-    K3 = _diag_gains(K)
-    D3 = _diag_gains(D)
-    diag = K3 is not None and D3 is not None
+    W = model.weights
+    K3, D3 = _diag_gains(model.k_gain), _diag_gains(model.d_gain)
     dt_tau = dt / tau
     half = dt / (2.0 * tau)
     forcing_active = bool(np.any(W))
     zero3 = np.zeros(3)
     out_q[0], out_om[0] = q, om
-    out_v1[0] = _rot_energy(q, qd, om, kinv, kinv_diag)
+    out_v1[0] = _rot_energy(q, qd, om, kinv_diag)
     for k in range(n):
         e = _quat_error_raw(q, qd)
         f = forcing_rows(xs[k], model.basis, W) if forcing_active else zero3
         out_e[k], out_f[k] = e, f
         u = e - e0 * xs[k] + f
-        if diag:
-            om = om + dt_tau * (K3 * u - D3 * om)
-        else:
-            om = om + dt_tau * (K @ u - D @ om)
+        om = om + dt_tau * (K3 * u - D3 * om)
         q = _quat_step_raw(q, half * om)
         out_q[k + 1], out_om[k + 1] = q, om
-        out_v1[k + 1] = _rot_energy(q, qd, om, kinv, kinv_diag)
+        out_v1[k + 1] = _rot_energy(q, qd, om, kinv_diag)
     out_e[n] = _quat_error(q, qd)
     out_f[n] = forcing_rows(xs[n], model.basis, W)
     return dict(t=ts, x=xs, q=out_q, omega=out_om, forcing=out_f, error=out_e,
@@ -201,15 +186,14 @@ def _dq_error_raw(qr, qd_, gr, gd):
     return np.array([ex, ey, ez, 2.0 * px, 2.0 * py, 2.0 * pz])
 
 
-def _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag=None, kinv_p_diag=None):
+def _lyap_raw(qr, qd_, xi, gr, gp, kinv_r_diag, kinv_p_diag):
     aw, ax, ay, az = float(qr[0]), float(qr[1]), float(qr[2]), float(qr[3])
     d0 = float(gr[0]) - aw
     d1 = float(gr[1]) - ax
     d2 = float(gr[2]) - ay
     d3 = float(gr[3]) - az
     v1 = (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-          + _quad_energy(float(xi[0]), float(xi[1]), float(xi[2]),
-                         kinv_r, kinv_r_diag))
+          + _quad_energy(float(xi[0]), float(xi[1]), float(xi[2]), kinv_r_diag))
     _, bx, by, bz = _conj_product(aw, ax, ay, az, float(qd_[0]), float(qd_[1]),
                                   float(qd_[2]), float(qd_[3]))
     bx, by, bz = 2.0 * bx, 2.0 * by, 2.0 * bz
@@ -220,8 +204,7 @@ def _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag=None, kinv_p_diag
     dpy = float(gp[1]) - (by + aw * ty + az * tx - ax * tz)
     dpz = float(gp[2]) - (bz + aw * tz + ax * ty - ay * tx)
     v2 = (0.5 * (dpx * dpx + dpy * dpy + dpz * dpz)
-          + _quad_energy(float(xi[3]), float(xi[4]), float(xi[5]),
-                         kinv_p, kinv_p_diag))
+          + _quad_energy(float(xi[3]), float(xi[4]), float(xi[5]), kinv_p_diag))
     return v1 + v2, v1, v2
 
 
@@ -247,13 +230,10 @@ def dual_quaternion_loop(model, dq0=None, xi0=None, dt=0.01, duration=None,
     qd_ = start.dual.copy()
     gr, gd = goal.real, goal.dual
     gp = dq_to_pose(goal).position
-    K_r, K_p, D_r, D_p = model.k_rot, model.k_pos, model.d_rot, model.d_pos
-    kinv_r, kinv_p = np.linalg.inv(K_r), np.linalg.inv(K_p)
-    K6 = _diag_gains(K_r, K_p)
-    D6 = _diag_gains(D_r, D_p)
-    diag = K6 is not None and D6 is not None
-    kinv_r_diag = tuple(np.diag(kinv_r)) if _diag_gains(K_r) is not None else None
-    kinv_p_diag = tuple(np.diag(kinv_p)) if _diag_gains(K_p) is not None else None
+    K6 = _diag_gains(model.k_rot, model.k_pos)
+    D6 = _diag_gains(model.d_rot, model.d_pos)
+    kinv_r_diag = tuple(np.diag(np.linalg.inv(model.k_rot)))
+    kinv_p_diag = tuple(np.diag(np.linalg.inv(model.k_pos)))
     W = model.weights
     basis = model.basis
     forcing_active = bool(np.any(W))
@@ -263,24 +243,17 @@ def dual_quaternion_loop(model, dq0=None, xi0=None, dt=0.01, duration=None,
     dt_tau = dt / tau
     out_dq[0, :4], out_dq[0, 4:] = qr, qd_
     out_xi[0] = xi
-    out_l[0] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag, kinv_p_diag)
+    out_l[0] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r_diag, kinv_p_diag)
     for k in range(n):
         e = _dq_error_raw(qr, qd_, gr, gd)
         f = forcing_rows(xs[k], basis, W) if forcing_active else zero6
         out_e[k], out_f[k] = e, f
         u = e - e0 * xs[k] + f
-        if diag:
-            xi = xi + dt_tau * (K6 * u - D6 * xi)
-        else:
-            rhs = np.empty(6)
-            rhs[:3] = K_r @ u[:3] - D_r @ xi[:3]
-            rhs[3:] = K_p @ u[3:] - D_p @ xi[3:]
-            xi = xi + dt_tau * rhs
+        xi = xi + dt_tau * (K6 * u - D6 * xi)
         qr, qd_ = _dq_step_raw(qr, qd_, half * xi[:3], half * xi[3:])
         out_dq[k + 1, :4], out_dq[k + 1, 4:] = qr, qd_
         out_xi[k + 1] = xi
-        out_l[k + 1] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r, kinv_p,
-                                 kinv_r_diag, kinv_p_diag)
+        out_l[k + 1] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r_diag, kinv_p_diag)
     out_e[n] = _dq_error_raw(qr, qd_, gr, gd)
     out_f[n] = forcing_rows(xs[n], basis, W)
     return dict(t=ts, x=xs, dq=out_dq, xi=out_xi, forcing=out_f, error=out_e,
@@ -331,11 +304,11 @@ def _qp_step_raw(q, p, zr, zv):
                       float(p[2]) + (tz + aw * cz + ax * cy - ay * cx)]))
 
 
-def _qp_lyap_raw(q, p, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag=None, kinv_p_diag=None):
-    v1 = _rot_energy(q, gr, xi[:3], kinv_r, kinv_r_diag)
+def _qp_lyap_raw(q, p, xi, gr, gp, kinv_r_diag, kinv_p_diag):
+    v1 = _rot_energy(q, gr, xi[:3], kinv_r_diag)
     d = gp - p
     v2 = 0.5 * float(d @ d) + _quad_energy(float(xi[3]), float(xi[4]), float(xi[5]),
-                                           kinv_p, kinv_p_diag)
+                                           kinv_p_diag)
     return v1 + v2, v1, v2
 
 
@@ -358,13 +331,10 @@ def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
     q, p = start.real.copy(), dq_to_pose(start).position
     gr, gp = goal.real, dq_to_pose(goal).position
     rt = quat_to_rotmat(gr).T
-    K_r, K_p, D_r, D_p = model.k_rot, model.k_pos, model.d_rot, model.d_pos
-    kinv_r, kinv_p = np.linalg.inv(K_r), np.linalg.inv(K_p)
-    K6 = _diag_gains(K_r, K_p)
-    D6 = _diag_gains(D_r, D_p)
-    diag = K6 is not None and D6 is not None
-    kinv_r_diag = tuple(np.diag(kinv_r)) if _diag_gains(K_r) is not None else None
-    kinv_p_diag = tuple(np.diag(kinv_p)) if _diag_gains(K_p) is not None else None
+    K6 = _diag_gains(model.k_rot, model.k_pos)
+    D6 = _diag_gains(model.d_rot, model.d_pos)
+    kinv_r_diag = tuple(np.diag(np.linalg.inv(model.k_rot)))
+    kinv_p_diag = tuple(np.diag(np.linalg.inv(model.k_pos)))
     W = model.weights
     basis = model.basis
     forcing_active = bool(np.any(W))
@@ -374,24 +344,17 @@ def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
     dt_tau = dt / tau
     out_dq[0] = start.as_array()
     out_xi[0] = xi
-    out_l[0] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r, kinv_p, kinv_r_diag, kinv_p_diag)
+    out_l[0] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r_diag, kinv_p_diag)
     for k in range(n):
         e = _qp_error_raw(q, p, gr, gp, rt)
         f = forcing_rows(xs[k], basis, W) if forcing_active else zero6
         out_e[k], out_f[k] = e, f
         u = e - e0 * xs[k] + f
-        if diag:
-            xi = xi + dt_tau * (K6 * u - D6 * xi)
-        else:
-            rhs = np.empty(6)
-            rhs[:3] = K_r @ u[:3] - D_r @ xi[:3]
-            rhs[3:] = K_p @ u[3:] - D_p @ xi[3:]
-            xi = xi + dt_tau * rhs
+        xi = xi + dt_tau * (K6 * u - D6 * xi)
         q, p = _qp_step_raw(q, p, half * xi[:3], half * xi[3:])
         out_dq[k + 1] = dq_from_pose(Pose(p, q)).as_array()
         out_xi[k + 1] = xi
-        out_l[k + 1] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r, kinv_p,
-                                    kinv_r_diag, kinv_p_diag)
+        out_l[k + 1] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r_diag, kinv_p_diag)
     out_e[n] = _qp_error_raw(q, p, gr, gp, rt)
     out_f[n] = forcing_rows(xs[n], basis, W)
     return dict(t=ts, x=xs, dq=out_dq, xi=out_xi, forcing=out_f, error=out_e,
@@ -401,15 +364,10 @@ def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
 # -- cases -----------------------------------------------------------------------
 
 
-def spd(rng, scale):
-    a = rng.normal(size=(3, 3))
-    return scale * (np.eye(3) + 0.3 * (a @ a.T) / 3.0)
-
-
-def gains(rng, full):
-    """(K, D): diagonal with distinct entries, or full symmetric positive definite."""
-    if full:
-        return spd(rng, 9.0), spd(rng, 6.0)
+def gains(rng, scalar):
+    """(K, D): scalar gains k I and d I, or diagonal with distinct entries."""
+    if scalar:
+        return rng.uniform(4.0, 16.0) * np.eye(3), rng.uniform(4.0, 10.0) * np.eye(3)
     return np.diag(rng.uniform(4.0, 16.0, size=3)), np.diag(rng.uniform(4.0, 10.0, size=3))
 
 
@@ -417,22 +375,18 @@ def weights(rng, dims, forced):
     return rng.normal(scale=2.0, size=(dims, 30)) if forced else np.zeros((dims, 30))
 
 
-def assert_states(got, want, names, full):
+def assert_states(got, want, names):
     for name in names:
-        a, b = getattr(got, name), want[name]
-        if full:
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
-        else:
-            assert np.array_equal(a, b), name
+        assert np.array_equal(getattr(got, name), want[name]), name
 
 
-CASES = [(full, forced) for full in (False, True) for forced in (False, True)]
+CASES = [(scalar, forced) for scalar in (False, True) for forced in (False, True)]
 
 
 @pytest.mark.parametrize("frame", [BODY])
-@pytest.mark.parametrize("full,forced", CASES)
-def test_quat_rollout_matches_reference(rng, frame, full, forced):
-    K, D = gains(rng, full)
+@pytest.mark.parametrize("scalar,forced", CASES)
+def test_quat_rollout_matches_reference(rng, frame, scalar, forced):
+    K, D = gains(rng, scalar)
     m = QuaternionDmp(frame, K, D, BASIS, weights(rng, 3, forced),
                       random_unit_quat(rng), random_unit_quat(rng), 1.3)
     omega0 = rng.normal(size=3)
@@ -444,21 +398,21 @@ def test_quat_rollout_matches_reference(rng, frame, full, forced):
     ]
     for kw in runs:
         got, want = quat_rollout(m, **kw), reference_quat_rollout(m, **kw)
-        assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), full)
+        assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"))
         np.testing.assert_allclose(got.v1, want["v1"], **ENERGY_TOL)
     # resume from a midpoint on the offset clock
     first = quat_rollout(m, dt=0.01, duration=1.0)
     kw = dict(q0=first.q[-1], omega0=first.omega[-1], dt=0.01, duration=1.0,
               t_start=1.0)
     got, want = quat_rollout(m, **kw), reference_quat_rollout(m, **kw)
-    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), full)
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"))
     np.testing.assert_allclose(got.v1, want["v1"], **ENERGY_TOL)
 
 
-@pytest.mark.parametrize("full,forced", CASES)
-def test_dq_rollout_matches_reference(rng, full, forced):
-    K_r, D_r = gains(rng, full)
-    K_p, D_p = gains(rng, full)
+@pytest.mark.parametrize("scalar,forced", CASES)
+def test_dq_rollout_matches_reference(rng, scalar, forced):
+    K_r, D_r = gains(rng, scalar)
+    K_p, D_p = gains(rng, scalar)
     m = DualQuaternionDmp(K_r, K_p, D_r, D_p, BASIS, weights(rng, 6, forced),
                           random_unit_dq(rng), random_unit_dq(rng), 1.3)
     xi0 = np.concatenate([random_rotvec(rng, 1.0), rng.normal(size=3)])
@@ -470,13 +424,13 @@ def test_dq_rollout_matches_reference(rng, full, forced):
     ]
     for kw in runs:
         got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
-        assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), full)
+        assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"))
         np.testing.assert_allclose(got.lyap, want["lyap"], **ENERGY_TOL)
     first = dq_rollout(m, dt=0.01, duration=1.0)
     end = DualQuaternion(first.dq[-1, :4].copy(), first.dq[-1, 4:].copy())
     kw = dict(dq0=end, xi0=first.xi[-1], dt=0.01, duration=1.0, t_start=1.0)
     got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
-    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), full)
+    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"))
     np.testing.assert_allclose(got.lyap, want["lyap"], **ENERGY_TOL)
 
 
@@ -495,7 +449,7 @@ def test_dq_distinct_rotation_and_translation_blocks_bit_exact(rng, forced):
     xi0 = np.concatenate([random_rotvec(rng, 1.0), rng.normal(size=3)])
     for kw in (dict(dt=0.01, duration=2.5), dict(xi0=xi0, dt=0.004, duration=1.0)):
         got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
-        assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
+        assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"))
 
 
 @pytest.mark.parametrize("frame", [BODY])
@@ -504,7 +458,7 @@ def test_quat_distinct_per_axis_gains_bit_exact(rng, frame):
                       random_unit_quat(rng), random_unit_quat(rng), 0.9)
     kw = dict(omega0=rng.normal(size=3), dt=0.01, duration=2.0)
     got, want = quat_rollout(m, **kw), reference_quat_rollout(m, **kw)
-    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"))
 
 
 def test_forced_rollouts_past_1024_steps_bit_exact(rng):
@@ -513,11 +467,11 @@ def test_forced_rollouts_past_1024_steps_bit_exact(rng):
                           random_unit_dq(rng), random_unit_dq(rng), 1.7)
     got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
     assert len(got.t) > 1025
-    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
+    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"))
     q = QuaternionDmp(BODY, K_POS, D_POS, BASIS, weights(rng, 3, True),
                       random_unit_quat(rng), random_unit_quat(rng), 1.7)
     got, want = quat_rollout(q, **kw), reference_quat_rollout(q, **kw)
-    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"))
 
 
 # -- the benchmark's rollout-many shape: bit-exact ---------------------------------
@@ -536,7 +490,7 @@ def test_dq_rollout_at_the_benchmark_shape_bit_exact(rng, forced):
                           random_unit_dq(rng), 1.0)
     got, want = dq_rollout(m, **BENCH_RUN), reference_dq_rollout(m, **BENCH_RUN)
     assert len(got.t) == 2858
-    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"), False)
+    assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"))
 
 
 @pytest.mark.parametrize("frame", [BODY])
@@ -546,7 +500,7 @@ def test_quat_rollout_at_the_benchmark_shape_bit_exact(rng, frame, forced):
                       random_unit_quat(rng), random_unit_quat(rng), 1.0)
     got, want = quat_rollout(m, **BENCH_RUN), reference_quat_rollout(m, **BENCH_RUN)
     assert len(got.t) == 2858
-    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"), False)
+    assert_states(got, want, ("t", "x", "q", "omega", "forcing", "error"))
 
 
 # -- the (q, p) loop against the dual-quaternion loop it replaced -----------------
