@@ -45,7 +45,6 @@ from .dualquat import (
     Pose,
     Twist,
     dq_conjugate,
-    dq_error,
     dq_exp,
     dq_from_pose,
     dq_log,

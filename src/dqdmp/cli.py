@@ -35,6 +35,7 @@ from .dmp import (
     DualQuaternionDmp,
     PoseDecoupledDmp,
     QuaternionDmp,
+    _gain_matrix,
     classical_rollout,
     classical_train,
     dq_rollout,
@@ -116,8 +117,9 @@ def cmd_train(args) -> int:
                 model = dq_train(traj, tau, args.k_rot, args.k_pos, d_rot, d_pos,
                                  basis_scheme_a(args.kernels, args.alpha_x))
             elif args.variant == "quat":
-                model = quat_train(traj, tau, args.k_rot,
-                                   args.d_ratio * np.sqrt(args.k_rot),
+                # checked under the flags' gain names, not the model's k_gain / d_gain
+                model = quat_train(traj, tau, _gain_matrix(args.k_rot, "k_rot"),
+                                   _gain_matrix(args.d_ratio * np.sqrt(args.k_rot), "d_rot"),
                                    basis_scheme_a(args.kernels, args.alpha_x))
             else:  # pose-decoupled
                 model = pose_train(

@@ -18,11 +18,12 @@ each with a step closure built from the float kernels of ``quat`` and
 is per-axis, a positive, finite scalar or diagonal 3x3 matrix; a model
 refuses any other by name.  The dq loop state is (q, p), rotation and
 inertial position, stepped by the screw exponential ``dualquat._screw``;
-``DqRollout.dq`` is encoded after the loop.  The loop over time makes no
-numpy call (sin and cos come from ``math``): plain floats, states packed
-into preallocated arrays, the forcing grid before the loop and the
-finiteness check, error rows and energies after.  The energies exist only
-as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
+``DqRollout.dq`` is encoded after the loop.  Its pose error, ``_pose_error``,
+is also the one training inverts, on the demonstration's (q, p) stack.  The
+loop over time makes no numpy call (sin and cos come from ``math``): plain
+floats, states packed into preallocated arrays, the forcing grid before the
+loop and the finiteness check, error rows and energies after.  The energies
+exist only as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
 ``ClassicalRollout.energy``, ``PoseRollout.energy``).  The scalar primitive
 keeps its own short float loop: its position step is Euler, its forcing
 unscaled and it has no start-error term.
@@ -56,7 +57,6 @@ from .dualquat import (
     DualQuaternion,
     Pose,
     _screw,
-    dq_error,
     dq_from_pose,
     dq_position,
     dq_to_pose,
@@ -451,19 +451,45 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
 # dual quaternion variant
 
 
-def dq_target_forcing(dqs: np.ndarray, xi: np.ndarray,
+def _pose_error(goal: DualQuaternion):
+    """error(pose) of the pose [qw, qx, qy, qz, px, py, pz], 7 floats or 7
+    stack columns, relative to the goal: the components of q* (x) q_d, whose
+    vector part is the rotation error, then the translation error
+    R(q_d)^T (p_d - p), the translation of dq* (x) dq_d.  The goal is bound
+    once, as floats."""
+    gq, (gx, gy, gz) = goal.real.tolist(), dq_position(goal).tolist()
+    # R(q_d)^T row by row
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = quat_to_rotmat(goal.real).T.ravel().tolist()
+
+    def error(p):
+        qw, qx, qy, qz, px, py, pz = p
+        ex, ey, ez = gx - px, gy - py, gz - pz
+        return (*_quat_error((qw, qx, qy, qz), gq), a0 * ex + a1 * ey + a2 * ez,
+                a3 * ex + a4 * ey + a5 * ez, a6 * ex + a7 * ey + a8 * ez)
+    return error
+
+
+def _pose_anchor(dq: DualQuaternion) -> np.ndarray:
+    """The 7 components [q, p] of the (rotation, position) state at dq."""
+    return np.concatenate([dq.real, dq_position(dq)])
+
+
+def dq_target_forcing(poses: np.ndarray, xi: np.ndarray,
                       xi_dot: np.ndarray, xs: np.ndarray,
                       dqd: DualQuaternion, dq0: DualQuaternion, tau: float,
                       k_rot: np.ndarray, k_pos: np.ndarray,
                       d_rot: np.ndarray, d_pos: np.ndarray) -> np.ndarray:
     """Per-sample 6-vector forcing targets for the coupled pose primitive.
 
-    dqs is the (n, 8) stack of demonstrated poses [real, dual]; xi / xi_dot
-    are the demonstration's body twist and twist rate in real time; the
-    targets are those of _target_block, per (rotation, translation) block.
+    poses is the (n, 7) stack [q, p] of demonstrated quaternions and inertial
+    positions; xi / xi_dot are the demonstration's body twist and twist rate
+    in real time; the targets are those of _target_block, per (rotation,
+    translation) block, on the error of dq_rollout (_pose_error), with e0
+    at dq0's [q, p] as the rollout anchors it.
     """
-    e0 = dq_error(dq0, dqd)
-    e = dq_error(DualQuaternion(dqs[:, :4], dqs[:, 4:]), dqd)
+    error = _pose_error(dqd)
+    e0 = np.array(error(_pose_anchor(dq0).tolist())[1:])
+    e = np.array(error(poses.T)[1:]).T
     rot = _target_block(xi_dot[:, :3], xi[:, :3], e[:, :3], e0[:3], xs, tau, k_rot, d_rot)
     pos = _target_block(xi_dot[:, 3:], xi[:, 3:], e[:, 3:], e0[3:], xs, tau, k_pos, d_pos)
     return np.concatenate([rot, pos], axis=1)
@@ -474,17 +500,16 @@ def dq_train(traj: Trajectory, tau: float, k_rot, k_pos, d_rot, d_pos,
     """Fit the coupled pose primitive to a demonstration.
 
     Six independent weight fits against the shared phase; boundary poses
-    are the demonstration endpoints.
+    are the demonstration endpoints, the only poses encoded as dual
+    quaternions.
     """
     k_rot, k_pos = _gain_matrix(k_rot, "k_rot"), _gain_matrix(k_pos, "k_pos")
     d_rot, d_pos = _gain_matrix(d_rot, "d_rot"), _gain_matrix(d_pos, "d_pos")
     der = traj.derived()
-    dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
-    start = DualQuaternion(dqs[0, :4], dqs[0, 4:])
-    goal = DualQuaternion(dqs[-1, :4], dqs[-1, 4:])
+    start, goal = (dq_from_pose(Pose(traj.positions[k], traj.quaternions[k])) for k in (0, -1))
     xs = phase(traj.t, basis.alpha_x, tau)
-    fd = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, goal, start, tau,
-                           k_rot, k_pos, d_rot, d_pos)
+    fd = dq_target_forcing(np.column_stack([traj.quaternions, traj.positions]), der.xi,
+                           der.xi_dot, xs, goal, start, tau, k_rot, k_pos, d_rot, d_pos)
     weights, res = _fit(xs, fd, basis)
     return DualQuaternionDmp(k_rot, k_pos, d_rot, d_pos, basis, weights,
                              start, goal, float(tau), res)
@@ -552,20 +577,11 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     tau = float(tau_override) if tau_override is not None else model.tau
     goal = (model.dqd if goal_override is None
             else _unit_dq(goal_override.as_array(), "goal_override"))
-    goal_position = dq_to_pose(goal).position
     start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
     xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
-    gq, (gx, gy, gz) = goal.real.tolist(), goal_position.tolist()
-    # R(q_d)^T row by row: vec(2 q_oe* (x) q_pe) of dq_error is R(q_d)^T (p_d - p)
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = quat_to_rotmat(goal.real).T.ravel().tolist()
+    error = _pose_error(goal)
     drive_r = _gain_kernel(model.k_rot, model.d_rot)
     drive_p = _gain_kernel(model.k_pos, model.d_pos)
-
-    def error(p):
-        qw, qx, qy, qz, px, py, pz = p
-        ex, ey, ez = gx - px, gy - py, gz - pz
-        return (*_quat_error((qw, qx, qy, qz), gq), a0 * ex + a1 * ey + a2 * ez,
-                a3 * ex + a4 * ey + a5 * ez, a6 * ex + a7 * ey + a8 * ez)
 
     def step(p, v, x, f, h, half, c):
         qw, qx, qy, qz, px, py, pz = p
@@ -578,13 +594,13 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
         return ((*_turn((qw, qx, qy, qz), s), px + ux, py + uy, pz + uz),
                 (r0, r1, r2, t0, t1, t2))
 
-    anchor, first = (np.concatenate([d.real, dq_position(d)]) for d in (model.dq0, start))
-    ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start, anchor, first,
+    ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start,
+                                          _pose_anchor(model.dq0), _pose_anchor(start),
                                           xi, error, step)
     q, positions = poses[:, :4], poses[:, 4:].copy()
     dqs = dq_from_pose(Pose(positions, q)).as_array()
     dqs[0] = start.as_array()
-    lyap = _pose_energy(q, positions, xis, goal.real, goal_position,
+    lyap = _pose_energy(q, positions, xis, goal.real, dq_position(goal),
                         1.0 / np.diag(model.k_rot), 1.0 / np.diag(model.k_pos))
     return DqRollout(ts, xs, dqs, positions, xis, f, e, lyap)
 
@@ -603,8 +619,10 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     alpha_z = d_pos, beta_z = k_pos / d_pos (so alpha_z beta_z = k_pos).
     """
     traj.derived()  # refuses a demo too short to differentiate
-    if not (0.0 < k_pos < np.inf and 0.0 < d_pos < np.inf):
-        raise ValueError("position stiffness and damping must be positive and finite")
+    for name, gain in (("k_pos", k_pos), ("d_pos", d_pos)):
+        if not 0.0 < gain < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    k_rot, d_rot = _gain_matrix(k_rot, "k_rot"), _gain_matrix(d_rot, "d_rot")
     pos_basis = basis_scheme_a(n_pos_kernels, alpha_x)
     rot_basis = basis_scheme_a(n_rot_kernels, alpha_x)
     alpha_z = float(d_pos)
@@ -642,7 +660,9 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = No
     """Roll the decoupled baseline; sub-systems share only the clock, which runs
     on the orientation primitive's tau or tau_override, 1.5 tau by default."""
     tau = tau_override if tau_override is not None else model.orientation.tau
-    goals = goal_position if goal_position is not None else [None] * 3
+    goals = [None] * 3 if goal_position is None else np.asarray(goal_position, dtype=float)
+    if goal_position is not None and not (goals.shape == (3,) and np.isfinite(goals).all()):
+        raise ValueError("goal_position: the goal must be finite, with 3 components [px, py, pz]")
     rolls = [classical_rollout(m, m.y0, dt, duration, goal_override=g, tau_override=tau)
              for m, g in zip(model.position, goals)]
     qroll = quat_rollout(model.orientation, dt=dt, duration=duration,

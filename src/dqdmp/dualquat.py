@@ -17,14 +17,14 @@ programming error and raises.
 
 Everything here is a pure function over immutable values.  The parts of a
 ``DualQuaternion`` or ``Pose`` may also be ``(n, 4)`` / ``(n, 3)`` stacks;
-the product, conjugate, encoding (``dq_from_pose``), position and error
-functions then work row by row with the bits of the single-value call.
-As in ``quat``, each formula is written once, in component form, under
-``dq_product``, ``dq_error`` and ``dq_exp``: ``_mul`` (the product from real
-and dual parts) and ``_error`` (the goal-relative pose) on a single value's
-floats or a stack's columns (``quat._cols``), and ``_screw`` (the screw
-exponential as a rotation quaternion and an inertial translation) on
-floats.  The rollout in ``dmp`` steps (rotation, position) with ``_screw``.
+the product, conjugate, encoding (``dq_from_pose``) and position functions
+then work row by row with the bits of the single-value call: ``dq_product``
+runs the quaternion kernel ``quat._product`` on a single value's floats or a
+stack's columns (``quat._cols``).  ``_screw`` (the screw exponential as a
+rotation quaternion and an inertial translation, on floats) is written once
+under ``dq_exp``; the rollout in ``dmp`` steps (rotation, position) with it.
+The pose error the dq primitive is driven by lives in ``dmp``, on that
+(rotation, position) state.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from .quat import (
     _cols,
-    _conj,
     _floats,
     _product,
     quat_conjugate,
@@ -95,8 +94,11 @@ class Pose:
 
 def dq_product(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Dual quaternion product: (a.r (x) b.r) + eps (a.r (x) b.d + a.d (x) b.r)."""
-    p = _mul(_cols(a.real), _cols(a.dual), _cols(b.real), _cols(b.dual))
-    return DualQuaternion(np.array(p[:4]).T, np.array(p[4:]).T)
+    ar, ad, br, bd = _cols(a.real), _cols(a.dual), _cols(b.real), _cols(b.dual)
+    w1, x1, y1, z1 = _product(ar, bd)
+    w2, x2, y2, z2 = _product(ad, br)
+    return DualQuaternion(np.array(_product(ar, br)).T,
+                          np.array((w1 + w2, x1 + x2, y1 + y2, z1 + z2)).T)
 
 
 def dq_conjugate(q: DualQuaternion) -> DualQuaternion:
@@ -132,17 +134,6 @@ def dq_to_pose(dq: DualQuaternion) -> Pose:
             f"dual quaternion violates unit constraints (norm err {nerr:.2e}, "
             f"orthogonality err {derr:.2e})")
     return Pose(dq_position(dq), dq.real.copy())
-
-
-def dq_error(dq: DualQuaternion, dq_d: DualQuaternion) -> np.ndarray:
-    """6-vector pose error [vec(q_oe), vec(p_e)] of dq relative to a goal dq_d.
-
-    Forms q_e = dq* (x) dq_d, extracts the carried translation
-    p_e = vec(2 q_oe* (x) q_pe), and pairs it with the rotation error, the
-    vector part of q_oe.
-    """
-    e = _error(_cols(dq.real), _cols(dq.dual), _cols(dq_d.real), _cols(dq_d.dual))
-    return np.array(e[1:]).T
 
 
 def dq_exp(xi: Twist) -> DualQuaternion:
@@ -197,24 +188,6 @@ def _pure(xi: Twist) -> DualQuaternion:
 
 # ---------------------------------------------------------------------------
 # component kernels
-
-
-def _mul(ar, ad, br, bd):
-    """Components [real, dual] of (ar + eps ad) (x) (br + eps bd) for
-    4-sequence parts of floats or of stack columns."""
-    w1, x1, y1, z1 = _product(ar, bd)
-    w2, x2, y2, z2 = _product(ad, br)
-    return (*_product(ar, br), w1 + w2, x1 + x2, y1 + y2, z1 + z2)
-
-
-def _error(pr, pd, gr, gd):
-    """Components [q_oe, p_e] of the pose g = gr + eps gd relative to the
-    pose p = pr + eps pd, for 4-sequence parts of floats or columns: the
-    rotation q_oe = pr* (x) gr and the translation p_e = vec(2 q_oe* (x) q_pe)
-    carried by q_pe, the dual part of p* (x) g."""
-    qw, qx, qy, qz, fw, fx, fy, fz = _mul(_conj(pr), _conj(pd), gr, gd)
-    _, px, py, pz = _product(_conj((qw, qx, qy, qz)), (fw, fx, fy, fz))
-    return qw, qx, qy, qz, 2.0 * px, 2.0 * py, 2.0 * pz
 
 
 def _screw(z):

@@ -3,7 +3,18 @@ import io
 import numpy as np
 import pytest
 
-from dqdmp import DualQuaternion, Pose, dq_from_pose, save_trajectory
+from dqdmp import (
+    DualQuaternion,
+    Pose,
+    dq_conjugate,
+    dq_from_pose,
+    dq_product,
+    quat_conjugate,
+    quat_product,
+    save_trajectory,
+)
+from dqdmp.dmp import _pose_error
+from dqdmp.dualquat import dq_position
 
 
 @pytest.fixture
@@ -53,6 +64,25 @@ def dq_normalize(q: DualQuaternion) -> DualQuaternion:
     n = np.linalg.norm(q.real)
     real, dual = q.real / n, q.dual / n
     return DualQuaternion(real, dual - (real @ dual) * real)
+
+
+def pose_components(dq: DualQuaternion) -> np.ndarray:
+    """The 7 components [q, p] of the (rotation, position) state at dq."""
+    return np.concatenate([dq.real, dq_position(dq)])
+
+
+def pose_error(dq: DualQuaternion, goal: DualQuaternion) -> np.ndarray:
+    """The 6-vector error the dq primitive is driven by, of dq relative to
+    goal, evaluated as the rollout does: on dq's [q, p], as floats."""
+    return np.array(_pose_error(goal)(pose_components(dq).tolist())[1:])
+
+
+def dq_error_oracle(dq: DualQuaternion, goal: DualQuaternion) -> np.ndarray:
+    """[vec(q_oe), vec(2 q_oe* (x) q_pe)] of q_e = q_oe + eps q_pe = dq* (x)
+    goal: the pose error read off the dual quaternion product."""
+    qe = dq_product(dq_conjugate(dq), goal)
+    p_e = 2.0 * quat_product(quat_conjugate(qe.real), qe.dual)
+    return np.concatenate([qe.real[1:], p_e[1:]])
 
 
 def trajectory_to_csv(traj) -> str:

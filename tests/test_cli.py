@@ -9,12 +9,10 @@ import pytest
 
 from dqdmp import (
     BODY,
-    Pose,
     QuaternionDmp,
     basis_scheme_a,
     classical_target_forcing,
     design_matrix,
-    dq_from_pose,
     dq_target_forcing,
     load_model,
     load_trajectory,
@@ -109,9 +107,9 @@ def test_train_prints_the_residuals_of_the_fit(tmp_path, demo_file, capsys, vari
     model, traj = load_model(str(out)), load_trajectory(demo_file)
     if variant == "dq":
         der = traj.derived()
-        dqs = dq_from_pose(Pose(traj.positions, traj.quaternions)).as_array()
+        poses = np.column_stack([traj.quaternions, traj.positions])
         xs = phase(traj.t, model.basis.alpha_x, model.tau)
-        f = dq_target_forcing(dqs, der.xi, der.xi_dot, xs, model.dqd, model.dq0,
+        f = dq_target_forcing(poses, der.xi, der.xi_dot, xs, model.dqd, model.dq0,
                               model.tau, model.k_rot, model.k_pos, model.d_rot,
                               model.d_pos)
         expected = residual_lines(model, traj, f)
@@ -502,11 +500,20 @@ def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, fla
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, gain", [(["--k-rot", "-1"], "k_rot"),
-                                         (["--k-pos", "0"], "k_pos"),
-                                         (["--d-ratio", "-2"], "d_rot")])
+@pytest.mark.parametrize("flags, gain", [
+    (["--k-rot", "-1"], "k_rot"),
+    (["--k-pos", "0"], "k_pos"),
+    (["--d-ratio", "-2"], "d_rot"),
+    # the quaternion model's own gains are k_gain / d_gain; the flags name k_rot / d_rot
+    (["--variant", "quat", "--k-rot", "-1"], "k_rot"),
+    (["--variant", "quat", "--d-ratio", "-1"], "d_rot"),
+    (["--variant", "pose-decoupled", "--k-rot", "-1"], "k_rot"),
+    (["--variant", "pose-decoupled", "--k-pos", "-1"], "k_pos"),
+    (["--variant", "pose-decoupled", "--d-ratio", "-1"], "d_pos"),
+])
 def test_train_names_the_gain_it_refuses(tmp_path, demo_file, capsys, flags, gain):
-    # each was refused as "gain matrices must be symmetric positive definite"
+    # each was refused as "gain matrices must be symmetric positive definite",
+    # "k_gain must be" or "position stiffness and damping must be"
     out = tmp_path / "m.json"
     assert run(["train", "--demo", demo_file, *flags, "-o", str(out)]) == 1
     assert_one_error_line(capsys, f"error: {gain} must be ")

@@ -332,8 +332,16 @@ def test_load_model_refuses_an_off_diagonal_gain_by_name(variant, key, gain):
 def test_pose_train_rejects_bad_position_gains(k_pos, d_pos):
     # alpha_z = d_pos and beta_z = k_pos / d_pos: a zero damping divided by zero
     demo = gen_somersault(5.0, 1.0, 0.01)
-    with pytest.raises(ValueError, match="position stiffness and damping"):
+    name = "k_pos" if not 0.0 < k_pos < np.inf else "d_pos"
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         pose_train(demo, 1.0, 0.1, 10, k_pos, d_pos, 10, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("gains, name", [((-1.0, 10.0), "k_rot"), ((1.0, 0.0), "d_rot")])
+def test_pose_train_names_the_orientation_gain_it_refuses(gains, name):
+    demo = gen_somersault(5.0, 1.0, 0.01)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        pose_train(demo, 1.0, 0.1, 10, 100.0, 20.0, 10, *gains)
 
 
 @pytest.mark.parametrize("y0, goal", [(np.nan, 1.0), (0.0, np.inf), (0.0, np.nan)])
@@ -357,6 +365,25 @@ def test_pose_rollout_refuses_non_finite_goal_position():
     m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
     with pytest.raises(ValueError, match="goal must be finite"):
         pose_rollout(m, 0.01, 1.0, goal_position=[np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("goal", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
+                                  [1.0, np.inf, 3.0], []])
+def test_pose_rollout_refuses_a_goal_position_of_other_than_three_components(goal):
+    # [1, 2] raised IndexError, [1, 2, 3, 4] lost its 4th component and
+    # [[1, 2, 3]] raised TypeError
+    m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
+    with pytest.raises(ValueError, match="^goal_position: "):
+        pose_rollout(m, 0.01, 1.0, goal_position=goal)
+
+
+def test_pose_rollout_goal_position_retargets_each_axis():
+    m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
+    roll = pose_rollout(m, 0.01, 1.0, goal_position=np.array([1.0, 2.0, 3.0]))
+    for dim, axis in enumerate(m.position):
+        ref = classical_rollout(axis, axis.y0, 0.01, 1.0, goal_override=dim + 1.0,
+                                tau_override=m.orientation.tau)
+        assert np.array_equal(roll.positions[:, dim], ref.y)
 
 
 def test_quat_rollout_rejects_non_unit_goal(rng):

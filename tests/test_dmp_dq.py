@@ -12,7 +12,6 @@ from dqdmp import (
     Pose,
     Trajectory,
     basis_scheme_a,
-    dq_error,
     dq_from_pose,
     dq_product,
     dq_rollout,
@@ -27,7 +26,15 @@ from dqdmp import (
 from dqdmp.dmp import _pose_energy
 from dqdmp.dualquat import dq_constraint_errors
 
-from conftest import dq_add, dq_normalize, dq_scale, random_unit_dq
+from conftest import (
+    dq_add,
+    dq_error_oracle,
+    dq_normalize,
+    dq_scale,
+    pose_components,
+    pose_error,
+    random_unit_dq,
+)
 
 BASIS = basis_scheme_a(30, 2.0)
 EYE3 = np.eye(3)
@@ -61,7 +68,7 @@ def test_dq_forcing_zero_for_stationary_demo(rng):
     dqs = [goal] * n
     xi = np.zeros((n, 6))
     xs = phase(np.arange(n) * 0.01, 2.0, 1.0)
-    fd = dq_target_forcing(np.array([q.as_array() for q in dqs]), xi, xi, xs,
+    fd = dq_target_forcing(np.array([pose_components(q) for q in dqs]), xi, xi, xs,
                            goal, goal, 1.0, EYE3, EYE3,
                            2.0 * EYE3, 2.0 * EYE3)
     np.testing.assert_allclose(fd, 0.0, atol=1e-12)
@@ -70,14 +77,14 @@ def test_dq_forcing_zero_for_stationary_demo(rng):
 def rk4_unforced_dq_demo(start, goal, k, d, alpha_x, tau, dt, T):
     """High-order reference solution of the unforced coupled dynamics.
 
-    Independent oracle (RK4 on the flat 14-dim state); only the public
-    error/product operations are used, not the package integrator.
+    Independent oracle (RK4 on the flat 14-dim state); the error is read off
+    the public dual quaternion product, not the package's (q, p) error.
     """
-    e0 = dq_error(start, goal)
+    e0 = dq_error_oracle(start, goal)
 
     def rhs(t, q, xi):
         x = np.exp(-alpha_x * t / tau)
-        e = dq_error(q, goal)
+        e = dq_error_oracle(q, goal)
         xi_dot = (k @ (e[:3] - e0[:3] * x) - d @ xi[:3],
                   k @ (e[3:] - e0[3:] * x) - d @ xi[3:])
         xi_dot = np.concatenate(xi_dot) / tau
@@ -113,7 +120,7 @@ def test_dq_forcing_zero_for_unforced_rollout(rng):
     t, dqs, xis = rk4_unforced_dq_demo(start, goal, k, d, 2.0, 1.0, dt, 4.0)
     xi_dot = np.gradient(xis, dt, axis=0, edge_order=2)
     xs = phase(t, 2.0, 1.0)
-    fd = dq_target_forcing(np.array([q.as_array() for q in dqs]), xis, xi_dot,
+    fd = dq_target_forcing(np.array([pose_components(q) for q in dqs]), xis, xi_dot,
                            xs, goal, start, 1.0, k, k, d, d)
     assert np.max(np.abs(fd)) <= 1e-5
 
@@ -123,18 +130,38 @@ def test_dq_forcing_somersault_initial_sample():
     # forcing target reduces to the inverse-stiffness-scaled twist rate
     traj = small_somersault()
     der = traj.derived()
-    dqs = [dq_from_pose(Pose(traj.positions[k], traj.quaternions[k]))
-           for k in range(len(traj))]
+    start, goal = (dq_from_pose(Pose(traj.positions[k], traj.quaternions[k]))
+                   for k in (0, -1))
     tau = traj.duration
     xs = phase(traj.t, 0.05, tau)
     k, d = 1.0 * EYE3, 10.0 * EYE3
-    fd = dq_target_forcing(np.array([q.as_array() for q in dqs]), der.xi,
-                           der.xi_dot, xs, dqs[-1], dqs[0], tau, k, k, d, d)
-    e0 = dq_error(dqs[0], dqs[-1])
+    fd = dq_target_forcing(np.column_stack([traj.quaternions, traj.positions]), der.xi,
+                           der.xi_dot, xs, goal, start, tau, k, k, d, d)
+    e0 = pose_error(start, goal)
     np.testing.assert_allclose(e0, 0.0, atol=1e-9)
     expected = tau**2 * der.xi_dot[0] + tau * 10.0 * der.xi[0]
     np.testing.assert_allclose(fd[0], expected, atol=1e-9)
     assert np.all(np.isfinite(fd))
+
+
+def test_training_inverts_the_error_the_rollout_integrates(rng):
+    # at one pose with zero twist and rate and x = 0 the forcing target is
+    # minus the pose error; it must be the rollout's error to the bit, and
+    # at the trained start the error and e0 must cancel exactly at x = 1
+    gains = (np.diag([1.0, 2.0, 3.0]), 4.0 * EYE3, 10.0 * EYE3, np.diag([5.0, 6.0, 7.0]))
+    zero = np.zeros((1, 6))
+    for _ in range(200):
+        start, goal, at = (random_unit_dq(rng, 100.0) for _ in range(3))
+        m = DualQuaternionDmp(*gains, BASIS, np.zeros((6, 30)), start, goal, 1.0)
+
+        def target(dq, x):
+            return dq_target_forcing(pose_components(dq)[None, :], zero, zero, np.array([x]),
+                                     goal, start, 1.0, *gains)[0]
+
+        for dq in (at, start):
+            roll = dq_rollout(m, dq, dt=0.01, duration=0.0)
+            assert np.array_equal(target(dq, 0.0), -roll.error[0])
+        assert not np.any(target(start, 1.0))
 
 
 # -- training -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dqdmp import (
     basis_scheme_a,
     dq_conjugate,
     dq_derivative_body,
-    dq_error,
     dq_exp,
     dq_from_pose,
     dq_log,
@@ -29,8 +28,10 @@ from dqdmp.quat import _exp, _turn, quat_rotate
 
 from conftest import (
     dq_add,
+    dq_error_oracle,
     dq_identity,
     dq_scale,
+    pose_error,
     quat_identity,
     random_rotvec,
     random_unit_dq,
@@ -180,12 +181,12 @@ def test_pose_composition_homomorphism(rng):
 
 def test_error_self_is_zero(rng):
     dq = random_unit_dq(rng)
-    np.testing.assert_allclose(dq_error(dq, dq), np.zeros(6), atol=1e-12)
+    np.testing.assert_allclose(pose_error(dq, dq), np.zeros(6), atol=1e-12)
 
 
 def test_error_pure_translation_goal():
     goal = dq_from_pose(Pose(np.array([1.0, 0, 0]), quat_identity()))
-    np.testing.assert_allclose(dq_error(dq_identity(), goal),
+    np.testing.assert_allclose(pose_error(dq_identity(), goal),
                                [0, 0, 0, 1, 0, 0], atol=1e-15)
 
 
@@ -200,8 +201,19 @@ def test_error_sign_flip_invariance_of_pose(rng):
                np.linalg.norm(pa.orientation + pb.orientation)) <= 1e-12
     # the 6-vector error flips its rotation sign but the translation part
     # of the underlying pose mismatch is identical
-    ea, eb = dq_error(dq, goal), dq_error(flipped, goal)
+    ea, eb = pose_error(dq, goal), pose_error(flipped, goal)
     np.testing.assert_allclose(np.abs(ea), np.abs(eb), atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0, 1000.0])
+def test_error_equals_the_dual_quaternion_product_oracle(rng, scale):
+    # the (q, p) form R(q_d)^T (p_d - p) is the translation carried by dq* (x) dq_d
+    for _ in range(200):
+        dq, goal = random_unit_dq(rng, scale), random_unit_dq(rng, scale)
+        got, want = pose_error(dq, goal), dq_error_oracle(dq, goal)
+        for block in (slice(0, 3), slice(3, 6)):
+            assert (np.linalg.norm(got[block] - want[block])
+                    <= 1e-12 * np.linalg.norm(want[block])), (got, want)
 
 
 # -- exp / log -----------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dqdmp.canonical as canonical
+import dqdmp.dmp as dmp
 import dqdmp.dualquat as dualquat
 import dqdmp.quat as quat
 from dqdmp import (
@@ -19,7 +20,6 @@ from dqdmp import (
     classical_target_forcing,
     design_matrix,
     differentiate,
-    dq_error,
     dq_from_pose,
     dq_product,
     dq_train,
@@ -34,11 +34,11 @@ from dqdmp import (
     quat_train,
     quat_vec,
 )
-from dqdmp.dmp import DqRollout
+from dqdmp.dmp import DqRollout, _pose_error
 from dqdmp.dualquat import dq_position
 from dqdmp.traj import ScalarDemo
 
-from conftest import random_unit_quat
+from conftest import pose_components, random_unit_quat
 
 N = 257
 
@@ -79,7 +79,8 @@ def test_dual_quaternion_kernels_equal_single_calls(rng):
     single = [dq_from_pose(Pose(pk, qk)) for pk, qk in zip(p, q)]
     assert np.array_equal(stacked.as_array(), [d.as_array() for d in single])
     goal = dq_from_pose(Pose(rng.normal(size=3), random_unit_quat(rng)))
-    assert np.array_equal(dq_error(stacked, goal), [dq_error(d, goal) for d in single])
+    error, poses = _pose_error(goal), np.column_stack([q, p])
+    assert np.array_equal(np.array(error(poses.T)).T, [error(row) for row in poses.tolist()])
     flipped = DualQuaternion(stacked.real[::-1], stacked.dual[::-1])
     assert np.array_equal(dq_product(stacked, flipped).as_array(),
                           [dq_product(d, e).as_array() for d, e in zip(single, single[::-1])])
@@ -104,12 +105,14 @@ def test_single_values_reach_the_kernels_as_floats(rng, monkeypatch):
     monkeypatch.setattr(quat, "_product", spy(quat._product))
     monkeypatch.setattr(quat, "_rotate", spy(quat._rotate))
     monkeypatch.setattr(dualquat, "_product", spy(dualquat._product))
+    monkeypatch.setattr(dmp, "_product", spy(dmp._product))
     a, b = random_unit_quat(rng), random_unit_quat(rng)
     d, e = (dq_from_pose(Pose(rng.normal(size=3), random_unit_quat(rng))) for _ in range(2))
     seen.clear()
     outs = [(quat_product(a, b), (4,)), (quat_rotate(a, b[1:]), (3,)),
             (quat_rotate_inverse(a, b[1:]), (3,)), (dq_product(d, e).real, (4,)),
-            (dq_product(d, e).dual, (4,)), (dq_error(d, e), (6,))]
+            (dq_product(d, e).dual, (4,)),
+            (np.array(_pose_error(e)(pose_components(d).tolist())), (7,))]
     assert len(seen) > 0 and all(type(x) is float for x in seen), {type(x) for x in seen}
     for out, shape in outs:
         assert out.dtype == np.float64 and out.shape == shape
@@ -210,13 +213,17 @@ def reference_twists(traj):
 
 def reference_dq_weights(traj, tau, k_rot, k_pos, d_rot, d_pos, basis):
     _, xi, xi_dot = reference_twists(traj)
-    dqs = [dq_from_pose(Pose(p, q)) for p, q in zip(traj.positions, traj.quaternions)]
+    start, goal = (dq_from_pose(Pose(traj.positions[k], traj.quaternions[k]))
+                   for k in (0, -1))
     xs = phase(traj.t, basis.alpha_x, tau)
     kinv_r, kinv_p = np.linalg.inv(k_rot), np.linalg.inv(k_pos)
-    e0 = dq_error(dqs[0], dqs[-1])
+    # the error of the rollout, row by row on floats: the demo's [q, p], and
+    # e0 at the trained start's (rotation, position) state
+    error = _pose_error(goal)
+    e0 = np.array(error(pose_components(start).tolist())[1:])
     fd = np.empty((len(traj), 6))
     for k in range(len(traj)):
-        e = dq_error(dqs[k], dqs[-1])
+        e = np.array(error([*traj.quaternions[k].tolist(), *traj.positions[k].tolist()])[1:])
         drive_r = tau**2 * xi_dot[k, :3] + tau * d_rot @ xi[k, :3]
         drive_p = tau**2 * xi_dot[k, 3:] + tau * d_pos @ xi[k, 3:]
         fd[k, :3] = kinv_r @ drive_r - e[:3] + e0[:3] * xs[k]
