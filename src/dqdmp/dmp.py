@@ -69,7 +69,6 @@ from .quat import (
     _turn,
     quat_norm,
     quat_normalize,
-    quat_to_rotmat,
 )
 from .traj import ScalarDemo, Trajectory, open_text
 
@@ -130,6 +129,8 @@ class QuaternionDmp:
     fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
     def __post_init__(self):
+        if self.frame != BODY:
+            raise ValueError(f"unknown frame {self.frame!r}")
         _check_gains(self, "k_gain", "d_gain")
 
 
@@ -155,10 +156,19 @@ class DualQuaternionDmp:
 @dataclass(frozen=True)
 class PoseDecoupledDmp:
     """Baseline: three scalar position primitives plus an orientation
-    primitive, coupled only through the shared phase."""
+    primitive, coupled only through the shared phase: every sub-model must
+    have the orientation primitive's alpha_x and tau."""
 
     position: tuple[ClassicalDmp, ClassicalDmp, ClassicalDmp]
     orientation: QuaternionDmp
+
+    def __post_init__(self):
+        o = self.orientation
+        for axis, m in enumerate(self.position):
+            for name, a, b in ("alpha_x", m.basis.alpha_x, o.basis.alpha_x), ("tau", m.tau, o.tau):
+                if a != b:
+                    raise ValueError(f"position axis {axis} has {name} {a}, the orientation "
+                                     f"primitive {b}: the sub-models share one clock")
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +368,6 @@ def _unit_quat(q, what: str) -> np.ndarray:
 # quaternion variant
 
 
-def _check_body(frame: str) -> None:
-    """Raise on a frame other than BODY, the one frame of a quaternion model."""
-    if frame != BODY:
-        raise ValueError(f"unknown frame {frame!r}")
-
-
 def _quat_error(q, qd):
     """Components of q* (x) qd, the rotation from q to the goal qd; its vector
     part is the rotation error.  q and qd are 4-sequences of floats or of
@@ -432,7 +436,6 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
-    _check_body(model.frame)
     goal = qd.tolist()
     drive = _gain_kernel(model.k_gain, model.d_gain)
 
@@ -458,8 +461,8 @@ def _pose_error(goal: DualQuaternion):
     R(q_d)^T (p_d - p), the translation of dq* (x) dq_d.  The goal is bound
     once, as floats."""
     gq, (gx, gy, gz) = goal.real.tolist(), dq_position(goal).tolist()
-    # R(q_d)^T row by row
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = quat_to_rotmat(goal.real).T.ravel().tolist()
+    # R(q_d)^T row by row: row j is e_j turned by q_d, as in quat_to_rotmat
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = (_rotate(*gq, e) for e in np.eye(3).tolist())
 
     def error(p):
         qw, qx, qy, qz, px, py, pz = p
@@ -574,6 +577,9 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     start whose real part lies in the opposite hemisphere of the goal's
     unwinds the long way, and converges more slowly for it.
     """
+    for name, dq in ("dq0", dq0), ("goal_override", goal_override):
+        if dq is not None and not isinstance(dq, DualQuaternion):
+            raise ValueError(f"{name} must be a DualQuaternion, not {type(dq).__name__}")
     tau = float(tau_override) if tau_override is not None else model.tau
     goal = (model.dqd if goal_override is None
             else _unit_dq(goal_override.as_array(), "goal_override"))
@@ -715,7 +721,6 @@ def _model_doc(model) -> dict:
             "boundary": {"y0": model.y0, "goal": model.goal},
         }
     if isinstance(model, QuaternionDmp):
-        _check_body(model.frame)
         return {
             "format_version": _FORMAT_VERSION,
             "variant": "quaternion",

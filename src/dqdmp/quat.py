@@ -22,7 +22,9 @@ exponential), ``_rotate`` (a vector turned by a quaternion) and ``_turn``
 ``_turn(q, _exp(r))``).  The kernels run the integrator's loop over time in
 ``dmp`` on plain floats, with sin and cos from ``math``; ``quat_product``,
 ``quat_exp``, ``quat_rotate`` and ``quat_rotate_inverse`` are thin calls
-into the first three, and ``_turn`` has no public counterpart.
+into the first three, ``quat_to_rotmat`` is the rotate kernel's matrix (its
+columns are the turned unit vectors), and ``_turn`` has no public
+counterpart.
 ``_product`` and ``_rotate`` take one value as Python floats and a stack as
 its columns (``_cols``), with the same bits per row either way: both run
 the same IEEE operations in the same order.  So the product, conjugate,
@@ -150,19 +152,10 @@ def quat_log(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
-    """Body-to-inertial rotation matrix of a unit quaternion.
-
-    Satisfies quat_to_rotmat(q) @ u == vec(q (x) [0, u] (x) q*).
-    """
-    w, x, y, z = q
-    ww, xx, yy, zz = w * w, x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return np.array([
-        [ww + xx - yy - zz, 2.0 * (xy - wz), 2.0 * (xz + wy)],
-        [2.0 * (xy + wz), ww - xx + yy - zz, 2.0 * (yz - wx)],
-        [2.0 * (xz - wy), 2.0 * (yz + wx), ww - xx - yy + zz],
-    ])
+    """Body-to-inertial rotation matrix of a unit quaternion: column j is
+    quat_rotate(q, e_j) bit for bit, so R @ u is quat_rotate(q, u) up to
+    rounding."""
+    return quat_rotate(q, np.eye(3)).T
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -423,12 +423,11 @@ def test_classical_train_refuses_gains_the_loader_refuses(alpha_z, beta_z):
         classical_train(demo, 1.0, 1.0, alpha_z, beta_z, BASIS)
 
 
-def test_quat_rollout_refuses_an_unknown_frame(rng):
+def test_quaternion_model_refuses_an_unknown_frame(rng):
     # "Body" is not "body", the one frame a quaternion model takes
     q = random_unit_quat(rng)
-    m = QuaternionDmp("Body", np.eye(3), np.eye(3), BASIS, np.zeros((3, 30)), q, q, 1.0)
     with pytest.raises(ValueError, match="unknown frame 'Body'"):
-        quat_rollout(m, dt=0.01, duration=1.0)
+        QuaternionDmp("Body", np.eye(3), np.eye(3), BASIS, np.zeros((3, 30)), q, q, 1.0)
 
 
 @pytest.mark.parametrize("samples", [2, 3])

@@ -375,6 +375,14 @@ def test_a_boundary_pose_off_the_unit_constraints_is_named():
             load_model(io.StringIO(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("name", ["dq0", "goal_override"])
+def test_dq_rollout_refuses_a_flat_array_by_name(name):
+    # the flat [real, dual] 8-array of model files raised AttributeError
+    m = train_small(small_somersault())
+    with pytest.raises(ValueError, match=f"^{name} must be a DualQuaternion, not ndarray$"):
+        dq_rollout(m, dt=0.01, duration=1.0, **{name: m.dqd.as_array()})
+
+
 def _saved(model) -> str:
     buf = io.StringIO()
     save_model(model, buf)

@@ -59,7 +59,8 @@ def test_quaternion_roundtrip():
 
 
 def test_a_quaternion_model_of_another_frame_is_not_saved_as_body():
-    # the file's frame comes from the variant, so the model's must match it
+    # the file's frame comes from the variant, so the model's must match it;
+    # the model refuses another frame when it is built
     m = quat_train(gen_somersault(5.0, 3.0, 0.01), 3.0, 2.0, 9.0, basis_scheme_a(25, 1.0))
     with pytest.raises(ValueError, match="^unknown frame 'inertial'$"):
         save_model(replace(m, frame="inertial"), io.StringIO())
@@ -93,6 +94,38 @@ def test_pose_decoupled_roundtrip():
     ra = classical_rollout(m.position[0], m.position[0].y0, 0.01, 1.0)
     rb = classical_rollout(loaded.position[0], loaded.position[0].y0, 0.01, 1.0)
     np.testing.assert_array_equal(ra.y, rb.y)
+
+
+@pytest.mark.parametrize("key, value", [("alpha_x", 3.0), ("tau", 50.0)])
+def test_pose_decoupled_sub_models_must_share_one_clock(tmp_path, capsys, key, value):
+    # a position axis on another alpha_x ran on another phase, and its own
+    # tau was silently ignored: the file loaded and rolled out regardless
+    from dqdmp import PoseDecoupledDmp
+    from dqdmp.cli import main
+    m = pose_train(gen_somersault(5.0, 3.0, 0.01), 3.0, 0.1, 30, 10.0, 10.0 * np.sqrt(10.0),
+                   50, 1.0, 10.0)
+    theirs = {"alpha_x": 0.1, "tau": 3.0}[key]
+    message = (f"position axis 1 has {key} {value}, the orientation primitive {theirs}: "
+               f"the sub-models share one clock")
+    axis = m.position[1]
+    axis = (replace(axis, basis=replace(axis.basis, alpha_x=value)) if key == "alpha_x"
+            else replace(axis, tau=value))
+    with pytest.raises(ValueError) as exc:
+        PoseDecoupledDmp((m.position[0], axis, m.position[2]), m.orientation)
+    assert str(exc.value) == message
+    buf = io.StringIO()
+    save_model(m, buf)
+    doc = json.loads(buf.getvalue())
+    sub = doc["position"][1]
+    (sub["basis"] if key == "alpha_x" else sub)[key] = value
+    with pytest.raises(ValueError) as exc:
+        load_model(io.StringIO(json.dumps(doc)))
+    assert str(exc.value) == message
+    path, out = tmp_path / "pose.json", tmp_path / "roll.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["rollout", "--model", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("as_path", [str, lambda p: str(p).encode(), lambda p: p],
