@@ -13,10 +13,15 @@ the pose advances by the exact exponential step with the new velocity.  The
 rotation is renormalized each step, and the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.  The
 quaternion and dual-quaternion rollouts run on one driver, ``_integrate``,
-each with a step closure built from the float kernels of ``quat`` and
-``dualquat`` and one ``_gain_kernel`` per (K, D) gain block.  Every such gain
-is per-axis, a positive, finite scalar or diagonal 3x3 matrix; a model
-refuses any other by name.  The dq loop state is (q, p), rotation and
+each with a flat step closure: the rotation error vec(q* (x) q_d) (and, for
+dq, R(q_d)^T (p_d - p)) from goal floats bound once per rollout, the
+per-axis gain drive v_i + h (k_i u_i - d_i v_i) and the renormalized turn
+normalize(q (x) s) are written out as float arithmetic, with the IEEE
+operations of ``_quat_error``, ``_pose_error`` and ``quat._product`` in
+their order, so a step keeps their bits.  A quat step calls only
+``quat._exp``, a dq step only ``dualquat._screw`` and ``quat._rotate``.
+Every gain is per-axis, a positive, finite scalar or diagonal 3x3 matrix; a
+model refuses any other by name.  The dq loop state is (q, p), rotation and
 inertial position, stepped by the screw exponential ``dualquat._screw``;
 ``DqRollout.dq`` is encoded after the loop.  Its pose error, ``_pose_error``,
 is also the one training inverts, on the demonstration's (q, p) stack.  The
@@ -66,7 +71,6 @@ from .quat import (
     _product,
     _exp,
     _rotate,
-    _turn,
     quat_norm,
     quat_normalize,
 )
@@ -282,9 +286,11 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     goal-relative pose, its rotation's scalar part and then the goal error;
     it also takes the columns of stacked poses.
     step(pose, vel, x, f, dt / tau, dt / (2 tau), e0) -> (pose, vel) drives
-    the tau-scaled velocity per axis (_gain_kernel) with u = e - e0 x + f, e0
-    the error of the trained start pose (anchor) in blocks of three, then
-    moves the pose by dt / (2 tau) times the new velocity (half-angle).
+    the tau-scaled velocity per axis, v_i + h (k_i u_i - d_i v_i) with
+    u = e - e0 x + f, e0 the error of the trained start pose (anchor) in
+    blocks of three, then moves the pose by dt / (2 tau) times the new
+    velocity (half-angle).  A step that raises ValueError, out of a kernel's
+    domain, is re-raised naming the sample it stepped from.
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
     if start.shape != anchor.shape:
@@ -308,31 +314,22 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     pack_p, pack_v, n_p, n_v = row_p.pack_into, row_v.pack_into, row_p.size, row_v.size
     # forcing rows built one at a time: tolist() would hold all their floats at once
     rows = zip(*[iter(memoryview(forcing.ravel()))] * len(vel))
-    for op, ov, x, f in zip(range(n_p, poses.nbytes, n_p), range(n_v, vels.nbytes, n_v),
-                            memoryview(xs), rows):
-        pose, vel = step(pose, vel, x, f, h, half, blocks)
-        pack_p(poses, op, *pose)
-        pack_v(vels, ov, *vel)
+    try:
+        for op, ov, x, f in zip(range(n_p, poses.nbytes, n_p), range(n_v, vels.nbytes, n_v),
+                                memoryview(xs), rows):
+            pose, vel = step(pose, vel, x, f, h, half, blocks)
+            pack_p(poses, op, *pose)
+            pack_v(vels, ov, *vel)
+    except ValueError as exc:  # a step out of its kernel's domain, named by the sample
+        raise _unstable(str(exc), ts, op // n_p - 1) from exc
     _check_finite(ts, poses, vels)
     return ts, xs, poses, vels, forcing, np.array(error(poses.T)[1:]).T
 
 
-def _gain_kernel(k: np.ndarray, d: np.ndarray):
-    """drive(v0, v1, v2, e0, e1, e2, c, f0, f1, f2, x, h) of one per-axis (K, D) block,
-    gains bound once: v_i + h (k_i (e_i - c_i x + f_i) - d_i v_i) per axis."""
-    (k0, k1, k2), (d0, d1, d2) = np.diag(k).tolist(), np.diag(d).tolist()
-
-    def drive(v0, v1, v2, e0, e1, e2, c, f0, f1, f2, x: float, h: float):
-        c0, c1, c2 = c
-        return (v0 + h * (k0 * (e0 - c0 * x + f0) - d0 * v0),
-                v1 + h * (k1 * (e1 - c1 * x + f1) - d1 * v1),
-                v2 + h * (k2 * (e2 - c2 * x + f2) - d2 * v2))
-    return drive
-
-
 def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
     """(tau^2 acc + tau D vel) / K - e + e0 x per sample and axis: the forcing
-    that makes _gain_kernel reproduce a demonstration on one (K, D) block."""
+    that makes the rollout's gain drive reproduce a demonstration on one
+    (K, D) block."""
     # a numpy square overflows to inf, which the fit refuses; a float's raises
     drive = np.float64(tau) ** 2 * acc + vel * (tau * np.diag(d))
     return drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
@@ -342,7 +339,11 @@ def _check_finite(ts: np.ndarray, *states: np.ndarray) -> None:
     """Raise on the first sample of a rollout whose state is not finite."""
     if not all(np.isfinite(s).all() for s in states):
         k = int(np.argmin(np.isfinite(np.column_stack(states)).all(axis=1)))
-        raise ValueError(f"non-finite state at sample {k} (t = {ts[k]:g}): dt / tau too large?")
+        raise _unstable("non-finite state", ts, k)
+
+
+def _unstable(what: str, ts: np.ndarray, k: int) -> ValueError:
+    return ValueError(f"{what} at sample {k} (t = {ts[k]:g}): dt / tau too large?")
 
 
 def _rotation_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
@@ -437,12 +438,27 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
     goal = qd.tolist()
-    drive = _gain_kernel(model.k_gain, model.d_gain)
+    gw, gx, gy, gz = goal
+    (k0, k1, k2), (d0, d1, d2) = np.diag(model.k_gain).tolist(), np.diag(model.d_gain).tolist()
 
     def step(p, w, x, f, h, half, c):
-        (_, e0, e1, e2), (w0, w1, w2), (f0, f1, f2) = _quat_error(p, goal), w, f
-        w0, w1, w2 = drive(w0, w1, w2, e0, e1, e2, c[0], f0, f1, f2, x, h)
-        return _turn(p, _exp((half * w0, half * w1, half * w2))), (w0, w1, w2)
+        # vec(q* (x) q_d), the gain drive and normalize(q (x) exp(half w)),
+        # written out with the operations of _quat_error, the per-axis
+        # drive and _product in their order
+        qw, qx, qy, qz = p
+        w0, w1, w2 = w
+        f0, f1, f2 = f
+        c0, c1, c2 = c[0]
+        w0 += h * (k0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - d0 * w0)
+        w1 += h * (k1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - d1 * w1)
+        w2 += h * (k2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - d2 * w2)
+        sw, sx, sy, sz = _exp((half * w0, half * w1, half * w2))
+        rw = qw * sw - qx * sx - qy * sy - qz * sz
+        rx = qw * sx + sw * qx + qy * sz - qz * sy
+        ry = qw * sy + sw * qy + qz * sx - qx * sz
+        rz = qw * sz + sw * qz + qx * sy - qy * sx
+        inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
+        return (rw * inv, rx * inv, ry * inv, rz * inv), (w0, w1, w2)
 
     ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
                                        lambda p: _quat_error(p, goal), step)
@@ -454,15 +470,20 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
 # dual quaternion variant
 
 
+def _goal_floats(goal: DualQuaternion) -> tuple[list, list, tuple]:
+    """The goal's rotation q_d and position p_d as floats, and the rows of
+    R(q_d)^T: row j is e_j turned by q_d, as in quat_to_rotmat."""
+    gq = goal.real.tolist()
+    return gq, dq_position(goal).tolist(), tuple(_rotate(*gq, e) for e in np.eye(3).tolist())
+
+
 def _pose_error(goal: DualQuaternion):
     """error(pose) of the pose [qw, qx, qy, qz, px, py, pz], 7 floats or 7
     stack columns, relative to the goal: the components of q* (x) q_d, whose
     vector part is the rotation error, then the translation error
     R(q_d)^T (p_d - p), the translation of dq* (x) dq_d.  The goal is bound
     once, as floats."""
-    gq, (gx, gy, gz) = goal.real.tolist(), dq_position(goal).tolist()
-    # R(q_d)^T row by row: row j is e_j turned by q_d, as in quat_to_rotmat
-    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = (_rotate(*gq, e) for e in np.eye(3).tolist())
+    gq, (gx, gy, gz), ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8)) = _goal_floats(goal)
 
     def error(p):
         qw, qx, qy, qz, px, py, pz = p
@@ -585,24 +606,40 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             else _unit_dq(goal_override.as_array(), "goal_override"))
     start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
     xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
-    error = _pose_error(goal)
-    drive_r = _gain_kernel(model.k_rot, model.d_rot)
-    drive_p = _gain_kernel(model.k_pos, model.d_pos)
+    (gw, gx, gy, gz), (ox, oy, oz), ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8)) = (
+        _goal_floats(goal))
+    (kr0, kr1, kr2), (dr0, dr1, dr2), (kp0, kp1, kp2), (dp0, dp1, dp2) = (
+        np.diag(g).tolist() for g in (model.k_rot, model.d_rot, model.k_pos, model.d_pos))
 
     def step(p, v, x, f, h, half, c):
+        # the error of _pose_error, the per-axis gain drive and the screw
+        # step, written out with their operations in their order; the turn
+        # is normalize(q (x) s) as _product forms it
         qw, qx, qy, qz, px, py, pz = p
-        _, e0, e1, e2, e3, e4, e5 = error(p)
-        (f0, f1, f2, f3, f4, f5), (v0, v1, v2, v3, v4, v5) = f, v
-        r0, r1, r2 = drive_r(v0, v1, v2, e0, e1, e2, c[0], f0, f1, f2, x, h)
-        t0, t1, t2 = drive_p(v3, v4, v5, e3, e4, e5, c[1], f3, f4, f5, x, h)
-        s, t = _screw((half * r0, half * r1, half * r2, half * t0, half * t1, half * t2))
+        v0, v1, v2, v3, v4, v5 = v
+        f0, f1, f2, f3, f4, f5 = f
+        (c0, c1, c2), (c3, c4, c5) = c
+        ex, ey, ez = ox - px, oy - py, oz - pz
+        v0 += h * (kr0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - dr0 * v0)
+        v1 += h * (kr1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - dr1 * v1)
+        v2 += h * (kr2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - dr2 * v2)
+        v3 += h * (kp0 * (a0 * ex + a1 * ey + a2 * ez - c3 * x + f3) - dp0 * v3)
+        v4 += h * (kp1 * (a3 * ex + a4 * ey + a5 * ez - c4 * x + f4) - dp1 * v4)
+        v5 += h * (kp2 * (a6 * ex + a7 * ey + a8 * ez - c5 * x + f5) - dp2 * v5)
+        (sw, sx, sy, sz), t = _screw((half * v0, half * v1, half * v2,
+                                      half * v3, half * v4, half * v5))
         ux, uy, uz = _rotate(qw, qx, qy, qz, t)
-        return ((*_turn((qw, qx, qy, qz), s), px + ux, py + uy, pz + uz),
-                (r0, r1, r2, t0, t1, t2))
+        rw = qw * sw - qx * sx - qy * sy - qz * sz
+        rx = qw * sx + sw * qx + qy * sz - qz * sy
+        ry = qw * sy + sw * qy + qz * sx - qx * sz
+        rz = qw * sz + sw * qz + qx * sy - qy * sx
+        inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
+        return ((rw * inv, rx * inv, ry * inv, rz * inv, px + ux, py + uy, pz + uz),
+                (v0, v1, v2, v3, v4, v5))
 
     ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start,
                                           _pose_anchor(model.dq0), _pose_anchor(start),
-                                          xi, error, step)
+                                          xi, _pose_error(goal), step)
     q, positions = poses[:, :4], poses[:, 4:].copy()
     dqs = dq_from_pose(Pose(positions, q)).as_array()
     dqs[0] = start.as_array()
@@ -669,6 +706,8 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = No
     goals = [None] * 3 if goal_position is None else np.asarray(goal_position, dtype=float)
     if goal_position is not None and not (goals.shape == (3,) and np.isfinite(goals).all()):
         raise ValueError("goal_position: the goal must be finite, with 3 components [px, py, pz]")
+    if goal_quat is not None:
+        goal_quat = _unit_quat(goal_quat, "goal_quat")
     rolls = [classical_rollout(m, m.y0, dt, duration, goal_override=g, tau_override=tau)
              for m, g in zip(model.position, goals)]
     qroll = quat_rollout(model.orientation, dt=dt, duration=duration,

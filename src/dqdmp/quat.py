@@ -15,16 +15,16 @@ Conventions used throughout the package:
   trajectory tooling, not by this module.
 
 All functions are pure and allocate fresh arrays; they are safe to call
-concurrently.  Each formula is written once, in component form, by a
-private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
-exponential), ``_rotate`` (a vector turned by a quaternion) and ``_turn``
-(q (x) s, renormalized: the exact step of a body rate is
-``_turn(q, _exp(r))``).  The kernels run the integrator's loop over time in
-``dmp`` on plain floats, with sin and cos from ``math``; ``quat_product``,
-``quat_exp``, ``quat_rotate`` and ``quat_rotate_inverse`` are thin calls
-into the first three, ``quat_to_rotmat`` is the rotate kernel's matrix (its
-columns are the turned unit vectors), and ``_turn`` has no public
-counterpart.
+concurrently.  Each formula is written once in this module, in component
+form, by a private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
+exponential) and ``_rotate`` (a vector turned by a quaternion).  The
+kernels serve the integrator's loop over time in ``dmp`` on plain floats,
+with sin and cos from ``math``; the rollout steps there write the error
+q* (x) q_d and the renormalized turn normalize(q (x) s) out inline, with
+``_product``'s operations in its order.  ``quat_product``, ``quat_exp``,
+``quat_rotate`` and ``quat_rotate_inverse`` are thin calls into the
+kernels, and ``quat_to_rotmat`` is the rotate kernel's matrix (its columns
+are the turned unit vectors).
 ``_product`` and ``_rotate`` take one value as Python floats and a stack as
 its columns (``_cols``), with the same bits per row either way: both run
 the same IEEE operations in the same order.  So the product, conjugate,
@@ -114,14 +114,6 @@ def _exp(r):
         return (math.nan,) * 4
     st = math.sin(th) / th
     return math.cos(th), st * rx, st * ry, st * rz
-
-
-def _turn(q, s):
-    """Components of normalize(q (x) s) for float 4-sequences q and s; the
-    step of a body rate on the right is _turn(q, _exp(r))."""
-    w, x, y, z = _product(q, s)
-    inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
-    return w * inv, x * inv, y * inv, z * inv
 
 
 def _floats(a) -> list:

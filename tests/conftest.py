@@ -15,6 +15,7 @@ from dqdmp import (
 )
 from dqdmp.dmp import _pose_error
 from dqdmp.dualquat import dq_position
+from dqdmp.quat import _product
 
 
 @pytest.fixture
@@ -64,6 +65,14 @@ def dq_normalize(q: DualQuaternion) -> DualQuaternion:
     n = np.linalg.norm(q.real)
     real, dual = q.real / n, q.dual / n
     return DualQuaternion(real, dual - (real @ dual) * real)
+
+
+def turn(q, s) -> np.ndarray:
+    """normalize(q (x) s) for float 4-sequences q and s, with the operations
+    of the rollout steps' turn: the step of a body rate r is turn(q, _exp(r))."""
+    w, x, y, z = _product(q, s)
+    inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
+    return np.array([w * inv, x * inv, y * inv, z * inv])
 
 
 def pose_components(dq: DualQuaternion) -> np.ndarray:

@@ -9,10 +9,13 @@ import pytest
 
 from dqdmp import (
     BODY,
+    DualQuaternionDmp,
+    Pose,
     QuaternionDmp,
     basis_scheme_a,
     classical_target_forcing,
     design_matrix,
+    dq_from_pose,
     dq_target_forcing,
     load_model,
     load_trajectory,
@@ -414,6 +417,24 @@ def test_rollout_non_finite_state_fails_with_exit_code_1(tmp_path, capsys):
                   "--duration", "10", "-o", str(out)])
     assert rc == 1
     assert "non-finite state at sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rollout_of_an_unstable_dq_model_fails_with_exit_code_1(tmp_path, capsys):
+    # K = 625, D = 250 at dt = 0.01, tau = 1: the screw step leaves the exp domain
+    q0, qd = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+    model = DualQuaternionDmp(625.0 * np.eye(3), 625.0 * np.eye(3), 250.0 * np.eye(3),
+                              250.0 * np.eye(3), basis_scheme_a(30, 2.0), np.zeros((6, 30)),
+                              dq_from_pose(Pose(np.zeros(3), q0)),
+                              dq_from_pose(Pose(np.array([1.0, 0.0, 0.0]), qd)), 1.0)
+    path = tmp_path / "unstable.json"
+    save_model(model, str(path))
+    out = tmp_path / "roll.csv"
+    rc = run(["rollout", "--model", str(path), "--dt", "0.01", "--duration", "10",
+              "-o", str(out)])
+    assert rc == 1
+    assert_one_error_line(capsys, "outside the exp domain at sample 25 (t = 0.25): "
+                                  "dt / tau too large?")
     assert not out.exists()
 
 

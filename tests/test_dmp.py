@@ -377,6 +377,14 @@ def test_pose_rollout_refuses_a_goal_position_of_other_than_three_components(goa
         pose_rollout(m, 0.01, 1.0, goal_position=goal)
 
 
+@pytest.mark.parametrize("goal", [[2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def test_pose_rollout_blames_a_bad_goal_quat_on_goal_quat(goal):
+    # both were blamed on goal_override, which pose_rollout does not take
+    m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
+    with pytest.raises(ValueError, match=r"^goal_quat must be a unit quaternion \[w, x, y, z\]$"):
+        pose_rollout(m, 0.01, 1.0, goal_quat=goal)
+
+
 def test_pose_rollout_goal_position_retargets_each_axis():
     m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
     roll = pose_rollout(m, 0.01, 1.0, goal_position=np.array([1.0, 2.0, 3.0]))

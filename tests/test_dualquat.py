@@ -24,7 +24,7 @@ from dqdmp import (
     twist_to_inertial,
 )
 from dqdmp.dualquat import _screw, dq_constraint_errors
-from dqdmp.quat import _exp, _turn, quat_rotate
+from dqdmp.quat import _exp, quat_rotate
 
 from conftest import (
     dq_add,
@@ -36,6 +36,7 @@ from conftest import (
     random_rotvec,
     random_unit_dq,
     random_unit_quat,
+    turn,
 )
 
 
@@ -44,7 +45,7 @@ def step(q, p, xi, dt):
     body twist xi over dt: (s, t) = _screw(dt/2 xi), q <- normalize(q (x) s),
     p <- p + R(q) t."""
     s, t = _screw((0.5 * dt * xi.as_array()).tolist())
-    return np.array(_turn(q.tolist(), s)), p + quat_rotate(q, np.array(t))
+    return turn(q.tolist(), s), p + quat_rotate(q, np.array(t))
 
 
 def ode_exp_oracle(r, v, nsteps=4000):
@@ -319,7 +320,7 @@ def test_step_zero_twist(rng):
 def test_step_pure_rotation_reduces_to_quat_step(rng):
     w = rng.normal(size=3)
     q, p = step(quat_identity(), np.zeros(3), Twist(w, np.zeros(3)), 0.37)
-    np.testing.assert_allclose(q, _turn([1.0, 0.0, 0.0, 0.0], _exp((0.5 * 0.37 * w).tolist())),
+    np.testing.assert_allclose(q, turn([1.0, 0.0, 0.0, 0.0], _exp((0.5 * 0.37 * w).tolist())),
                                atol=1e-12)
     assert np.array_equal(p, np.zeros(3))
 

@@ -1,4 +1,4 @@
-"""The float-level rollout loop: its gain-block kernel, the arrays it
+"""The float-level rollout loop: its per-axis gain drive, the arrays it
 returns, the inputs and states it refuses and the numpy calls it does not
 make."""
 
@@ -14,25 +14,28 @@ from hypothesis import strategies as st
 import dqdmp.dmp
 import dqdmp.dualquat
 import dqdmp.quat
-from conftest import random_unit_dq, random_unit_quat
+from conftest import pose_error, random_unit_dq, random_unit_quat
 from dqdmp import (
     BODY,
     ClassicalDmp,
     DualQuaternionDmp,
+    Pose,
     QuaternionDmp,
     basis_scheme_a,
     classical_rollout,
+    dq_from_pose,
     dq_rollout,
     quat_rollout,
 )
-from dqdmp.dmp import _gain_kernel
+from dqdmp.canonical import forcing_rows
+from dqdmp.dmp import _clock, _quat_error
 from dqdmp.quat import _exp
 
 BASIS = basis_scheme_a(30, 2.0)
 
 values = st.floats(-1e3, 1e3, allow_nan=False)
 positive = st.floats(1e-3, 1e3)
-vec3 = st.lists(values, min_size=3, max_size=3)
+vec6 = st.lists(values, min_size=6, max_size=6)
 dt_tau = st.floats(1e-4, 0.5)
 
 
@@ -42,14 +45,42 @@ def matrix_update(v, u, K, D, h):
     return v + h * (K @ u - D @ v)
 
 
+FEW = basis_scheme_a(5, 2.0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(v=vec3, e=vec3, c=vec3, f=vec3, x=st.floats(0.0, 1.0),
-       kd=st.lists(positive, min_size=6, max_size=6), h=dt_tau)
-def test_gain_step_equals_matrix_update_for_diagonal_blocks(v, e, c, f, x, kd, h):
-    K, D = np.diag(kd[:3]), np.diag(kd[3:])
-    got = np.array(_gain_kernel(K, D)(*v, *e, c, *f, x, h))
-    u = np.array(e) - np.array(c) * x + np.array(f)
-    assert np.array_equal(got, matrix_update(v, u, K, D, h))
+@given(seed=st.integers(0, 2**32 - 1), v=vec6, kd=st.lists(positive, min_size=12, max_size=12),
+       w=st.lists(values, min_size=30, max_size=30), t_start=st.floats(0.0, 3.0), dt=dt_tau)
+def test_gain_step_equals_matrix_update_for_diagonal_blocks(seed, v, kd, w, t_start, dt):
+    # one step of each rollout: its new velocity is v + h (K u - D v) with
+    # u = e - e0 x + f at the start sample, e0 the error of the model's start
+    rng = np.random.default_rng(seed)
+    Kr, Dr, Kp, Dp = (np.diag(kd[i:i + 3]) for i in range(0, 12, 3))
+    tau, weights = 1.3, np.reshape(w, (6, 5))
+    h, half = dt / tau, dt / (2.0 * tau)
+    xs = _clock(FEW.alpha_x, tau, dt, dt, t_start)[1]
+    x, f = xs[0], forcing_rows(xs, FEW, weights)[0]
+
+    quat = QuaternionDmp(BODY, Kr, Dr, FEW, weights[:3], random_unit_quat(rng),
+                         random_unit_quat(rng), tau)
+    q0 = random_unit_quat(rng)
+    roll = quat_rollout(quat, q0=q0, omega0=v[:3], dt=dt, duration=dt, t_start=t_start)
+    e, e0 = (np.array(_quat_error(q.tolist(), quat.qd.tolist())[1:]) for q in (roll.q[0], quat.q0))
+    assert np.array_equal(roll.omega[1], matrix_update(v[:3], e - e0 * x + f[:3], Kr, Dr, h))
+
+    dq = DualQuaternionDmp(Kr, Kp, Dr, Dp, FEW, weights, random_unit_dq(rng),
+                           random_unit_dq(rng), tau)
+    dq0 = random_unit_dq(rng)
+    u = pose_error(dq0, dq.dqd) - pose_error(dq.dq0, dq.dqd) * x + f
+    want = np.concatenate([matrix_update(v[:3], u[:3], Kr, Dr, h),
+                           matrix_update(v[3:], u[3:], Kp, Dp, h)])
+    rx, ry, rz = (half * r for r in want[:3].tolist())
+    if (rx * rx + ry * ry + rz * rz) ** 0.5 < math.pi:
+        roll = dq_rollout(dq, dq0=dq0, xi0=v, dt=dt, duration=dt, t_start=t_start)
+        assert np.array_equal(roll.xi[1], want)
+    else:  # the screw step of that twist is outside the exp domain
+        with pytest.raises(ValueError, match=r"outside the exp domain at sample 0 \(t = "):
+            dq_rollout(dq, dq0=dq0, xi0=v, dt=dt, duration=dt, t_start=t_start)
 
 
 def _models(rng):
@@ -130,6 +161,20 @@ def test_unstable_quat_rollout_raises_before_any_numpy_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite state at sample 898"):
             quat_rollout(m, dt=0.01, duration=10.0)
+
+
+def test_unstable_dq_rollout_names_the_sample_time_and_step_size():
+    # it raised "twist rotation magnitude 3.794419 outside the exp domain"
+    # with no sample, no time and no hint
+    m = DualQuaternionDmp(625.0 * np.eye(3), 625.0 * np.eye(3), 250.0 * np.eye(3),
+                          250.0 * np.eye(3), BASIS, np.zeros((6, 30)),
+                          dq_from_pose(Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))),
+                          dq_from_pose(Pose(np.array([1.0, 0.0, 0.0]),
+                                            np.array([0.0, 1.0, 0.0, 0.0]))), 1.0)
+    with pytest.raises(ValueError, match=r"^twist rotation magnitude 3\.794419 outside the exp "
+                                         r"domain at sample 25 \(t = 0\.25\): dt / tau too "
+                                         r"large\?$"):
+        dq_rollout(m, dt=0.01, duration=10.0)
 
 
 def test_unstable_classical_rollout_raises_on_non_finite_state():

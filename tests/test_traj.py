@@ -21,10 +21,10 @@ from dqdmp import (
     quat_to_rotmat,
     save_trajectory,
 )
-from dqdmp.quat import _exp, _turn
+from dqdmp.quat import _exp
 from dqdmp.traj import ScalarDemo, _read_table, csv_chunks
 
-from conftest import random_unit_quat, trajectory_to_csv
+from conftest import random_unit_quat, trajectory_to_csv, turn
 
 MINIMAL = """t,px,py,pz,qw,qx,qy,qz
 0,0,0,0,1,0,0,0
@@ -427,7 +427,7 @@ def test_differentiate_recovers_constant_rate(rng):
     q = np.empty((n, 4))
     q[0] = [1.0, 0, 0, 0]
     for k in range(1, n):
-        q[k] = _turn(q[k - 1].tolist(), _exp((0.005 * omega).tolist()))
+        q[k] = turn(q[k - 1].tolist(), _exp((0.005 * omega).tolist()))
     traj = Trajectory(np.arange(n) * 0.01, np.zeros((n, 3)), q)
     der = differentiate(traj)
     assert np.max(np.linalg.norm(der.xi[:, :3] - omega, axis=1)) <= 1e-4
