@@ -12,11 +12,11 @@ Integration is semi-implicit Euler: the velocity state steps first, then
 the pose advances by the exact exponential step with the new velocity.  The
 rotation is renormalized each step, and the discrete step inherits the
 monotonically decreasing rotational energy of the continuous dynamics.  The
-quaternion and dual-quaternion rollouts run on one driver, ``_integrate``,
-each with a flat step closure: the rotation error vec(q* (x) q_d) (and, for
-dq, R(q_d)^T (p_d - p)) from goal floats bound once per rollout, the
-per-axis gain drive v_i + h (k_i u_i - d_i v_i) and the renormalized turn
-normalize(q (x) s) are written out as float arithmetic, with the IEEE
+quaternion and dual-quaternion rollouts run on one driver, ``_integrate``;
+each variant's loop function runs the whole time loop over its grid with the
+state in local floats.  Per step the rotation error vec(q* (x) q_d) (and, for
+dq, R(q_d)^T (p_d - p)), the per-axis drive v_i + h (k_i u_i - d_i v_i) and
+the renormalized turn normalize(q (x) s) are float arithmetic with the IEEE
 operations of ``_quat_error``, ``_pose_error`` and ``quat._product`` in
 their order, so a step keeps their bits.  A quat step calls only
 ``quat._exp``, a dq step only ``dualquat._screw`` and ``quat._rotate``.
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import length_hint
 from struct import Struct
 
 import numpy as np
@@ -74,10 +75,8 @@ from .quat import (
     quat_norm,
     quat_normalize,
 )
-from .traj import ScalarDemo, Trajectory, open_text
+from .traj import ScalarDemo, Trajectory, _step_count, open_text
 
-# the longest float array numpy can make: a longer time grid is refused
-_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
 _FIT_RESIDUALS = dict(default=None, compare=False, repr=False)
@@ -269,28 +268,26 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
         raise ValueError("duration must be non-negative and finite")
     if not np.isfinite(t_start):
         raise ValueError("t_start must be finite")
-    if not duration / dt < _MAX_SAMPLES:
-        raise ValueError(f"duration {duration:g} over dt {dt:g} is more samples "
-                         f"than an array can hold")
-    ts = t_start + np.arange(int(round(duration / dt)) + 1) * dt
+    ts = t_start + np.arange(_step_count(duration, dt) + 1) * dt
     return ts, phase(ts, alpha_x, tau)
 
 
 def _integrate(model, tau: float, dt: float, duration: float | None,
                t_start: float, anchor: np.ndarray, start: np.ndarray,
-               vel: np.ndarray, error, step):
+               vel: np.ndarray, error, loop):
     """Semi-implicit Euler driver of the quaternion and dual-quaternion
-    primitives, run on plain floats with no numpy call per step.
+    primitives around the variant's loop over time, which makes no numpy call.
 
-    Poses are sequences of float components.  error(pose) gives the
-    goal-relative pose, its rotation's scalar part and then the goal error;
-    it also takes the columns of stacked poses.
-    step(pose, vel, x, f, dt / tau, dt / (2 tau), e0) -> (pose, vel) drives
-    the tau-scaled velocity per axis, v_i + h (k_i u_i - d_i v_i) with
-    u = e - e0 x + f, e0 the error of the trained start pose (anchor) in
-    blocks of three, then moves the pose by dt / (2 tau) times the new
-    velocity (half-angle).  A step that raises ValueError, out of a kernel's
-    domain, is re-raised naming the sample it stepped from.
+    error(pose) gives the goal-relative pose of a pose's float components (or
+    a stack's columns): its rotation's scalar part, then the goal error.
+    loop(grid, pose, vel, dt / tau, dt / (2 tau), e0, pack_p, poses, pack_v,
+    vels) runs ``for op, ov, x, f0, f1, ... in grid`` on local floats from the
+    start pose and velocity lists: v_i += h (k_i u_i - d_i v_i) per axis with
+    u = e - e0 x + f, e0 the error of the trained start pose (anchor), then the
+    pose moves by dt / (2 tau) times the new velocity (half-angle), and
+    pack_p(poses, op, *pose) and pack_v(vels, ov, *vel) store the row.  A
+    ValueError from the loop, a kernel out of its domain, is re-raised naming
+    the sample it stepped from, read off how far grid got.
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
     if start.shape != anchor.shape:
@@ -305,23 +302,18 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     # part of the learned model, so resuming or restarting elsewhere must
     # not change the vector field
     e0 = error(anchor.tolist())[1:]
-    blocks = [e0[i:i + 3] for i in range(0, len(e0), 3)]
-    h, half = dt / tau, dt / (2.0 * tau)
     poses, vels = np.empty((len(xs), len(start))), np.empty((len(xs), len(vel)))
     poses[0], vels[0] = start, vel
-    pose, vel = start.tolist(), vel.tolist()
-    row_p, row_v = Struct(f"{len(pose)}d"), Struct(f"{len(vel)}d")
-    pack_p, pack_v, n_p, n_v = row_p.pack_into, row_v.pack_into, row_p.size, row_v.size
-    # forcing rows built one at a time: tolist() would hold all their floats at once
-    rows = zip(*[iter(memoryview(forcing.ravel()))] * len(vel))
+    row_p, row_v = Struct(f"{len(start)}d"), Struct(f"{len(vel)}d")
+    # byte offsets of rows 1..n-1; forcing floats one at a time (tolist() holds them all)
+    offsets = iter(range(row_p.size, poses.nbytes, row_p.size))
+    grid = zip(offsets, range(row_v.size, vels.nbytes, row_v.size), memoryview(xs),
+               *[iter(memoryview(forcing.ravel()))] * len(vel))
     try:
-        for op, ov, x, f in zip(range(n_p, poses.nbytes, n_p), range(n_v, vels.nbytes, n_v),
-                                memoryview(xs), rows):
-            pose, vel = step(pose, vel, x, f, h, half, blocks)
-            pack_p(poses, op, *pose)
-            pack_v(vels, ov, *vel)
+        loop(grid, start.tolist(), vel.tolist(), dt / tau, dt / (2.0 * tau), e0,
+             row_p.pack_into, poses, row_v.pack_into, vels)
     except ValueError as exc:  # a step out of its kernel's domain, named by the sample
-        raise _unstable(str(exc), ts, op // n_p - 1) from exc
+        raise _unstable(str(exc), ts, len(xs) - 2 - length_hint(offsets)) from exc
     _check_finite(ts, poses, vels)
     return ts, xs, poses, vels, forcing, np.array(error(poses.T)[1:]).T
 
@@ -437,31 +429,29 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
-    goal = qd.tolist()
-    gw, gx, gy, gz = goal
-    (k0, k1, k2), (d0, d1, d2) = np.diag(model.k_gain).tolist(), np.diag(model.d_gain).tolist()
+    goal, gains = qd.tolist(), np.diagonal([model.k_gain, model.d_gain], 0, 1, 2).tolist()
 
-    def step(p, w, x, f, h, half, c):
-        # vec(q* (x) q_d), the gain drive and normalize(q (x) exp(half w)),
-        # written out with the operations of _quat_error, the per-axis
-        # drive and _product in their order
-        qw, qx, qy, qz = p
-        w0, w1, w2 = w
-        f0, f1, f2 = f
-        c0, c1, c2 = c[0]
-        w0 += h * (k0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - d0 * w0)
-        w1 += h * (k1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - d1 * w1)
-        w2 += h * (k2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - d2 * w2)
-        sw, sx, sy, sz = _exp((half * w0, half * w1, half * w2))
-        rw = qw * sw - qx * sx - qy * sy - qz * sz
-        rx = qw * sx + sw * qx + qy * sz - qz * sy
-        ry = qw * sy + sw * qy + qz * sx - qx * sz
-        rz = qw * sz + sw * qz + qx * sy - qy * sx
-        inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
-        return (rw * inv, rx * inv, ry * inv, rz * inv), (w0, w1, w2)
+    def loop(grid, pose, vel, h, half, e0, pack_p, poses, pack_v, vels):
+        # per step vec(q* (x) q_d), the gain drive and normalize(q (x) exp(half w)),
+        # with the operations of _quat_error, the drive and _product in their order
+        (gw, gx, gy, gz), ((k0, k1, k2), (d0, d1, d2)), (c0, c1, c2) = goal, gains, e0
+        (qw, qx, qy, qz), (w0, w1, w2) = pose, vel
+        for op, ov, x, f0, f1, f2 in grid:
+            w0 += h * (k0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - d0 * w0)
+            w1 += h * (k1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - d1 * w1)
+            w2 += h * (k2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - d2 * w2)
+            sw, sx, sy, sz = _exp(half * w0, half * w1, half * w2)
+            rw = qw * sw - qx * sx - qy * sy - qz * sz
+            rx = qw * sx + sw * qx + qy * sz - qz * sy
+            ry = qw * sy + sw * qy + qz * sx - qx * sz
+            rz = qw * sz + sw * qz + qx * sy - qy * sx
+            inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
+            qw, qx, qy, qz = rw * inv, rx * inv, ry * inv, rz * inv
+            pack_p(poses, op, qw, qx, qy, qz)
+            pack_v(vels, ov, w0, w1, w2)
 
     ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
-                                       lambda p: _quat_error(p, goal), step)
+                                       lambda p: _quat_error(p, goal), loop)
     v1 = _rotation_energy(qs, qd, oms, 1.0 / np.diag(model.k_gain))
     return QuatRollout(ts, xs, qs, oms, f, e, v1)
 
@@ -474,7 +464,7 @@ def _goal_floats(goal: DualQuaternion) -> tuple[list, list, tuple]:
     """The goal's rotation q_d and position p_d as floats, and the rows of
     R(q_d)^T: row j is e_j turned by q_d, as in quat_to_rotmat."""
     gq = goal.real.tolist()
-    return gq, dq_position(goal).tolist(), tuple(_rotate(*gq, e) for e in np.eye(3).tolist())
+    return gq, dq_position(goal).tolist(), tuple(_rotate(*gq, *e) for e in np.eye(3).tolist())
 
 
 def _pose_error(goal: DualQuaternion):
@@ -606,40 +596,40 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             else _unit_dq(goal_override.as_array(), "goal_override"))
     start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
     xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
-    (gw, gx, gy, gz), (ox, oy, oz), ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8)) = (
-        _goal_floats(goal))
-    (kr0, kr1, kr2), (dr0, dr1, dr2), (kp0, kp1, kp2), (dp0, dp1, dp2) = (
-        np.diag(g).tolist() for g in (model.k_rot, model.d_rot, model.k_pos, model.d_pos))
+    goal_floats = _goal_floats(goal)
+    gains = np.diagonal([model.k_rot, model.d_rot, model.k_pos, model.d_pos], 0, 1, 2).tolist()
 
-    def step(p, v, x, f, h, half, c):
-        # the error of _pose_error, the per-axis gain drive and the screw
-        # step, written out with their operations in their order; the turn
-        # is normalize(q (x) s) as _product forms it
-        qw, qx, qy, qz, px, py, pz = p
-        v0, v1, v2, v3, v4, v5 = v
-        f0, f1, f2, f3, f4, f5 = f
-        (c0, c1, c2), (c3, c4, c5) = c
-        ex, ey, ez = ox - px, oy - py, oz - pz
-        v0 += h * (kr0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - dr0 * v0)
-        v1 += h * (kr1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - dr1 * v1)
-        v2 += h * (kr2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - dr2 * v2)
-        v3 += h * (kp0 * (a0 * ex + a1 * ey + a2 * ez - c3 * x + f3) - dp0 * v3)
-        v4 += h * (kp1 * (a3 * ex + a4 * ey + a5 * ez - c4 * x + f4) - dp1 * v4)
-        v5 += h * (kp2 * (a6 * ex + a7 * ey + a8 * ez - c5 * x + f5) - dp2 * v5)
-        (sw, sx, sy, sz), t = _screw((half * v0, half * v1, half * v2,
-                                      half * v3, half * v4, half * v5))
-        ux, uy, uz = _rotate(qw, qx, qy, qz, t)
-        rw = qw * sw - qx * sx - qy * sy - qz * sz
-        rx = qw * sx + sw * qx + qy * sz - qz * sy
-        ry = qw * sy + sw * qy + qz * sx - qx * sz
-        rz = qw * sz + sw * qz + qx * sy - qy * sx
-        inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
-        return ((rw * inv, rx * inv, ry * inv, rz * inv, px + ux, py + uy, pz + uz),
-                (v0, v1, v2, v3, v4, v5))
+    def loop(grid, pose, vel, h, half, e0, pack_p, poses, pack_v, vels):
+        # per step the error of _pose_error, the gain drive and the screw step with
+        # their operations in their order; the turn is normalize(q (x) s) as in _product
+        (gw, gx, gy, gz), (ox, oy, oz), ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8)) = goal_floats
+        (kr0, kr1, kr2), (dr0, dr1, dr2), (kp0, kp1, kp2), (dp0, dp1, dp2) = gains
+        (qw, qx, qy, qz, px, py, pz), (v0, v1, v2, v3, v4, v5) = pose, vel
+        c0, c1, c2, c3, c4, c5 = e0
+        for op, ov, x, f0, f1, f2, f3, f4, f5 in grid:
+            ex, ey, ez = ox - px, oy - py, oz - pz
+            v0 += h * (kr0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - dr0 * v0)
+            v1 += h * (kr1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - dr1 * v1)
+            v2 += h * (kr2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - dr2 * v2)
+            v3 += h * (kp0 * (a0 * ex + a1 * ey + a2 * ez - c3 * x + f3) - dp0 * v3)
+            v4 += h * (kp1 * (a3 * ex + a4 * ey + a5 * ez - c4 * x + f4) - dp1 * v4)
+            v5 += h * (kp2 * (a6 * ex + a7 * ey + a8 * ez - c5 * x + f5) - dp2 * v5)
+            sw, sx, sy, sz, tx, ty, tz = _screw(half * v0, half * v1, half * v2,
+                                                half * v3, half * v4, half * v5)
+            ux, uy, uz = _rotate(qw, qx, qy, qz, tx, ty, tz)
+            rw = qw * sw - qx * sx - qy * sy - qz * sz
+            rx = qw * sx + sw * qx + qy * sz - qz * sy
+            ry = qw * sy + sw * qy + qz * sx - qx * sz
+            rz = qw * sz + sw * qz + qx * sy - qy * sx
+            inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
+            qw, qx, qy, qz = rw * inv, rx * inv, ry * inv, rz * inv
+            px, py, pz = px + ux, py + uy, pz + uz
+            pack_p(poses, op, qw, qx, qy, qz, px, py, pz)
+            pack_v(vels, ov, v0, v1, v2, v3, v4, v5)
 
     ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start,
                                           _pose_anchor(model.dq0), _pose_anchor(start),
-                                          xi, _pose_error(goal), step)
+                                          xi, _pose_error(goal), loop)
     q, positions = poses[:, :4], poses[:, 4:].copy()
     dqs = dq_from_pose(Pose(positions, q)).as_array()
     dqs[0] = start.as_array()
@@ -826,8 +816,9 @@ def _model_from_doc(doc: dict):
         _check_scalar_gains(g["alpha_z"], g["beta_z"])
         if not (np.isfinite(b["y0"]) and np.isfinite(b["goal"])):
             raise ValueError("classical y0 and goal must be finite")
+        # float() refuses a nested list, which np.isfinite takes
         return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
-                            b["y0"], b["goal"], doc["tau"])
+                            float(b["y0"]), float(b["goal"]), doc["tau"])
     if variant == "quaternion":
         return QuaternionDmp(BODY, g["k"], g["d"], basis, weights, _unit_quat(b["q0"], "q0"),
                              _unit_quat(b["qd"], "qd"), doc["tau"])

@@ -21,7 +21,7 @@ the product, conjugate, encoding (``dq_from_pose``) and position functions
 then work row by row with the bits of the single-value call: ``dq_product``
 runs the quaternion kernel ``quat._product`` on a single value's floats or a
 stack's columns (``quat._cols``).  ``_screw`` (the screw exponential as a
-rotation quaternion and an inertial translation, on floats) is written once
+rotation quaternion and an inertial translation, on flat floats) is written once
 under ``dq_exp``; the rollout in ``dmp`` steps (rotation, position) with it.
 The pose error the dq primitive is driven by lives in ``dmp``, on that
 (rotation, position) state.
@@ -140,8 +140,8 @@ def dq_exp(xi: Twist) -> DualQuaternion:
     """Exponential of a twist displacement (r, v): the pose of _screw, the flow
     of d(q_hat)/ds = q_hat (x) (r~ + eps v~) from the identity over unit s,
     as a unit dual quaternion.  Requires ||r|| < pi."""
-    rotation, t = _screw(_floats(xi.as_array()))
-    return dq_from_pose(Pose(np.array(t), np.array(rotation)))
+    s = _screw(*_floats(xi.as_array()))
+    return dq_from_pose(Pose(np.array(s[4:]), np.array(s[:4])))
 
 
 def dq_log(dq: DualQuaternion) -> Twist:
@@ -190,16 +190,16 @@ def _pure(xi: Twist) -> DualQuaternion:
 # component kernels
 
 
-def _screw(z):
-    """Rotation quaternion and inertial translation t of the screw exponential
-    of the float 6-sequence z = (r, v): the pose d(q_hat)/ds = q_hat (x)
-    (r~ + eps v~) reaches from the identity at s = 1.  With r = th n,
-    d = n . v and m = (v - d n) / th, t = 2 d n + sin(2 th) m
-    - (1 - cos(2 th)) (m x n).  Requires ||r|| < pi."""
-    rx, ry, rz, ux, uy, uz = z
+def _screw(rx, ry, rz, ux, uy, uz):
+    """Rotation quaternion (sw, sx, sy, sz) and inertial translation
+    (tx, ty, tz), as one 7-tuple, of the screw exponential of the float twist
+    displacement (r, u): the pose d(q_hat)/ds = q_hat (x) (r~ + eps u~)
+    reaches from the identity at s = 1.  With r = th n, d = n . u and
+    m = (u - d n) / th, t = 2 d n + sin(2 th) m - (1 - cos(2 th)) (m x n).
+    Requires ||r|| < pi."""
     th = (rx * rx + ry * ry + rz * rz) ** 0.5
     if th < 1e-12:
-        return (1.0, 0.0, 0.0, 0.0), (2.0 * ux, 2.0 * uy, 2.0 * uz)
+        return 1.0, 0.0, 0.0, 0.0, 2.0 * ux, 2.0 * uy, 2.0 * uz
     if th >= math.pi:
         raise ValueError(f"twist rotation magnitude {th:.6f} outside the exp domain")
     nx, ny, nz = rx / th, ry / th, rz / th
@@ -208,7 +208,7 @@ def _screw(z):
     st, ct = math.sin(th), math.cos(th)
     # sin 2th = 2 st ct and 1 - cos 2th = 2 st^2, with no cancellation at small th
     a, b = st * ct, st * st
-    return ((ct, st * nx, st * ny, st * nz),
-            (2.0 * (d * nx + a * mx - b * (my * nz - mz * ny)),
-             2.0 * (d * ny + a * my - b * (mz * nx - mx * nz)),
-             2.0 * (d * nz + a * mz - b * (mx * ny - my * nx))))
+    return (ct, st * nx, st * ny, st * nz,
+            2.0 * (d * nx + a * mx - b * (my * nz - mz * ny)),
+            2.0 * (d * ny + a * my - b * (mz * nx - mx * nz)),
+            2.0 * (d * nz + a * mz - b * (mx * ny - my * nx)))

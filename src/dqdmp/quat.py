@@ -17,9 +17,9 @@ Conventions used throughout the package:
 All functions are pure and allocate fresh arrays; they are safe to call
 concurrently.  Each formula is written once in this module, in component
 form, by a private kernel: ``_product`` (the Hamilton product), ``_exp`` (the
-exponential) and ``_rotate`` (a vector turned by a quaternion).  The
-kernels serve the integrator's loop over time in ``dmp`` on plain floats,
-with sin and cos from ``math``; the rollout steps there write the error
+exponential) and ``_rotate`` (a vector turned by a quaternion).  The loops
+over time in ``dmp`` call ``_exp`` and ``_rotate`` with flat float arguments
+(sin and cos from ``math``); the rollout steps there write the error
 q* (x) q_d and the renormalized turn normalize(q (x) s) out inline, with
 ``_product``'s operations in its order.  ``quat_product``, ``quat_exp``,
 ``quat_rotate`` and ``quat_rotate_inverse`` are thin calls into the
@@ -103,10 +103,10 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def _exp(r):
-    """Components of quat_exp for a float 3-sequence r; nan components when
-    ||r|| overflows, where math.sin would raise on the infinite angle."""
-    rx, ry, rz = r
+def _exp(rx, ry, rz):
+    """Components of quat_exp for the float rotation vector (rx, ry, rz); nan
+    components when ||r|| overflows, where math.sin would raise on the
+    infinite angle."""
     th = (rx * rx + ry * ry + rz * rz) ** 0.5
     if th < _AXIS_EPS:
         return 1.0, rx, ry, rz
@@ -126,7 +126,7 @@ def quat_exp(r: np.ndarray) -> np.ndarray:
     Returns [cos||r||, sin||r||* r/||r||]; below ||r|| = 1e-12 it returns
     the first-order [1, r], which is the identity for the zero vector.
     """
-    return np.array(_exp(_floats(r)))
+    return np.array(_exp(*_floats(r)))
 
 
 def quat_log(q: np.ndarray) -> np.ndarray:
@@ -153,21 +153,20 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the body frame to the inertial frame."""
     w, x, y, z = _cols(q)
-    return np.array(_rotate(w, x, y, z, _cols(v))).T
+    return np.array(_rotate(w, x, y, z, *_cols(v))).T
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the inertial frame to the body frame."""
     w, x, y, z = _cols(q)
-    return np.array(_rotate(w, -x, -y, -z, _cols(v))).T
+    return np.array(_rotate(w, -x, -y, -z, *_cols(v))).T
 
 
-def _rotate(w, ux, uy, uz, v):
-    """Components of v = (vx, vy, vz) rotated by the unit quaternion
+def _rotate(w, ux, uy, uz, vx, vy, vz):
+    """Components of (vx, vy, vz) rotated by the unit quaternion
     [w, ux, uy, uz], for floats or stack columns."""
     # v + 2 w (u x v) + 2 u x (u x v), crosses written out (np.cross has
     # far too much dispatch overhead for single 3-vectors)
-    vx, vy, vz = v
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)

@@ -48,6 +48,8 @@ _QUAT_REJECT_TOL = 1e-3
 # ... and silently renormalizes anything closer than this
 _UNIFORM_TOL_FACTOR = 1e-9
 _CSV_BLOCK = 1024       # rows per formatting call of csv_chunks
+# the longest float array numpy can make: a longer time grid is refused
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 class Trajectory:
@@ -316,6 +318,14 @@ def _parse_rows(rows: list[str], width: int) -> np.ndarray | None:
 # -- synthetic demonstrations ----------------------------------------------
 
 
+def _step_count(duration: float, dt: float) -> int:
+    """round(duration / dt) time steps; refused if their grid cannot fit in an array."""
+    if not duration / dt < _MAX_SAMPLES:
+        raise ValueError(f"duration {duration:g} over dt {dt:g} is more samples "
+                         f"than an array can hold")
+    return int(round(duration / dt))
+
+
 def _minjerk_s(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-jerk interpolant s(u) on [0, 1] and two derivatives in u."""
     s = 10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5
@@ -332,7 +342,7 @@ def gen_min_jerk(y0: float, g: float, T: float, dt: float) -> ScalarDemo:
     """
     if not np.inf > T > dt > 0.0:
         raise ValueError("need duration > dt > 0, duration finite")
-    n = int(round(T / dt))
+    n = _step_count(T, dt)
     t = np.arange(n + 1) * dt
     s, sd, sdd = _minjerk_s(t / T)
     a = g - y0
@@ -354,7 +364,7 @@ def gen_somersault(radius: float, T: float, dt: float) -> Trajectory:
         raise ValueError("radius must be positive and finite")
     if not np.inf > T > dt > 0.0:
         raise ValueError("need duration > dt > 0, duration finite")
-    n = int(round(T / dt))
+    n = _step_count(T, dt)
     t = np.arange(n + 1) * dt
     s, _, _ = _minjerk_s(t / T)
     theta = 2.0 * np.pi * s

@@ -69,7 +69,7 @@ def dq_normalize(q: DualQuaternion) -> DualQuaternion:
 
 def turn(q, s) -> np.ndarray:
     """normalize(q (x) s) for float 4-sequences q and s, with the operations
-    of the rollout steps' turn: the step of a body rate r is turn(q, _exp(r))."""
+    of the rollout steps' turn: the step of a body rate r is turn(q, _exp(*r))."""
     w, x, y, z = _product(q, s)
     inv = 1.0 / (w * w + x * x + y * y + z * z) ** 0.5
     return np.array([w * inv, x * inv, y * inv, z * inv])

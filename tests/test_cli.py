@@ -510,6 +510,16 @@ def test_gen_rejects_bad_flags_without_writing(tmp_path, capsys, argv, fragment)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["gen", "minjerk", "--dt", "1e-320"],
+                                  ["gen", "somersault", "--duration", "1e308", "--dt", "0.1"]])
+def test_gen_refuses_a_grid_no_array_can_hold_without_writing(tmp_path, capsys, argv):
+    # each ended in an OverflowError traceback
+    out = tmp_path / "demo.csv"
+    assert run(argv + ["-o", str(out)]) == 1
+    assert_one_error_line(capsys, "is more samples than an array can hold")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--k-pos", "0"], ["--k-pos", "nan"],
                                    ["--k-rot", "inf"], ["--d-ratio", "0"],
                                    ["--k-pos", "1e300", "--d-ratio", "1e-160"]])

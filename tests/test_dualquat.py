@@ -44,8 +44,8 @@ def step(q, p, xi, dt):
     """The rollout's pose step on the rotation q and inertial position p for a
     body twist xi over dt: (s, t) = _screw(dt/2 xi), q <- normalize(q (x) s),
     p <- p + R(q) t."""
-    s, t = _screw((0.5 * dt * xi.as_array()).tolist())
-    return turn(q.tolist(), s), p + quat_rotate(q, np.array(t))
+    z = _screw(*(0.5 * dt * xi.as_array()).tolist())
+    return turn(q.tolist(), z[:4]), p + quat_rotate(q, np.array(z[4:]))
 
 
 def ode_exp_oracle(r, v, nsteps=4000):
@@ -320,7 +320,7 @@ def test_step_zero_twist(rng):
 def test_step_pure_rotation_reduces_to_quat_step(rng):
     w = rng.normal(size=3)
     q, p = step(quat_identity(), np.zeros(3), Twist(w, np.zeros(3)), 0.37)
-    np.testing.assert_allclose(q, turn([1.0, 0.0, 0.0, 0.0], _exp((0.5 * 0.37 * w).tolist())),
+    np.testing.assert_allclose(q, turn([1.0, 0.0, 0.0, 0.0], _exp(*(0.5 * 0.37 * w).tolist())),
                                atol=1e-12)
     assert np.array_equal(p, np.zeros(3))
 

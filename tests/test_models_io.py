@@ -161,7 +161,7 @@ def test_load_rejects_unknown_variant():
 
 def _docs():
     """One small valid document per variant, as save_model writes it."""
-    from dqdmp import ClassicalDmp, DualQuaternionDmp, QuaternionDmp
+    from dqdmp import ClassicalDmp, DualQuaternionDmp, PoseDecoupledDmp, QuaternionDmp
     basis = basis_scheme_a(5, 1.0)
     eye = np.eye(3)
     q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -173,6 +173,8 @@ def _docs():
                                              np.zeros((6, 5)), dq_identity(),
                                              dq_identity(), 1.0),
     }
+    models["pose_decoupled"] = PoseDecoupledDmp((models["classical"],) * 3,
+                                                models["quaternion"])
     docs = {}
     for name, m in models.items():
         buf = io.StringIO()
@@ -222,6 +224,12 @@ BAD_FILES = {
     "dq frame unknown": ("dual_quaternion", lambda d: d.update(frame="banana")),
     "classical frame body": ("classical", lambda d: d.update(frame="body")),
     "qd overflows": ("quaternion", lambda d: d["boundary"].update(qd=[1e200, 1e200, 0.0, 0.0])),
+    "goal nested": ("classical", lambda d: d["boundary"].update(goal=[[1.0]])),
+    "y0 nested": ("classical", lambda d: d["boundary"].update(y0=[0.0])),
+    "position goal nested": ("pose_decoupled",
+                             lambda d: d["position"][1]["boundary"].update(goal=[[1.0]])),
+    "position y0 nested": ("pose_decoupled",
+                           lambda d: d["position"][2]["boundary"].update(y0=[[0.0]])),
 }
 
 
@@ -274,3 +282,21 @@ def test_malformed_model_file_is_rejected(tmp_path, capsys, case):
     assert main(["rollout", "--model", str(path), "-o", str(tmp_path / "r.csv")]) == 1
     assert "error" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("case", ["goal nested", "y0 nested", "position goal nested",
+                                  "position y0 nested"])
+def test_a_nested_list_boundary_is_refused_as_malformed(tmp_path, capsys, case):
+    # np.isfinite took the list: the file loaded, and rollout died with a
+    # TypeError traceback at float()
+    from dqdmp.cli import main
+    variant, edit = BAD_FILES[case]
+    doc = _docs()[variant]
+    edit(doc)
+    path, out = tmp_path / "bad.json", tmp_path / "r.csv"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^malformed model file \(TypeError: float\(\) "):
+        load_model(str(path))
+    assert main(["rollout", "--model", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: malformed model file"), err
+    assert not out.exists()

@@ -21,7 +21,7 @@ from conftest import quat_identity, random_rotvec, random_unit_quat, turn
 
 def step(q, omega, dt):
     """The integrator's step of a body rate: q (x) exp(dt/2 omega), renormalized."""
-    return turn(q.tolist(), _exp((0.5 * dt * np.asarray(omega)).tolist()))
+    return turn(q.tolist(), _exp(*(0.5 * dt * np.asarray(omega)).tolist()))
 
 
 def rotation_error(q, qd):

@@ -5,6 +5,7 @@ make."""
 import math
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -177,6 +178,34 @@ def test_unstable_dq_rollout_names_the_sample_time_and_step_size():
         dq_rollout(m, dt=0.01, duration=10.0)
 
 
+def _stiff_dq_model():
+    # the model above: its screw step leaves the exp domain at sample 25
+    return DualQuaternionDmp(625.0 * np.eye(3), 625.0 * np.eye(3), 250.0 * np.eye(3),
+                             250.0 * np.eye(3), BASIS, np.zeros((6, 30)),
+                             dq_from_pose(Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))),
+                             dq_from_pose(Pose(np.array([1.0, 0.0, 0.0]),
+                                               np.array([0.0, 1.0, 0.0, 0.0]))), 1.0)
+
+
+def test_a_dq_rollout_out_of_the_exp_domain_on_its_first_step_names_sample_0(rng):
+    dq, _, _ = _models(rng)
+    with pytest.raises(ValueError, match=r"^twist rotation magnitude \d+\.\d+ outside the exp "
+                                         r"domain at sample 0 \(t = 0\.37\): dt / tau"):
+        dq_rollout(dq, xi0=[2000.0, 0.0, 0.0, 0.0, 0.0, 0.0], dt=0.01, duration=1.0,
+                   t_start=0.37)
+
+
+def test_a_dq_rollout_out_of_the_exp_domain_on_its_last_step_names_sample_n_minus_2():
+    # to t = 0.25 the rollout ends at sample 25, before the step out of the
+    # domain; to t = 0.26 that step is its last, from sample 25 of 27
+    m = _stiff_dq_model()
+    assert len(dq_rollout(m, dt=0.01, duration=0.25).t) == 26
+    with pytest.raises(ValueError, match=r"^twist rotation magnitude 3\.794419 outside the exp "
+                                         r"domain at sample 25 \(t = 0\.25\): dt / tau too "
+                                         r"large\?$"):
+        dq_rollout(m, dt=0.01, duration=0.26)
+
+
 def test_unstable_classical_rollout_raises_on_non_finite_state():
     m = ClassicalDmp(250.0, 2.5, BASIS, np.zeros(30), 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match=r"non-finite state at sample \d+ \(t = "):
@@ -320,4 +349,36 @@ def test_quat_exp_of_an_overflowing_angle_is_nan():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in ([1e200, 0.0, 0.0], [math.inf, 1.0, 0.0], [1e155, -1e155, 1e155]):
-            assert all(math.isnan(c) for c in _exp(r)), r
+            assert all(math.isnan(c) for c in _exp(*r)), r
+
+
+# -- the loop over time calls only its kernels ------------------------------------
+
+
+def _python_calls(run) -> Counter:
+    """Python functions the profiler sees called while run runs, by name."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_rollout_step_calls_only_its_kernels(rng):
+    # 200 and 400 steps: per step a dq rollout calls _screw and _rotate, a
+    # quat rollout _exp, and nothing else; the step closure the driver
+    # called once per step is gone
+    dq, quat, _ = _models(rng)
+    for rollout, model, kernels in ((dq_rollout, dq, ("_screw", "_rotate")),
+                                    (quat_rollout, quat, ("_exp",))):
+        short, long = (_python_calls(lambda: rollout(model, dt=0.005, duration=d))
+                       for d in (1.0, 2.0))
+        assert long - short == Counter(dict.fromkeys(kernels, 200)), rollout.__name__
+        assert short[kernels[0]] == 200, rollout.__name__

@@ -427,7 +427,7 @@ def test_differentiate_recovers_constant_rate(rng):
     q = np.empty((n, 4))
     q[0] = [1.0, 0, 0, 0]
     for k in range(1, n):
-        q[k] = turn(q[k - 1].tolist(), _exp((0.005 * omega).tolist()))
+        q[k] = turn(q[k - 1].tolist(), _exp(*(0.005 * omega).tolist()))
     traj = Trajectory(np.arange(n) * 0.01, np.zeros((n, 3)), q)
     der = differentiate(traj)
     assert np.max(np.linalg.norm(der.xi[:, :3] - omega, axis=1)) <= 1e-4
@@ -511,6 +511,16 @@ def test_min_jerk_degenerate_is_constant():
     d = gen_min_jerk(0.7, 0.7, 1.0, 0.01)
     np.testing.assert_allclose(d.y, 0.7)
     np.testing.assert_allclose(d.yd, 0.0)
+
+
+@pytest.mark.parametrize("generate", [lambda: gen_min_jerk(0.0, 1.0, 1.0, 1e-320),
+                                      lambda: gen_somersault(50.0, 1e308, 0.1)],
+                         ids=["minjerk", "somersault"])
+def test_generators_refuse_a_grid_no_array_can_hold(generate):
+    # int(round(T / dt)) raised OverflowError; now the rollout clock's refusal
+    with pytest.raises(ValueError, match=r"^duration \S+ over dt \S+ is more samples than "
+                                         r"an array can hold$"):
+        generate()
 
 
 def test_somersault_is_closed_loop():
