@@ -40,10 +40,8 @@ from .dmp import (
 )
 from .dualquat import (
     BODY,
-    INERTIAL,
     DualQuaternion,
     Pose,
-    Twist,
     dq_conjugate,
     dq_exp,
     dq_from_pose,

@@ -197,7 +197,9 @@ def _rollout_table(model, dt: float, duration: float | None,
                    tau_override: float | None, goal):
     """Roll a model out to the goal override of _parse_goal (None for the
     model's own goal) and lay its states out in the _ROLLOUT_HEADER
-    columns, with the physical (not tau-scaled) twist."""
+    columns, with physical (not tau-scaled) rates: wx, wy, wz the body rate, vx,
+    vy, vz R(q)^T pdot in body axes (dq, xi[3:] / tau), the inertial pdot
+    (pose-decoupled), z / tau in vx alone (classical) or zero (quat)."""
     tau = tau_override
     if tau is None:
         tau = model.orientation.tau if isinstance(model, PoseDecoupledDmp) else model.tau

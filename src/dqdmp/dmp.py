@@ -59,7 +59,6 @@ from .canonical import (
 from .dualquat import (
     _UNIT_TOL,
     BODY,
-    INERTIAL,
     DualQuaternion,
     Pose,
     _screw,
@@ -75,7 +74,7 @@ from .quat import (
     quat_norm,
     quat_normalize,
 )
-from .traj import ScalarDemo, Trajectory, _step_count, open_text
+from .traj import ScalarDemo, Trajectory, _time_grid, open_text
 
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
@@ -268,7 +267,7 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
         raise ValueError("duration must be non-negative and finite")
     if not np.isfinite(t_start):
         raise ValueError("t_start must be finite")
-    ts = t_start + np.arange(_step_count(duration, dt) + 1) * dt
+    ts = t_start + _time_grid(duration, dt)
     return ts, phase(ts, alpha_x, tau)
 
 
@@ -715,7 +714,7 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = No
 
 _FORMAT_VERSION = 1
 # the one frame a file of each variant may name
-_FRAMES = {"classical": INERTIAL, "quaternion": BODY, "dual_quaternion": BODY}
+_FRAMES = {"classical": "inertial", "quaternion": BODY, "dual_quaternion": BODY}
 
 
 def _basis_doc(basis: GaussianBasis) -> dict:
@@ -849,11 +848,23 @@ def save_model(model, sink) -> None:
         fh.write("\n")
 
 
+def _refuse_booleans(node, path: str = "") -> None:
+    """Refuse a JSON true / false anywhere in a model document: no field is a
+    boolean, and np.isfinite, float() and comparisons all take true as 1."""
+    if isinstance(node, bool):
+        raise TypeError(f"{path[1:] or 'the document'} is {json.dumps(node)}; "
+                        f"no model field is a boolean")
+    for key, child in (node.items() if isinstance(node, dict)
+                       else enumerate(node) if isinstance(node, list) else ()):
+        _refuse_booleans(child, f"{path}.{key}")
+
+
 def load_model(source):
     """Read a model file from a path or text stream; ValueError if malformed."""
     with open_text(source) as fh:
         doc = json.load(fh)
     try:
+        _refuse_booleans(doc)
         return _model_from_doc(doc)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed model file ({type(exc).__name__}: {exc})") from exc

@@ -6,14 +6,15 @@ carries the translation (``p_b`` is the position expressed in body axes,
 ``eps`` the nilpotent dual unit, ``eps^2 = 0``).  A unit dual quaternion
 satisfies ``||real|| = 1`` and ``<real, dual> = 0``.
 
-Twists are 6-vectors ``(r, v)`` with an explicit frame tag.  In the body
-frame the linear component is the inertial velocity in body axes,
+A twist is a ``(6,)`` float array ``[r, v]``, angular part first.  A body
+twist's linear part is the inertial velocity in body axes,
 
     v = R(q)^T p_s_dot,
 
 which is exactly the convention under which the pose kinematics read
-``d(q_hat)/dt = 1/2 q_hat (x) xi_b~``.  Mixing frames is treated as a
-programming error and raises.
+``d(q_hat)/dt = 1/2 q_hat (x) xi_b~``.  Every twist taken here is a body
+twist; ``twist_to_inertial`` is the one function that returns another.  The
+twist functions refuse any ``xi`` that is not a 6-array.
 
 Everything here is a pure function over immutable values.  The parts of a
 ``DualQuaternion`` or ``Pose`` may also be ``(n, 4)`` / ``(n, 3)`` stacks;
@@ -36,8 +37,8 @@ import numpy as np
 
 from .quat import (
     _cols,
-    _floats,
     _product,
+    _vector,
     quat_conjugate,
     quat_log,
     quat_norm,
@@ -48,7 +49,6 @@ from .quat import (
 )
 
 BODY = "body"
-INERTIAL = "inertial"
 
 # Acceptable drift of the two unit constraints before pose extraction refuses.
 _UNIT_TOL = 1e-6
@@ -67,21 +67,6 @@ class DualQuaternion:
         """Flat length-8 array [real, dual], scalar-first in each part
         ((n, 8) for stacked parts)."""
         return np.concatenate([self.real, self.dual], axis=-1)
-
-
-@dataclass(frozen=True)
-class Twist:
-    """6-dof rigid-body velocity or displacement with a frame tag.
-
-    ``r`` is the angular component, ``v`` the linear component.
-    """
-
-    r: np.ndarray
-    v: np.ndarray
-    frame: str = BODY
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.r, self.v], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -113,8 +98,8 @@ def dq_constraint_errors(q: DualQuaternion) -> tuple[float, float]:
 
 def dq_from_pose(pose: Pose) -> DualQuaternion:
     """Build the unit dual quaternion encoding a pose (or a stack of poses)."""
-    q = np.asarray(pose.orientation, dtype=float)
-    p_b = quat_rotate_inverse(q, np.asarray(pose.position, dtype=float))
+    q = _vector(pose.orientation, 4, "pose.orientation", True)
+    p_b = quat_rotate_inverse(q, _vector(pose.position, 3, "pose.position", True))
     pure = np.zeros(p_b.shape[:-1] + (4,))
     pure[..., 1:] = p_b
     return DualQuaternion(q, 0.5 * quat_product(q, pure))
@@ -136,16 +121,16 @@ def dq_to_pose(dq: DualQuaternion) -> Pose:
     return Pose(dq_position(dq), dq.real.copy())
 
 
-def dq_exp(xi: Twist) -> DualQuaternion:
-    """Exponential of a twist displacement (r, v): the pose of _screw, the flow
+def dq_exp(xi: np.ndarray) -> DualQuaternion:
+    """Exponential of a twist displacement [r, v]: the pose of _screw, the flow
     of d(q_hat)/ds = q_hat (x) (r~ + eps v~) from the identity over unit s,
     as a unit dual quaternion.  Requires ||r|| < pi."""
-    s = _screw(*_floats(xi.as_array()))
+    s = _screw(*_vector(xi, 6, "xi").tolist())
     return dq_from_pose(Pose(np.array(s[4:]), np.array(s[:4])))
 
 
-def dq_log(dq: DualQuaternion) -> Twist:
-    """Inverse of dq_exp; body-frame twist displacement.
+def dq_log(dq: DualQuaternion) -> np.ndarray:
+    """Inverse of dq_exp; the body twist displacement [r, v].
 
     Errors out within 1e-6 of the ||r|| = pi branch cut where the screw
     decomposition loses the axis.
@@ -157,33 +142,32 @@ def dq_log(dq: DualQuaternion) -> Twist:
     th = float(np.sqrt(r @ r))
     if th < _BRANCH_CUT_TOL:
         # pure translation: exp(eps v~) = 1 + eps [0, v]
-        return Twist(r, quat_vec(dq.dual), BODY)
+        return np.concatenate([r, quat_vec(dq.dual)])
     if th > np.pi - _BRANCH_CUT_TOL:
         raise ValueError(f"dual quaternion log near the branch cut (angle {th:.8f})")
     n = r / th
     st, ct = np.sin(th), np.cos(th)
     d = -float(dq.dual[0]) / st
     m = (quat_vec(dq.dual) - d * ct * n) / st
-    return Twist(r, d * n + th * m, BODY)
+    return np.concatenate([r, d * n + th * m])
 
 
-def dq_derivative_body(dq: DualQuaternion, xi_b: Twist) -> DualQuaternion:
-    """Pose kinematics 1/2 q_hat (x) xi_b~ for a body-frame twist."""
+def dq_derivative_body(dq: DualQuaternion, xi_b: np.ndarray) -> DualQuaternion:
+    """Pose kinematics 1/2 q_hat (x) xi_b~ for a body twist [r, v]."""
     out = dq_product(dq, _pure(xi_b))
     return DualQuaternion(0.5 * out.real, 0.5 * out.dual)
 
 
-def twist_to_inertial(xi_b: Twist, dq: DualQuaternion) -> Twist:
-    """Convert a body twist to the inertial frame: q_hat (x) xi~ (x) q_hat*."""
+def twist_to_inertial(xi_b: np.ndarray, dq: DualQuaternion) -> np.ndarray:
+    """Convert a body twist [r, v] to the inertial frame: q_hat (x) xi~ (x) q_hat*."""
     out = dq_product(dq, dq_product(_pure(xi_b), dq_conjugate(dq)))
-    return Twist(quat_vec(out.real), quat_vec(out.dual), INERTIAL)
+    return np.concatenate([quat_vec(out.real), quat_vec(out.dual)])
 
 
-def _pure(xi: Twist) -> DualQuaternion:
-    """The body twist [0, r] + eps [0, v] as a dual quaternion."""
-    if xi.frame != BODY:
-        raise ValueError(f"expected a body-frame twist, got {xi.frame!r}")
-    return DualQuaternion(np.array([0.0, *xi.r]), np.array([0.0, *xi.v]))
+def _pure(xi: np.ndarray) -> DualQuaternion:
+    """The twist [0, r] + eps [0, v] as a dual quaternion."""
+    xi = _vector(xi, 6, "xi")
+    return DualQuaternion(np.array([0.0, *xi[:3]]), np.array([0.0, *xi[3:]]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ over time in ``dmp`` call ``_exp`` and ``_rotate`` with flat float arguments
 q* (x) q_d and the renormalized turn normalize(q (x) s) out inline, with
 ``_product``'s operations in its order.  ``quat_product``, ``quat_exp``,
 ``quat_rotate`` and ``quat_rotate_inverse`` are thin calls into the
-kernels, and ``quat_to_rotmat`` is the rotate kernel's matrix (its columns
-are the turned unit vectors).
+kernels (the last three refuse a wrong-length argument by name first; the
+kernels check nothing), and ``quat_to_rotmat`` is the rotate kernel's matrix.
 ``_product`` and ``_rotate`` take one value as Python floats and a stack as
 its columns (``_cols``), with the same bits per row either way: both run
 the same IEEE operations in the same order.  So the product, conjugate,
@@ -116,8 +116,13 @@ def _exp(rx, ry, rz):
     return math.cos(th), st * rx, st * ry, st * rz
 
 
-def _floats(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
+def _vector(a, n: int, name: str, stacks: bool = False) -> np.ndarray:
+    """a as a float array; refused by name unless an n-vector, or an (m, n) stack if stacks."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (n,) or a.ndim > 1 + stacks:
+        raise ValueError(f"{name} must be a {n}-vector{' or a stack of them' * stacks}; "
+                         f"got shape {a.shape}")
+    return a
 
 
 def quat_exp(r: np.ndarray) -> np.ndarray:
@@ -126,7 +131,7 @@ def quat_exp(r: np.ndarray) -> np.ndarray:
     Returns [cos||r||, sin||r||* r/||r||]; below ||r|| = 1e-12 it returns
     the first-order [1, r], which is the identity for the zero vector.
     """
-    return np.array(_exp(*_floats(r)))
+    return np.array(_exp(*_vector(r, 3, "r").tolist()))
 
 
 def quat_log(q: np.ndarray) -> np.ndarray:
@@ -152,14 +157,14 @@ def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the body frame to the inertial frame."""
-    w, x, y, z = _cols(q)
-    return np.array(_rotate(w, x, y, z, *_cols(v))).T
+    w, x, y, z = _cols(_vector(q, 4, "q", True))
+    return np.array(_rotate(w, x, y, z, *_cols(_vector(v, 3, "v", True)))).T
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector from the inertial frame to the body frame."""
-    w, x, y, z = _cols(q)
-    return np.array(_rotate(w, -x, -y, -z, *_cols(v))).T
+    w, x, y, z = _cols(_vector(q, 4, "q", True))
+    return np.array(_rotate(w, -x, -y, -z, *_cols(_vector(v, 3, "v", True)))).T
 
 
 def _rotate(w, ux, uy, uz, vx, vy, vz):

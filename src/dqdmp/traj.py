@@ -318,12 +318,12 @@ def _parse_rows(rows: list[str], width: int) -> np.ndarray | None:
 # -- synthetic demonstrations ----------------------------------------------
 
 
-def _step_count(duration: float, dt: float) -> int:
-    """round(duration / dt) time steps; refused if their grid cannot fit in an array."""
+def _time_grid(duration: float, dt: float) -> np.ndarray:
+    """Sample times k dt, k = 0 .. round(duration / dt); refused if too many for an array."""
     if not duration / dt < _MAX_SAMPLES:
         raise ValueError(f"duration {duration:g} over dt {dt:g} is more samples "
                          f"than an array can hold")
-    return int(round(duration / dt))
+    return np.arange(int(round(duration / dt)) + 1) * dt
 
 
 def _minjerk_s(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,8 +342,7 @@ def gen_min_jerk(y0: float, g: float, T: float, dt: float) -> ScalarDemo:
     """
     if not np.inf > T > dt > 0.0:
         raise ValueError("need duration > dt > 0, duration finite")
-    n = _step_count(T, dt)
-    t = np.arange(n + 1) * dt
+    t = _time_grid(T, dt)
     s, sd, sdd = _minjerk_s(t / T)
     a = g - y0
     return ScalarDemo(t, y0 + a * s, a * sd / T, a * sdd / T**2)
@@ -364,14 +363,13 @@ def gen_somersault(radius: float, T: float, dt: float) -> Trajectory:
         raise ValueError("radius must be positive and finite")
     if not np.inf > T > dt > 0.0:
         raise ValueError("need duration > dt > 0, duration finite")
-    n = _step_count(T, dt)
-    t = np.arange(n + 1) * dt
+    t = _time_grid(T, dt)
     s, _, _ = _minjerk_s(t / T)
     theta = 2.0 * np.pi * s
     pos = np.stack([radius * np.sin(theta),
-                    np.zeros(n + 1),
+                    np.zeros(len(t)),
                     radius * (1.0 - np.cos(theta))], axis=1)
     half = 0.5 * theta
-    quat = np.stack([np.cos(half), np.zeros(n + 1), np.sin(half),
-                     np.zeros(n + 1)], axis=1)
+    quat = np.stack([np.cos(half), np.zeros(len(t)), np.sin(half),
+                     np.zeros(len(t))], axis=1)
     return Trajectory(t, pos, quat, source=f"somersault R={radius:g} T={T:g}")

@@ -230,6 +230,13 @@ BAD_FILES = {
                              lambda d: d["position"][1]["boundary"].update(goal=[[1.0]])),
     "position y0 nested": ("pose_decoupled",
                            lambda d: d["position"][2]["boundary"].update(y0=[[0.0]])),
+    "tau true": ("dual_quaternion", lambda d: d.update(tau=True)),
+    "alpha_z true": ("classical", lambda d: d["gains"].update(alpha_z=True)),
+    "k gain true": ("quaternion", lambda d: d["gains"].update(k=True)),
+    "goal true": ("classical", lambda d: d["boundary"].update(goal=True)),
+    "dqd entry true": ("dual_quaternion", lambda d: d["boundary"]["dqd"].__setitem__(0, True)),
+    "weight false": ("quaternion", lambda d: d["weights"][1].__setitem__(2, False)),
+    "position tau true": ("pose_decoupled", lambda d: d["position"][1].update(tau=True)),
 }
 
 
@@ -296,6 +303,30 @@ def test_a_nested_list_boundary_is_refused_as_malformed(tmp_path, capsys, case):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"^malformed model file \(TypeError: float\(\) "):
         load_model(str(path))
+    assert main(["rollout", "--model", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: malformed model file"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, where, value", [
+    ("tau true", "tau", "true"), ("alpha_z true", "gains.alpha_z", "true"),
+    ("k gain true", "gains.k", "true"), ("goal true", "boundary.goal", "true"),
+    ("dqd entry true", "boundary.dqd.0", "true"), ("weight false", "weights.1.2", "false"),
+    ("position tau true", "position.1.tau", "true")])
+def test_a_json_boolean_is_refused_as_malformed(tmp_path, capsys, case, where, value):
+    # np.isfinite, float() and 0 < x < inf all take true as 1: the file
+    # loaded, with tau and alpha_z kept as the bool True
+    from dqdmp.cli import main
+    variant, edit = BAD_FILES[case]
+    doc = _docs()[variant]
+    edit(doc)
+    path, out = tmp_path / "bad.json", tmp_path / "r.csv"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_model(str(path))
+    assert str(exc.value) == (f"malformed model file (TypeError: {where} is {value}; "
+                              f"no model field is a boolean)")
     assert main(["rollout", "--model", str(path), "-o", str(out)]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: malformed model file"), err

@@ -2,7 +2,6 @@ import numpy as np
 
 from dqdmp import (
     DualQuaternion,
-    Twist,
     dq_derivative_body,
     quat_conjugate,
     quat_exp,
@@ -31,7 +30,8 @@ def rotation_error(q, qd):
 
 def rate(q, omega):
     """1/2 q (x) [0, omega]: the rotation part of dq_derivative_body."""
-    return dq_derivative_body(DualQuaternion(q, np.zeros(4)), Twist(omega, np.zeros(3))).real
+    return dq_derivative_body(DualQuaternion(q, np.zeros(4)),
+                              np.concatenate([omega, np.zeros(3)])).real
 
 
 def test_product_identity_element(rng):

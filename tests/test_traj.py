@@ -7,7 +7,6 @@ import pytest
 from dqdmp import (
     Pose,
     Trajectory,
-    Twist,
     differentiate,
     dq_exp,
     dq_from_pose,
@@ -439,7 +438,7 @@ def constant_twist_demo(position, quaternion, w, v, dt=0.01, n=101):
     start = dq_from_pose(Pose(np.asarray(position, dtype=float),
                               np.asarray(quaternion, dtype=float)))
     t = np.arange(n) * dt
-    poses = [dq_to_pose(dq_product(start, dq_exp(Twist(0.5 * tk * w, 0.5 * tk * v))))
+    poses = [dq_to_pose(dq_product(start, dq_exp(np.concatenate([0.5 * tk * w, 0.5 * tk * v]))))
              for tk in t]
     return Trajectory(t, [p.position for p in poses], [p.orientation for p in poses])
 
