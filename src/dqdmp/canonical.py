@@ -70,10 +70,13 @@ def basis_scheme_a(n_kernels: int, alpha_x: float) -> GaussianBasis:
     if n_kernels < 2:
         raise ValueError("need at least two kernels")
     i = np.arange(1, n_kernels + 1)
-    c = np.exp(-alpha_x * (i - 1) / (n_kernels - 1))
     h = np.empty(n_kernels)
-    h[:-1] = 1.0 / np.diff(c) ** 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        c = np.exp(-alpha_x * (i - 1) / (n_kernels - 1))
+        h[:-1] = 1.0 / np.diff(c) ** 2
     h[-1] = h[-2]
+    if not np.isfinite(h).all():
+        raise ValueError(f"alpha_x {alpha_x:g} leaves {n_kernels} kernels no finite widths")
     return GaussianBasis(float(alpha_x), c, h)
 
 

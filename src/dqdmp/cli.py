@@ -48,7 +48,7 @@ from .dmp import (
     save_model,
 )
 from .dualquat import Pose, dq_from_pose, dq_to_pose
-from .quat import quat_normalize, quat_rotate, quat_rotate_inverse
+from .quat import quat_conjugate, quat_normalize, quat_product, quat_rotate, quat_rotate_inverse
 from .traj import (
     Trajectory,
     csv_chunks,
@@ -264,8 +264,8 @@ def compare_on_demo(traj: Trajectory) -> dict:
         # on the demo's step and duration, row k of a rollout is at demo time t[k]
         dp = pos - traj.positions
         pos_rmse = float(np.sqrt(np.mean(np.sum(dp**2, axis=1))))
-        dots = np.abs(np.sum(quat * traj.quaternions, axis=1))
-        ang = 2.0 * np.arccos(np.clip(dots, 0.0, 1.0))
+        r = quat_product(quat_conjugate(quat), traj.quaternions)  # 0 for equal rotations
+        ang = 2.0 * np.arctan2(np.linalg.norm(r[:, 1:], axis=1), np.abs(r[:, 0]))
         ori_rmse = float(np.sqrt(np.mean(ang**2)))
         term_pos = float(np.linalg.norm(pos[-1] - traj.positions[-1]))
         term_ang = float(ang[-1])

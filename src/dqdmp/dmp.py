@@ -20,8 +20,9 @@ the renormalized turn normalize(q (x) s) are float arithmetic with the IEEE
 operations of ``_quat_error``, ``_pose_error`` and ``quat._product`` in
 their order, so a step keeps their bits.  A quat step calls only
 ``quat._exp``, a dq step only ``dualquat._screw`` and ``quat._rotate``.
-Every gain is per-axis, a positive, finite scalar or diagonal 3x3 matrix; a
-model refuses any other by name.  The dq loop state is (q, p), rotation and
+Every gain is per-axis, a positive, finite scalar or diagonal 3x3 matrix.
+A model checks every field when it is built, so any model that builds can
+be saved and loaded again.  The dq loop state is (q, p), rotation and
 inertial position, stepped by the screw exponential ``dualquat._screw``;
 ``DqRollout.dq`` is encoded after the loop.  Its pose error, ``_pose_error``,
 is also the one training inverts, on the demonstration's (q, p) stack.  The
@@ -61,10 +62,10 @@ from .dualquat import (
     BODY,
     DualQuaternion,
     Pose,
+    _check_unit,
     _screw,
     dq_from_pose,
     dq_position,
-    dq_to_pose,
 )
 from .quat import (
     _conj,
@@ -91,9 +92,23 @@ def _gain_matrix(g, name: str) -> np.ndarray:
     return g
 
 
-def _check_gains(model, *names: str) -> None:
-    for name in names:
-        object.__setattr__(model, name, _gain_matrix(getattr(model, name), name))
+def _check_model(model, variant: str, dims: int, gains=(), **fields) -> None:
+    """The checks every model makes when it is built: a positive, finite tau,
+    finite weights of shape (dims, n_kernels) (one row for the scalar
+    primitive) and per-axis gains; sets them, as floats, and fields."""
+    if not 0.0 < model.tau < np.inf:
+        raise ValueError("tau must be positive and finite")
+    given = np.asarray(model.weights, dtype=float)
+    weights, shape = np.atleast_2d(given), (dims, model.basis.n_kernels)
+    if weights.shape != shape:
+        raise ValueError(f"{variant} weights must be of shape {shape}; got shape {given.shape}")
+    if not np.isfinite(weights).all():
+        d, k = np.argwhere(~np.isfinite(weights))[0]
+        raise ValueError(f"non-finite {variant} weight {weights[d, k]} at dim {d}, kernel {k}")
+    fields.update({name: _gain_matrix(getattr(model, name), name) for name in gains},
+                  tau=float(model.tau), weights=weights[0] if dims == 1 else weights)
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +117,8 @@ def _check_gains(model, *names: str) -> None:
 
 @dataclass(frozen=True)
 class ClassicalDmp:
-    """Scalar second-order attractor with learned forcing."""
+    """Scalar second-order attractor with learned forcing.  Refuses a bad field
+    when built, as load_model does, so any model that builds saves and loads."""
 
     alpha_z: float
     beta_z: float
@@ -113,12 +129,20 @@ class ClassicalDmp:
     tau: float
     fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
+    def __post_init__(self):
+        _check_scalar_gains(self.alpha_z, self.beta_z)
+        if not (np.isfinite(self.y0) and np.isfinite(self.goal)):
+            raise ValueError("classical y0 and goal must be finite")
+        # float() refuses a nested list, which np.isfinite takes
+        _check_model(self, "classical", 1, alpha_z=float(self.alpha_z),
+                     beta_z=float(self.beta_z), y0=float(self.y0), goal=float(self.goal))
+
 
 @dataclass(frozen=True)
 class QuaternionDmp:
     """Orientation primitive in the body frame, the only frame it takes: the
     error is vec(q* (x) q_d), the rate a body rate and the pose steps on the
-    right."""
+    right.  Refuses a bad field when built, so any model that builds saves and loads."""
 
     frame: str
     k_gain: np.ndarray           # (3, 3) diagonal
@@ -133,12 +157,14 @@ class QuaternionDmp:
     def __post_init__(self):
         if self.frame != BODY:
             raise ValueError(f"unknown frame {self.frame!r}")
-        _check_gains(self, "k_gain", "d_gain")
+        _check_model(self, "quaternion", 3, ("k_gain", "d_gain"),
+                     q0=_unit_quat(self.q0, "q0"), qd=_unit_quat(self.qd, "qd"))
 
 
 @dataclass(frozen=True)
 class DualQuaternionDmp:
-    """Coupled pose primitive over unit dual quaternions (body frame)."""
+    """Coupled pose primitive over unit dual quaternions (body frame); dq0 and
+    dqd may be 8 components.  Refuses a bad field when built, so it saves and loads."""
 
     k_rot: np.ndarray            # (3, 3) diagonal
     k_pos: np.ndarray            # (3, 3) diagonal
@@ -152,7 +178,8 @@ class DualQuaternionDmp:
     fit_residuals: np.ndarray | None = field(**_FIT_RESIDUALS)
 
     def __post_init__(self):
-        _check_gains(self, "k_rot", "k_pos", "d_rot", "d_pos")
+        _check_model(self, "dual_quaternion", 6, ("k_rot", "k_pos", "d_rot", "d_pos"),
+                     dq0=_unit_dq(self.dq0, "dq0"), dqd=_unit_dq(self.dqd, "dqd"))
 
 
 @dataclass(frozen=True)
@@ -592,8 +619,8 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             raise ValueError(f"{name} must be a DualQuaternion, not {type(dq).__name__}")
     tau = float(tau_override) if tau_override is not None else model.tau
     goal = (model.dqd if goal_override is None
-            else _unit_dq(goal_override.as_array(), "goal_override"))
-    start = _unit_dq(dq0.as_array(), "dq0") if dq0 is not None else model.dq0
+            else _unit_dq(goal_override, "goal_override"))
+    start = _unit_dq(dq0, "dq0") if dq0 is not None else model.dq0
     xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
     goal_floats = _goal_floats(goal)
     gains = np.diagonal([model.k_rot, model.d_rot, model.k_pos, model.d_pos], 0, 1, 2).tolist()
@@ -737,55 +764,31 @@ def _basis_from_doc(doc: dict) -> GaussianBasis:
 
 
 def _model_doc(model) -> dict:
-    if isinstance(model, ClassicalDmp):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "variant": "classical",
-            "frame": _FRAMES["classical"],
-            "tau": model.tau,
-            "gains": {"alpha_z": model.alpha_z, "beta_z": model.beta_z},
-            "basis": _basis_doc(model.basis),
-            "weights": [model.weights.tolist()],
-            "boundary": {"y0": model.y0, "goal": model.goal},
-        }
-    if isinstance(model, QuaternionDmp):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "variant": "quaternion",
-            "frame": _FRAMES["quaternion"],
-            "tau": model.tau,
-            "gains": {"k": model.k_gain.tolist(), "d": model.d_gain.tolist()},
-            "basis": _basis_doc(model.basis),
-            "weights": model.weights.tolist(),
-            "boundary": {"q0": model.q0.tolist(), "qd": model.qd.tolist()},
-        }
-    if isinstance(model, DualQuaternionDmp):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "variant": "dual_quaternion",
-            "frame": _FRAMES["dual_quaternion"],
-            "tau": model.tau,
-            "gains": {"k_rot": model.k_rot.tolist(), "k_pos": model.k_pos.tolist(),
-                      "d_rot": model.d_rot.tolist(), "d_pos": model.d_pos.tolist()},
-            "basis": _basis_doc(model.basis),
-            "weights": model.weights.tolist(),
-            "boundary": {"dq0": model.dq0.as_array().tolist(),
-                         "dqd": model.dqd.as_array().tolist()},
-        }
     if isinstance(model, PoseDecoupledDmp):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "variant": "pose_decoupled",
-            "position": [_model_doc(m) for m in model.position],
-            "orientation": _model_doc(model.orientation),
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+        return {"format_version": _FORMAT_VERSION, "variant": "pose_decoupled",
+                "position": [_model_doc(m) for m in model.position],
+                "orientation": _model_doc(model.orientation)}
+    if isinstance(model, ClassicalDmp):
+        variant, gains = "classical", {"alpha_z": model.alpha_z, "beta_z": model.beta_z}
+        boundary = {"y0": model.y0, "goal": model.goal}
+    elif isinstance(model, QuaternionDmp):
+        variant, gains = "quaternion", {"k": model.k_gain.tolist(), "d": model.d_gain.tolist()}
+        boundary = {"q0": model.q0.tolist(), "qd": model.qd.tolist()}
+    elif isinstance(model, DualQuaternionDmp):
+        variant = "dual_quaternion"
+        gains = {k: getattr(model, k).tolist() for k in ("k_rot", "k_pos", "d_rot", "d_pos")}
+        boundary = {"dq0": model.dq0.as_array().tolist(), "dqd": model.dqd.as_array().tolist()}
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    return {"format_version": _FORMAT_VERSION, "variant": variant, "frame": _FRAMES[variant],
+            "tau": model.tau, "gains": gains, "basis": _basis_doc(model.basis),
+            "weights": np.atleast_2d(model.weights).tolist(), "boundary": boundary}
 
 
 def _model_from_doc(doc: dict):
-    """Rebuild a model from its document, checking what a rollout relies on:
-    a positive tau, weights of shape (dims, n_kernels), positive per-axis
-    gains and unit boundary poses."""
+    """Rebuild a model from its document.  Only the document's own keys are
+    checked here (format version, variant, frame, basis); the model refuses
+    bad fields when it is built."""
     version = doc.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
@@ -794,46 +797,27 @@ def _model_from_doc(doc: dict):
         return PoseDecoupledDmp(
             tuple(_model_from_doc(d) for d in doc["position"]),
             _model_from_doc(doc["orientation"]))
-    dims = {"classical": 1, "quaternion": 3, "dual_quaternion": 6}.get(variant)
-    if dims is None:
+    if variant not in _FRAMES:
         raise ValueError(f"unknown model variant {variant!r}")
     if doc["frame"] != _FRAMES[variant]:
         raise ValueError(f"unknown frame {doc['frame']!r}")
-    if not 0.0 < doc["tau"] < np.inf:
-        raise ValueError("tau must be positive and finite")
-    basis = _basis_from_doc(doc["basis"])
-    weights = np.array(doc["weights"], dtype=float)
-    if weights.shape != (dims, basis.n_kernels):
-        raise ValueError(f"{variant} weights must be of shape {(dims, basis.n_kernels)}; "
-                         f"got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        d, k = np.argwhere(~np.isfinite(weights))[0]
-        raise ValueError(f"non-finite {variant} weight {weights[d, k]} at dim {d}, kernel {k}")
-    g = doc["gains"]
-    b = doc["boundary"]
+    g, b, tau = doc["gains"], doc["boundary"], doc["tau"]
+    basis, weights = _basis_from_doc(doc["basis"]), doc["weights"]
     if variant == "classical":
-        _check_scalar_gains(g["alpha_z"], g["beta_z"])
-        if not (np.isfinite(b["y0"]) and np.isfinite(b["goal"])):
-            raise ValueError("classical y0 and goal must be finite")
-        # float() refuses a nested list, which np.isfinite takes
-        return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights[0],
-                            float(b["y0"]), float(b["goal"]), doc["tau"])
+        return ClassicalDmp(g["alpha_z"], g["beta_z"], basis, weights, b["y0"], b["goal"], tau)
     if variant == "quaternion":
-        return QuaternionDmp(BODY, g["k"], g["d"], basis, weights, _unit_quat(b["q0"], "q0"),
-                             _unit_quat(b["qd"], "qd"), doc["tau"])
+        return QuaternionDmp(BODY, g["k"], g["d"], basis, weights, b["q0"], b["qd"], tau)
     return DualQuaternionDmp(g["k_rot"], g["k_pos"], g["d_rot"], g["d_pos"], basis, weights,
-                             _unit_dq(b["dq0"], "dq0"), _unit_dq(b["dqd"], "dqd"), doc["tau"])
+                             b["dq0"], b["dqd"], tau)
 
 
-def _unit_dq(a, what: str) -> DualQuaternion:
-    a = np.asarray(a, dtype=float)
+def _unit_dq(dq, what: str) -> DualQuaternion:
+    """A DualQuaternion, or its 8 components, as one of (4,) parts; refused off unit."""
+    a = np.asarray(dq.as_array() if isinstance(dq, DualQuaternion) else dq, dtype=float)
     if a.shape != (8,):
         raise ValueError(f"{what} must be a dual quaternion [real, dual]")
     dq = DualQuaternion(a[:4], a[4:])
-    try:
-        dq_to_pose(dq)  # refuses a pose off the unit constraints
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
+    _check_unit(dq, f"{what}: dual quaternion")
     return dq
 
 
@@ -860,7 +844,9 @@ def _refuse_booleans(node, path: str = "") -> None:
 
 
 def load_model(source):
-    """Read a model file from a path or text stream; ValueError if malformed."""
+    """Read a model file from a path or text stream; ValueError if malformed.
+    A model refuses bad fields when it is built, from a file or in code, so
+    any model that builds can be saved and loaded again."""
     with open_text(source) as fh:
         doc = json.load(fh)
     try:

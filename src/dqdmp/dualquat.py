@@ -113,12 +113,16 @@ def dq_position(dq: DualQuaternion) -> np.ndarray:
 
 def dq_to_pose(dq: DualQuaternion) -> Pose:
     """Extract the pose; refuses input whose unit constraints have drifted."""
+    _check_unit(dq)
+    return Pose(dq_position(dq), dq.real.copy())
+
+
+def _check_unit(dq: DualQuaternion, what: str = "dual quaternion") -> None:
+    """Refuse a dual quaternion, named what, whose unit constraints have drifted."""
     nerr, derr = dq_constraint_errors(dq)
     if not (nerr <= _UNIT_TOL and derr <= _UNIT_TOL):
-        raise ValueError(
-            f"dual quaternion violates unit constraints (norm err {nerr:.2e}, "
-            f"orthogonality err {derr:.2e})")
-    return Pose(dq_position(dq), dq.real.copy())
+        raise ValueError(f"{what} violates unit constraints (norm err {nerr:.2e}, "
+                         f"orthogonality err {derr:.2e})")
 
 
 def dq_exp(xi: np.ndarray) -> DualQuaternion:

@@ -340,12 +340,18 @@ def gen_min_jerk(y0: float, g: float, T: float, dt: float) -> ScalarDemo:
     Rest-to-rest: velocity and acceleration vanish at both endpoints;
     derivatives are analytic, not differenced.
     """
+    if not (np.isfinite(y0) and np.isfinite(g)):
+        raise ValueError(f"non-finite value at sample 0: y0 {y0:g} and g {g:g} must be finite")
     if not np.inf > T > dt > 0.0:
         raise ValueError("need duration > dt > 0, duration finite")
     t = _time_grid(T, dt)
     s, sd, sdd = _minjerk_s(t / T)
-    a = g - y0
-    return ScalarDemo(t, y0 + a * s, a * sd / T, a * sdd / T**2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        a = g - y0
+        y, yd, ydd = y0 + a * s, a * sd / T, a * sdd / np.float64(T) ** 2
+    if not np.isfinite(ydd).all():
+        raise ValueError(f"duration {T:g} is too short to move from {y0:g} to {g:g}")
+    return ScalarDemo(t, y, yd, ydd)
 
 
 def gen_somersault(radius: float, T: float, dt: float) -> Trajectory:
@@ -359,8 +365,8 @@ def gen_somersault(radius: float, T: float, dt: float) -> Trajectory:
     quaternion is the sign-flipped identity: the attitude walks the full
     great circle).
     """
-    if not 0.0 < radius < np.inf:
-        raise ValueError("radius must be positive and finite")
+    if not 0.0 < radius <= np.finfo(float).max / 2.0:
+        raise ValueError(f"radius must be positive, with 2 radius finite; got {radius:g}")
     if not np.inf > T > dt > 0.0:
         raise ValueError("need duration > dt > 0, duration finite")
     t = _time_grid(T, dt)

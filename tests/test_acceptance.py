@@ -250,8 +250,10 @@ def test_criterion_6_time_scale_invariance():
     pos_n, quat_n = nominal.poses()
     pos_s, quat_s = slowed.poses()
     pos_dev = float(np.max(np.linalg.norm(pos_s - pos_n, axis=1)))
-    dots = np.abs(np.sum(quat_s * quat_n, axis=1))
-    ang_dev = float(np.max(2.0 * np.arccos(np.clip(dots, 0.0, 1.0))))
+    # 2 atan2(|vec(q_s* (x) q_n)|, |w|) reads 0 for equal rotations, where
+    # 2 acos(|q_s . q_n|) floors at about 2e-8 rad
+    r = quat_product(quat_conjugate(quat_s), quat_n)
+    ang_dev = float(np.max(2.0 * np.arctan2(np.linalg.norm(r[:, 1:], axis=1), np.abs(r[:, 0]))))
     ok = pos_dev < 1e-3 and ang_dev < 1e-3
     report(6, ok, f"tau doubled, compared at equal normalized time: "
                   f"position dev {pos_dev:.2e} m, orientation dev "

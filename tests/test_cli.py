@@ -502,6 +502,8 @@ def test_rollout_blames_a_negative_tau_not_the_default_duration(tmp_path, dq_mod
     (["gen", "minjerk", "--duration", "nan"], "duration"),
     (["gen", "minjerk", "--duration", "inf"], "duration"),
     (["gen", "minjerk", "--from", "nan"], "non-finite value at sample 0"),
+    (["gen", "minjerk", "--duration", "1e-200", "--dt", "1e-201"], "duration 1e-200"),
+    (["gen", "somersault", "--radius", "1e308"], "radius"),
 ])
 def test_gen_rejects_bad_flags_without_writing(tmp_path, capsys, argv, fragment):
     out = tmp_path / "demo.csv"

@@ -2,7 +2,7 @@
 
 import io
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -159,8 +159,8 @@ def test_load_rejects_unknown_variant():
 # -- malformed model files --------------------------------------------------------
 
 
-def _docs():
-    """One small valid document per variant, as save_model writes it."""
+def _models():
+    """One small valid model per variant."""
     from dqdmp import ClassicalDmp, DualQuaternionDmp, PoseDecoupledDmp, QuaternionDmp
     basis = basis_scheme_a(5, 1.0)
     eye = np.eye(3)
@@ -175,8 +175,13 @@ def _docs():
     }
     models["pose_decoupled"] = PoseDecoupledDmp((models["classical"],) * 3,
                                                 models["quaternion"])
+    return models
+
+
+def _docs():
+    """One small valid document per variant, as save_model writes it."""
     docs = {}
-    for name, m in models.items():
+    for name, m in _models().items():
         buf = io.StringIO()
         save_model(m, buf)
         docs[name] = json.loads(buf.getvalue())
@@ -331,3 +336,83 @@ def test_a_json_boolean_is_refused_as_malformed(tmp_path, capsys, case, where, v
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: malformed model file"), err
     assert not out.exists()
+
+
+# -- model invariants: checked when a model is built, in code or from a file -------
+
+
+def _off_unit_dq():
+    from dqdmp import DualQuaternion
+    return DualQuaternion(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1e-5, 0.0, 0.0, 0.0]))
+
+
+# (variant, field, bad value): the model built in code with the value must be
+# refused as load_model refuses its file with the same value in that field
+BAD_FIELDS = {
+    "classical weights (2, 5)": ("classical", "weights", np.zeros((2, 5))),
+    "quaternion weights (2, 5)": ("quaternion", "weights", np.zeros((2, 5))),
+    "dual_quaternion weights (6, 4)": ("dual_quaternion", "weights", np.zeros((6, 4))),
+    "classical weights nan": ("classical", "weights", np.full(5, np.nan)),
+    "quaternion weights nan": ("quaternion", "weights", np.full((3, 5), np.nan)),
+    "dual_quaternion weight nan": ("dual_quaternion", "weights",
+                                   np.where(np.arange(30).reshape(6, 5) == 7, np.nan, 0.0)),
+    "classical tau 0": ("classical", "tau", 0.0),
+    "quaternion tau 0": ("quaternion", "tau", 0.0),
+    "dual_quaternion tau inf": ("dual_quaternion", "tau", np.inf),
+    "q0 doubled": ("quaternion", "q0", np.array([2.0, 0.0, 0.0, 0.0])),
+    "qd off unit": ("quaternion", "qd", np.array([1.0, 1e-2, 0.0, 0.0])),
+    "dqd off unit": ("dual_quaternion", "dqd", _off_unit_dq()),
+    "dq0 of 7 components": ("dual_quaternion", "dq0", np.zeros(7)),
+    "alpha_z -1": ("classical", "alpha_z", -1.0),
+    "alpha_z 0": ("classical", "alpha_z", 0.0),
+    "y0 nan": ("classical", "y0", np.nan),
+    "goal inf": ("classical", "goal", np.inf),
+    "y0 nested": ("classical", "y0", [[0.0]]),
+    "goal nested": ("classical", "goal", [1.0]),
+}
+
+
+def _as_json(value):
+    return value.as_array().tolist() if hasattr(value, "as_array") else np.asarray(value).tolist()
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_a_model_refuses_a_bad_field_when_built_as_load_model_does(case):
+    # only load_model checked these: a model built in code with them failed
+    # later in rollout, rolled out silently, or saved a file load_model refused
+    variant, name, value = BAD_FIELDS[case]
+    model, doc = _models()[variant], _docs()[variant]
+    with pytest.raises((ValueError, TypeError)) as built:
+        replace(model, **{name: value})
+    next((d for d in (doc["gains"], doc["boundary"]) if name in d), doc)[name] = _as_json(value)
+    with pytest.raises(ValueError) as loaded:
+        load_model(io.StringIO(json.dumps(doc)))
+    kind = built.type.__name__
+    assert str(loaded.value) == (str(built.value) if kind == "ValueError"
+                                 else f"malformed model file ({kind}: {built.value})")
+
+
+def _same_fields(a, b, where="model"):
+    """Every dataclass field of a and b equal, recursively; fit_residuals,
+    which a file does not keep, excepted."""
+    if is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in fields(a):
+            if f.name != "fit_residuals":
+                _same_fields(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            _same_fields(x, y, f"{where}[{k}]")
+    else:
+        assert np.array_equal(a, b), where
+
+
+def test_save_and_load_keep_every_field_of_each_variant():
+    # a field that a model gains but its file does not carry fails here
+    traj, demo = gen_somersault(5.0, 3.0, 0.01), gen_min_jerk(0.0, 1.0, 1.0, 0.01)
+    for m in (classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis_scheme_a(20, 2.0)),
+              quat_train(traj, 3.0, 2.0, 9.0, basis_scheme_a(25, 1.0)),
+              dq_train(traj, 3.0, 1.0, 1.0, 10.0, 10.0, basis_scheme_a(30, 0.05)),
+              pose_train(traj, 3.0, 0.1, 30, 10.0, 10.0 * np.sqrt(10.0), 50, 1.0, 10.0)):
+        _same_fields(m, roundtrip(m)[1], type(m).__name__)

@@ -7,6 +7,7 @@ import pytest
 from dqdmp import (
     Pose,
     Trajectory,
+    basis_scheme_a,
     differentiate,
     dq_exp,
     dq_from_pose,
@@ -520,6 +521,30 @@ def test_generators_refuse_a_grid_no_array_can_hold(generate):
     with pytest.raises(ValueError, match=r"^duration \S+ over dt \S+ is more samples than "
                                          r"an array can hold$"):
         generate()
+
+
+@pytest.mark.parametrize("generate, message", [
+    (lambda: gen_min_jerk(0.0, 1.0, 1e-200, 1e-201), "duration 1e-200 is too short"),
+    (lambda: gen_min_jerk(np.inf, 1.0, 1.0, 0.01), "y0 inf and g 1 must be finite"),
+    (lambda: gen_somersault(1e308, 2.0, 0.01), "radius must be positive"),
+    (lambda: basis_scheme_a(10, 1e308), "alpha_x 1e+308 leaves 10 kernels"),
+], ids=["minjerk tiny duration", "minjerk y0 inf", "somersault radius", "basis alpha_x"])
+def test_a_value_that_overflows_is_refused_by_name_with_no_warning(generate, message):
+    # each printed a numpy RuntimeWarning first: a division by T**2 = 0, an
+    # overflow of the radius times 2, inf * 0 and a division by a zero spacing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            generate()
+    assert message in str(exc.value)
+
+
+def test_min_jerk_over_a_huge_duration_is_finite():
+    # T**2 of a Python float raised OverflowError; the acceleration is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = gen_min_jerk(0.0, 1.0, 1e200, 1e199)
+    assert np.isfinite(d.ydd).all() and d.y[-1] == 1.0
 
 
 def test_somersault_is_closed_loop():
