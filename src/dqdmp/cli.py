@@ -100,7 +100,7 @@ def cmd_gen(args) -> int:
 # train
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the fit refuses a target that overflowed
+@np.errstate(over="ignore", invalid="ignore")  # a tiny tau's phase, a huge demo's differences
 def cmd_train(args) -> int:
     try:
         if args.variant == "classical":
@@ -372,6 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    words, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for word in words:  # argparse takes a goal such as '-1,0,0' for an option: bind it to --goal
+        value = next(words, None) if word == "--goal" else None
+        argv.append(word if value is None else f"--goal={value}")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -89,6 +89,8 @@ def _gain_matrix(g, name: str) -> np.ndarray:
     k = np.diag(g) if g.shape == (3, 3) else np.zeros(3)
     if not (np.all((0.0 < k) & (k < np.inf)) and np.array_equal(g, np.diag(k))):
         raise ValueError(f"{name} must be a positive, finite scalar or diagonal 3x3 matrix")
+    if k.min() < np.finfo(float).tiny:
+        raise ValueError(f"{name} {k.min():g} is too small: its reciprocal overflows")
     return g
 
 
@@ -206,9 +208,15 @@ class PoseDecoupledDmp:
 
 def classical_target_forcing(demo: ScalarDemo, g: float, tau: float,
                              alpha_z: float, beta_z: float) -> np.ndarray:
-    """Forcing targets tau^2 ydd - alpha_z (beta_z (g - y) - tau yd)."""
-    return (np.float64(tau) ** 2 * demo.ydd
-            - alpha_z * (beta_z * (g - demo.y) - tau * demo.yd))
+    """Forcing targets tau^2 ydd - alpha_z (beta_z (g - y) - tau yd); refused,
+    naming the arguments, where one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        fd = (np.float64(tau) ** 2 * demo.ydd
+              - alpha_z * (beta_z * (g - demo.y) - tau * demo.yd))
+    if not np.isfinite(fd).all():
+        raise ValueError(f"the forcing targets overflow: goal {g}, tau {tau:g}, alpha_z "
+                         f"{alpha_z:g} or beta_z {beta_z:g} too large for the demo")
+    return fd
 
 
 def _check_scalar_gains(alpha_z: float, beta_z: float) -> None:
@@ -284,7 +292,7 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
 
 def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
            t_start: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid t_start + k dt over duration (default 1.5 tau) and its phase."""
+    """Time grid t_start + k dt over duration (default 1.5 tau) and phase; refused on overflow."""
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if duration is None:
@@ -294,6 +302,12 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
         raise ValueError("duration must be non-negative and finite")
     if not np.isfinite(t_start):
         raise ValueError("t_start must be finite")
+    # on floats, which overflow to inf with no warning: |t| <= |t_start| + duration + dt,
+    # exp(709.78) is near the largest float, and phase() below refuses a bad tau
+    a, t0 = float(alpha_x), float(t_start)
+    if 0.0 < tau and not ((abs(t0) + float(duration) + float(dt)) * max(a, 1.0) / tau < np.inf
+                          and -a * t0 / tau < 709.78):
+        raise ValueError(f"tau {tau:g} too small or t_start {t0:g} too far from 0: phase overflow")
     ts = t_start + _time_grid(duration, dt)
     return ts, phase(ts, alpha_x, tau)
 
@@ -347,10 +361,13 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
 def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
     """(tau^2 acc + tau D vel) / K - e + e0 x per sample and axis: the forcing
     that makes the rollout's gain drive reproduce a demonstration on one
-    (K, D) block."""
-    # a numpy square overflows to inf, which the fit refuses; a float's raises
-    drive = np.float64(tau) ** 2 * acc + vel * (tau * np.diag(d))
-    return drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
+    (K, D) block; refused, naming tau, where a target overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        drive = np.float64(tau) ** 2 * acc + vel * (tau * np.diag(d))
+        fd = drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
+    if not np.isfinite(fd).all():
+        raise ValueError(f"the forcing targets overflow: tau {tau:g} too large for the demo")
+    return fd
 
 
 def _check_finite(ts: np.ndarray, *states: np.ndarray) -> None:

@@ -14,12 +14,10 @@ digits)::
     0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0
     ...
 
-Positions are inertial-frame meters in right-handed axes; quaternions are
-scalar-first Hamilton, body-to-inertial.  An optional uniform position
-scale factor can be carried in the metadata (``# scale 0.02``); it is
-applied on load and inverted on save, so the file always holds physical
-meters while the in-memory trajectory can run at a normalized scale.  It
-must be positive and finite, with a finite reciprocal.
+Positions are inertial-frame meters in right-handed axes, in the file and
+in memory; quaternions are scalar-first Hamilton, body-to-inertial.  The one
+metadata key is ``# source``, a free-form note; a ``# scale`` line is
+refused, so no file can put positions in any unit but meters.
 
 Trajectory files and the scalar demos of ``load_scalar_demo`` (header
 ``t,y,yd,ydd``) share one block reader: one pass over the lines collects
@@ -58,17 +56,15 @@ class Trajectory:
     Attributes
     ----------
     t : (n,) sample times, seconds, starting at 0
-    positions : (n, 3) inertial positions
+    positions : (n, 3) inertial positions, meters
     quaternions : (n, 4) scalar-first unit quaternions, sign-continuous
     dt : float, the uniform sampling step
-    scale : float, uniform factor already applied to positions (metadata)
     source : str, free-form provenance note (metadata)
     """
 
-    def __init__(self, t, positions, quaternions, scale: float = 1.0,
-                 source: str = ""):
+    def __init__(self, t, positions, quaternions, source: str = ""):
         t = np.asarray(t, dtype=float)
-        positions = np.asarray(positions, dtype=float)
+        positions = np.ascontiguousarray(positions, dtype=float)  # load hands a strided view
         quaternions = np.asarray(quaternions, dtype=float)
         if positions.shape != (len(t), 3) or quaternions.shape != (len(t), 4):
             raise ValueError("inconsistent sample array shapes")
@@ -83,7 +79,6 @@ class Trajectory:
         self.positions = positions
         self.quaternions = quaternions
         self.dt = dt
-        self.scale = _check_scale(scale)
         self.source = source
         self._derived = None
 
@@ -122,16 +117,6 @@ def _check_samples(t: np.ndarray, *channels: np.ndarray) -> float:
     if np.any(off):
         raise ValueError(f"sample times are not uniform (sample {int(np.argmax(off)) + 1})")
     return dt
-
-
-def _check_scale(scale) -> float:
-    """The scale as a float: positive and finite, with a finite reciprocal
-    (saving divides by it)."""
-    scale = float(scale)
-    if not (0.0 < scale < np.inf and 1.0 / scale < np.inf):
-        raise ValueError(f"scale must be positive and finite, with a finite "
-                         f"reciprocal; got {scale!r}")
-    return scale
 
 
 def _sign_continuous(q: np.ndarray) -> np.ndarray:
@@ -220,12 +205,10 @@ def open_text(target, mode: str = "r"):
 def save_trajectory(traj: Trajectory, sink) -> None:
     """Write the CSV form to a path or text stream; full precision, locale-independent."""
     with open_text(sink, "w") as fh:
-        if traj.scale != 1.0:
-            fh.write(f"# scale {traj.scale:.17g}\n")
         if traj.source:
             fh.write(f"# source {traj.source}\n")
         fh.writelines(csv_chunks(_HEADER, np.column_stack(
-            [traj.t, traj.positions * (1.0 / traj.scale), traj.quaternions])))
+            [traj.t, traj.positions, traj.quaternions])))
 
 
 def csv_chunks(header: str, table: np.ndarray):
@@ -241,23 +224,18 @@ def load_trajectory(source) -> Trajectory:
     """Parse and validate the CSV form from a path or text stream.
 
     Raises ValueError with the offending line number for malformed rows,
-    non-uniform timestamps or quaternions off the unit sphere by more than
-    1e-3 (closer ones are renormalized).
+    a '# scale' line, non-uniform timestamps or quaternions off the unit
+    sphere by more than 1e-3 (closer ones are renormalized).
     """
     with open_text(source) as fh:
         data, comments = _read_table(fh, _HEADER)
-    scale = 1.0
     source_note = ""
     for lineno, key, value in comments:
         if key == "scale":
-            try:
-                scale = _check_scale(value)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad scale value") from exc
+            raise ValueError(f"line {lineno}: '# scale' is not supported; positions must be meters")
         elif key == "source":
             source_note = value
-    return Trajectory(data[:, 0], data[:, 1:4] * scale, data[:, 4:8],
-                      scale=scale, source=source_note)
+    return Trajectory(data[:, 0], data[:, 1:4], data[:, 4:8], source=source_note)
 
 
 def load_scalar_demo(source) -> ScalarDemo:

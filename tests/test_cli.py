@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -13,14 +14,22 @@ from dqdmp import (
     Pose,
     QuaternionDmp,
     basis_scheme_a,
+    classical_rollout,
     classical_target_forcing,
+    classical_train,
     design_matrix,
     dq_from_pose,
+    dq_rollout,
     dq_target_forcing,
+    dq_train,
+    gen_min_jerk,
     load_model,
     load_trajectory,
     phase,
+    pose_train,
+    quat_rollout,
     quat_target_forcing,
+    quat_train,
     save_model,
 )
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
@@ -445,16 +454,19 @@ def assert_one_error_line(capsys, *fragments):
         assert fragment in err[0]
 
 
-@pytest.mark.parametrize("value", ["0", "nan", "inf", "1e-320"])
+@pytest.mark.parametrize("value", ["1", "0.5", "abc", "0", "nan", "inf", "1e-320"])
 def test_train_rejects_bad_scale_metadata(tmp_path, capsys, value):
-    # a scale of 0 loaded as all-zero positions and trained a model
+    # positions are meters: a scale line, even '# scale 1', stops every command that loads it
     demo = tmp_path / "demo.csv"
     lines = trajectory_to_csv(gen_somersault(5.0, 1.0, 0.05)).split("\n")
     demo.write_text("\n".join(["# source x", f"# scale {value}"] + lines))
-    out = tmp_path / "m.json"
-    assert run(["train", "--variant", "dq", "--demo", str(demo), "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "line 2: bad scale value")
-    assert not out.exists()
+    out = tmp_path / "out"
+    for argv in (["train", "--variant", "dq"], ["train", "--variant", "quat"],
+                 ["train", "--variant", "pose-decoupled"], ["compare"]):
+        assert run(argv + ["--demo", str(demo), "-o", str(out)]) == 1
+        assert_one_error_line(capsys, "line 2: '# scale' is not supported; "
+                                      "positions must be meters")
+        assert not out.exists()
 
 
 def test_train_rejects_infinite_tau(tmp_path, demo_file, capsys):
@@ -472,6 +484,60 @@ def test_rollout_rejects_infinite_tau(tmp_path, dq_model_file, capsys):
                 "--duration", "1", "-o", str(out)]) == 1
     assert_one_error_line(capsys, "tau must be positive and finite")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def boundary_inputs():
+    traj, demo = gen_somersault(5.0, 2.0, 0.01), gen_min_jerk(0.0, 1.0, 1.0, 0.01)
+    basis = basis_scheme_a(10, 0.05)
+    return dict(traj=traj, demo=demo, basis=basis,
+                quat=quat_train(traj, 2.0, 1.0, 10.0, basis),
+                dq=dq_train(traj, 2.0, 1.0, 1.0, 10.0, 10.0, basis),
+                classical=classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis))
+
+
+BOUNDARY = {
+    # case: (call on boundary_inputs, or the CLI rollout flags; what the error names)
+    "quat_rollout tau_override": (
+        lambda i: quat_rollout(i["quat"], duration=1.0, tau_override=1e-320), "tau "),
+    "dq_rollout tau_override": (
+        lambda i: dq_rollout(i["dq"], duration=1.0, tau_override=1e-320), "tau "),
+    "classical_rollout tau_override": (
+        lambda i: classical_rollout(i["classical"], 0.0, 0.01, 1.0, tau_override=1e-320), "tau "),
+    "quat_rollout t_start": (
+        lambda i: quat_rollout(i["quat"], duration=1.0, t_start=-1e308), "t_start -1e+308"),
+    "dq_train tau": (
+        lambda i: dq_train(i["traj"], 1e308, 1.0, 1.0, 10.0, 10.0, i["basis"]), "tau 1e+308"),
+    "quat_train tau": (
+        lambda i: quat_train(i["traj"], 1e308, 1.0, 10.0, i["basis"]), "tau 1e+308"),
+    "pose_train tau": (
+        lambda i: pose_train(i["traj"], 1e308, 0.05, 10, 1.0, 10.0, 10, 1.0, 10.0), "tau 1e+308"),
+    "dq_train k_rot": (
+        lambda i: dq_train(i["traj"], 2.0, 1e-320, 1.0, 10.0, 10.0, i["basis"]), "k_rot "),
+    "classical_train g": (
+        lambda i: classical_train(i["demo"], 1e308, 1.0, 25.0, 6.25, i["basis"]), "goal 1e+308"),
+    "cli rollout --tau": (["--tau", "1e-320"], "tau "),
+    "cli rollout --tau --duration": (["--tau", "1e-320", "--duration", "1"], "tau "),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY)
+def test_an_overflowing_input_is_refused_by_name_without_a_warning(
+        tmp_path, capsys, boundary_inputs, dq_model_file, case):
+    # each one showed a numpy RuntimeWarning (overflow in divide, exp, power or
+    # multiply) where the caller now sees a ValueError naming the argument
+    call, name = BOUNDARY[case]
+    out = tmp_path / "roll.csv"
+    capsys.readouterr()  # the fixture's training report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case.startswith("cli"):
+            assert run(["rollout", "--model", dq_model_file, *call, "-o", str(out)]) == 1
+            assert_one_error_line(capsys, name)
+            assert not out.exists()
+        else:
+            with pytest.raises(ValueError, match=re.escape(name)):
+                call(boundary_inputs)
 
 
 def test_rollout_refuses_a_step_no_time_grid_can_hold(tmp_path, dq_model_file, capsys):
@@ -606,7 +672,8 @@ def test_train_refuses_non_finite_forcing_targets(tmp_path, capsys):
     capsys.readouterr()
     assert run(["train", "--variant", "classical", "--alpha-z", "1e200", "--beta-z", "1e200",
                 "--demo", str(demo), "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "non-finite forcing target -inf at sample 0, dimension 0")
+    assert_one_error_line(capsys, "the forcing targets overflow: ",
+                          "alpha_z 1e+200 or beta_z 1e+200 too large for the demo")
     assert not out.exists()
 
 
@@ -620,7 +687,7 @@ def test_train_refuses_a_tau_whose_square_overflows(tmp_path, demo_file, capsys,
         capsys.readouterr()
     assert run(["train", "--variant", variant, "--tau", "1e160", "--demo", demo,
                 "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "non-finite forcing target", "at sample 0, dimension 0")
+    assert_one_error_line(capsys, "the forcing targets overflow: ", "tau 1e+160")
     assert not out.exists()
 
 
@@ -671,6 +738,17 @@ def test_rollout_blames_a_far_goal_on_the_flag(tmp_path, capsys, request, model,
                 "-o", str(out)]) == 1
     assert_one_error_line(capsys, f"error: --goal {goal!r}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["dq_model_file", "classical_model_file"])
+def test_rollout_takes_a_negative_goal_as_a_separate_word(tmp_path, request, model):
+    # argparse read '-1,0,0' after --goal as an option and exited 2
+    path, tables = request.getfixturevalue(model), []
+    for goal in (["--goal", "-1,0,0"], ["--goal=-1,0,0"], []):
+        out = tmp_path / f"roll{len(tables)}.csv"
+        assert run(["rollout", "--model", path, *goal, "--duration", "1", "-o", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] != tables[2]
 
 
 def test_rollout_takes_a_far_dq_goal_its_encoding_holds(tmp_path, dq_model_file):

@@ -89,19 +89,6 @@ def test_round_trip_is_byte_identical():
     assert text == again
 
 
-def test_round_trip_preserves_scale_metadata():
-    traj = gen_somersault(5.0, 2.0, 0.05)
-    traj.scale = 0.2
-    traj.positions = traj.positions * 0.2  # stored at normalized scale
-    text = trajectory_to_csv(traj)
-    assert text.startswith("# scale 0.2")
-    back = load_trajectory(io.StringIO(text))
-    assert back.scale == 0.2
-    # scale application costs one rounding each way; values, not bytes
-    np.testing.assert_allclose(back.positions, traj.positions, rtol=1e-15)
-    np.testing.assert_allclose(back.quaternions, traj.quaternions, atol=1e-15)
-
-
 def test_sign_continuity_enforced_on_load():
     rows = ["t,px,py,pz,qw,qx,qy,qz"]
     q = np.array([1.0, 0, 0, 0])
@@ -172,14 +159,11 @@ def test_scalar_demo_accepts_stacked_channels():
 def per_row_csv(traj):
     """The trajectory writer as it was: one f-string per value and row."""
     out = []
-    if traj.scale != 1.0:
-        out.append(f"# scale {traj.scale:.17g}\n")
     if traj.source:
         out.append(f"# source {traj.source}\n")
     out.append("t,px,py,pz,qw,qx,qy,qz\n")
-    inv = 1.0 / traj.scale
     for k in range(len(traj)):
-        row = [traj.t[k], *(traj.positions[k] * inv), *traj.quaternions[k]]
+        row = [traj.t[k], *traj.positions[k], *traj.quaternions[k]]
         out.append(",".join(f"{v:.17g}" for v in row) + "\n")
     return "".join(out)
 
@@ -187,9 +171,9 @@ def per_row_csv(traj):
 @pytest.mark.parametrize("rows", [3, 1024, 1025, 2501])
 def test_block_writer_equals_per_row_writer(rows):
     loop = gen_somersault(50.0, (rows - 1) * 0.01, 0.01)
-    positions = loop.positions * 0.02
+    positions = loop.positions.copy()
     positions[1, 1] = -0.0
-    traj = Trajectory(loop.t, positions, loop.quaternions, scale=0.02, source="loop note")
+    traj = Trajectory(loop.t, positions, loop.quaternions, source="loop note")
     assert len(traj) == rows
     assert trajectory_to_csv(traj) == per_row_csv(traj)
     table = np.random.default_rng(rows).normal(size=(rows, 18)) * 1e3
@@ -268,14 +252,14 @@ def test_block_reader_equals_per_line_reader(header, seed):
 def test_block_reader_equals_per_line_reader_on_a_demo():
     traj = gen_somersault(37.0, 28.5, 0.01)
     traj = Trajectory(traj.t, traj.positions + [1.0 / 3.0, -7.0, 1e-9], traj.quaternions,
-                      scale=0.02, source="mounted loop")
+                      source="mounted loop")
     text = trajectory_to_csv(traj)
     data, comments = _read_table(io.StringIO(text), TRAJ_HEADER)
     expected, expected_comments = per_line_read(text, TRAJ_HEADER)
     assert len(data) == len(traj) == 2851
     assert data.tobytes() == expected.tobytes() and comments == expected_comments
     loaded = load_trajectory(io.StringIO(text))
-    assert loaded.positions.tobytes() == (expected[:, 1:4] * 0.02).tobytes()
+    assert loaded.positions.tobytes() == expected[:, 1:4].tobytes()
 
 
 def test_block_reader_reads_a_crlf_file(tmp_path):
@@ -345,19 +329,22 @@ def test_header_only_file_gives_the_sample_count_error(loader, header, message):
             loader(io.StringIO("# only a comment\n\n"))
 
 
-@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "-inf", "1e-320", "abc"])
+@pytest.mark.parametrize("value", ["1", "0.5", "0", "-0.5", "nan", "inf", "-inf", "1e-320",
+                                   "abc"])
 def test_load_rejects_bad_scale(value):
-    # 1e-320 is positive but its reciprocal overflows, and saving divides by it
+    # positions are meters: every scale line is refused, a scale of 1 included
     text = f"# source x\n# scale {value}\n" + MINIMAL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^line 2: bad scale value$"):
+        with pytest.raises(ValueError, match="^line 2: '# scale' is not supported; "
+                                             "positions must be meters$"):
             load_trajectory(io.StringIO(text))
 
 
 @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf, 1e-320])
 def test_trajectory_rejects_bad_scale(scale):
-    with pytest.raises(ValueError, match="scale must be positive and finite"):
+    # the constructor takes no scale at all: positions are meters
+    with pytest.raises(TypeError, match="scale"):
         Trajectory([0.0, 0.1], np.zeros((2, 3)), np.tile([1.0, 0, 0, 0], (2, 1)),
                    scale=scale)
 
