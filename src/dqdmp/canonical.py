@@ -25,10 +25,16 @@ _GRID_BLOCK = 1024      # phases per kernel evaluation of forcing_rows
 
 
 def phase(t, alpha_x: float, tau: float):
-    """Clock signal x = exp(-alpha_x t / tau); x(0) = 1, strictly decreasing."""
+    """Clock signal x = exp(-alpha_x t / tau); x(0) = 1, strictly decreasing.
+    Refused, naming tau, where the exponent alpha_x t / tau overflows."""
     if not (0.0 < alpha_x < np.inf and 0.0 < tau < np.inf):
         raise ValueError("alpha_x and tau must be positive and finite")
-    return np.exp(-alpha_x * np.asarray(t, dtype=float) / tau)
+    with np.errstate(over="ignore"):  # refused below
+        s = -alpha_x * np.asarray(t, dtype=float) / tau
+    if not np.isfinite(s).all():
+        raise ValueError(f"tau {tau:g} too small for alpha_x {alpha_x:g}: "
+                         f"the phase exponent alpha_x t / tau overflows")
+    return np.exp(s)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,15 @@ def cmd_gen(args) -> int:
 # train
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a tiny tau's phase, a huge demo's differences
+def _damping(args, stiffness: str):
+    """--d-ratio times the square root of the stiffness flag k_rot or k_pos,
+    refused by the flag's name first (the root of a negative one warns)."""
+    k = getattr(args, stiffness)
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"{stiffness} must be positive and finite")
+    return args.d_ratio * np.sqrt(k)
+
+
 def cmd_train(args) -> int:
     try:
         if args.variant == "classical":
@@ -112,20 +120,19 @@ def cmd_train(args) -> int:
             traj = load_trajectory(args.demo)
             tau = args.tau if args.tau is not None else traj.duration
             if args.variant == "dq":
-                d_rot = args.d_ratio * np.sqrt(args.k_rot)
-                d_pos = args.d_ratio * np.sqrt(args.k_pos)
-                model = dq_train(traj, tau, args.k_rot, args.k_pos, d_rot, d_pos,
+                model = dq_train(traj, tau, args.k_rot, args.k_pos,
+                                 _damping(args, "k_rot"), _damping(args, "k_pos"),
                                  basis_scheme_a(args.kernels, args.alpha_x))
             elif args.variant == "quat":
                 # checked under the flags' gain names, not the model's k_gain / d_gain
                 model = quat_train(traj, tau, _gain_matrix(args.k_rot, "k_rot"),
-                                   _gain_matrix(args.d_ratio * np.sqrt(args.k_rot), "d_rot"),
+                                   _gain_matrix(_damping(args, "k_rot"), "d_rot"),
                                    basis_scheme_a(args.kernels, args.alpha_x))
             else:  # pose-decoupled
                 model = pose_train(
                     traj, tau, args.alpha_x, args.pos_kernels, args.k_pos,
-                    args.d_ratio * np.sqrt(args.k_pos), args.rot_kernels,
-                    args.k_rot, args.d_ratio * np.sqrt(args.k_rot))
+                    _damping(args, "k_pos"), args.rot_kernels, args.k_rot,
+                    _damping(args, "k_rot"))
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     _print_fit_residuals(model)

@@ -27,12 +27,12 @@ inertial position, stepped by the screw exponential ``dualquat._screw``;
 ``DqRollout.dq`` is encoded after the loop.  Its pose error, ``_pose_error``,
 is also the one training inverts, on the demonstration's (q, p) stack.  The
 loop over time makes no numpy call (sin and cos come from ``math``): plain
-floats, states packed into preallocated arrays, the forcing grid before the
-loop and the finiteness check, error rows and energies after.  The energies
-exist only as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
-``ClassicalRollout.energy``, ``PoseRollout.energy``).  The scalar primitive
-keeps its own short float loop: its position step is Euler, its forcing
-unscaled and it has no start-error term.
+floats, one pack per step of the whole state as one row of one buffer, the
+forcing grid before the loop and the finiteness check, error rows and
+energies after.  The energies exist only as rollout columns (``QuatRollout.v1``,
+``DqRollout.lyap``, ``ClassicalRollout.energy``, ``PoseRollout.energy``).  The
+scalar primitive keeps its own short float loop, storing (y, z) the same way:
+its position step is Euler, its forcing unscaled and it has no start-error term.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -75,7 +75,7 @@ from .quat import (
     quat_norm,
     quat_normalize,
 )
-from .traj import ScalarDemo, Trajectory, _time_grid, open_text
+from .traj import ScalarDemo, Trajectory, _check_rates, _time_grid, open_text
 
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
@@ -271,14 +271,15 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
     f = forcing_rows(xs, model.basis, model.weights[None, :])[:, 0]
     az, bz = float(model.alpha_z), float(model.beta_z)
-    y, z = np.empty(len(xs)), np.empty(len(xs))
-    yk, zk = float(y0), float(z0)
-    y[0], z[0] = yk, zk
-    for k, fk in enumerate(f[:-1].tolist()):
+    buf, pack = bytearray(16 * len(xs)), Struct("2d").pack_into  # rows (y, z), as in _integrate
+    rows = np.frombuffer(buf).reshape(-1, 2)
+    yk, zk = rows[0] = float(y0), float(z0)
+    for o, fk in zip(range(16, len(buf), 16), f.tolist()):  # byte offsets of rows 1..n-1
         zk += dt * (az * (bz * (g - yk) - zk) + fk) / tau
         yk += dt * zk / tau
-        y[k + 1], z[k + 1] = yk, zk
-    _check_finite(ts, y, z)
+        pack(buf, o, yk, zk)
+    _check_finite(ts, rows)
+    y, z = rows.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / (az * bz)
     if not np.isfinite(energy).all():
@@ -320,14 +321,14 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
 
     error(pose) gives the goal-relative pose of a pose's float components (or
     a stack's columns): its rotation's scalar part, then the goal error.
-    loop(grid, pose, vel, dt / tau, dt / (2 tau), e0, pack_p, poses, pack_v,
-    vels) runs ``for op, ov, x, f0, f1, ... in grid`` on local floats from the
-    start pose and velocity lists: v_i += h (k_i u_i - d_i v_i) per axis with
-    u = e - e0 x + f, e0 the error of the trained start pose (anchor), then the
-    pose moves by dt / (2 tau) times the new velocity (half-angle), and
-    pack_p(poses, op, *pose) and pack_v(vels, ov, *vel) store the row.  A
-    ValueError from the loop, a kernel out of its domain, is re-raised naming
-    the sample it stepped from, read off how far grid got.
+    loop(grid, pose, vel, dt / tau, dt / (2 tau), e0, pack, rows) runs
+    ``for o, x, f0, f1, ... in grid`` on local floats from the start pose and
+    velocity lists: v_i += h (k_i u_i - d_i v_i) per axis with u = e - e0 x + f,
+    e0 the error of the trained start pose (anchor), then the pose moves by
+    dt / (2 tau) times the new velocity (half-angle), and pack(rows, o, *pose,
+    *vel) stores the whole state as one row at byte offset o.  A ValueError
+    from the loop, a kernel out of its domain, is re-raised naming the sample
+    it stepped from, read off how far grid got.
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
     if start.shape != anchor.shape:
@@ -342,39 +343,41 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     # part of the learned model, so resuming or restarting elsewhere must
     # not change the vector field
     e0 = error(anchor.tolist())[1:]
-    poses, vels = np.empty((len(xs), len(start))), np.empty((len(xs), len(vel)))
-    poses[0], vels[0] = start, vel
-    row_p, row_v = Struct(f"{len(start)}d"), Struct(f"{len(vel)}d")
+    # one state row [pose, vel] per sample, in a bytearray: pack_into takes it faster than an array
+    row = Struct(f"{len(start) + len(vel)}d")
+    buf = bytearray(len(xs) * row.size)
+    rows = np.frombuffer(buf).reshape(len(xs), -1)
+    rows[0] = *start, *vel
     # byte offsets of rows 1..n-1; forcing floats one at a time (tolist() holds them all)
-    offsets = iter(range(row_p.size, poses.nbytes, row_p.size))
-    grid = zip(offsets, range(row_v.size, vels.nbytes, row_v.size), memoryview(xs),
-               *[iter(memoryview(forcing.ravel()))] * len(vel))
+    offsets = iter(range(row.size, len(buf), row.size))
+    grid = zip(offsets, memoryview(xs), *[iter(memoryview(forcing.ravel()))] * len(vel))
     try:
         loop(grid, start.tolist(), vel.tolist(), dt / tau, dt / (2.0 * tau), e0,
-             row_p.pack_into, poses, row_v.pack_into, vels)
+             row.pack_into, buf)
     except ValueError as exc:  # a step out of its kernel's domain, named by the sample
         raise _unstable(str(exc), ts, len(xs) - 2 - length_hint(offsets)) from exc
-    _check_finite(ts, poses, vels)
+    _check_finite(ts, rows)
+    poses, vels = rows[:, :len(start)].copy(), rows[:, len(start):].copy()
     return ts, xs, poses, vels, forcing, np.array(error(poses.T)[1:]).T
 
 
 def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
     """(tau^2 acc + tau D vel) / K - e + e0 x per sample and axis: the forcing
     that makes the rollout's gain drive reproduce a demonstration on one
-    (K, D) block; refused, naming tau, where a target overflows."""
+    (K, D) block; refused, naming tau, K and D, where a target overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         drive = np.float64(tau) ** 2 * acc + vel * (tau * np.diag(d))
         fd = drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
     if not np.isfinite(fd).all():
-        raise ValueError(f"the forcing targets overflow: tau {tau:g} too large for the demo")
+        raise ValueError(f"the forcing targets overflow: tau {tau:g}, K {np.diag(k).tolist()} "
+                         f"or D {np.diag(d).tolist()} too large for the demo")
     return fd
 
 
-def _check_finite(ts: np.ndarray, *states: np.ndarray) -> None:
-    """Raise on the first sample of a rollout whose state is not finite."""
-    if not all(np.isfinite(s).all() for s in states):
-        k = int(np.argmin(np.isfinite(np.column_stack(states)).all(axis=1)))
-        raise _unstable("non-finite state", ts, k)
+def _check_finite(ts: np.ndarray, rows: np.ndarray) -> None:
+    """Raise on the first sample of a rollout whose state row is not finite."""
+    if not np.isfinite(rows).all():
+        raise _unstable("non-finite state", ts, int(np.argmin(np.isfinite(rows).all(axis=1))))
 
 
 def _unstable(what: str, ts: np.ndarray, k: int) -> ValueError:
@@ -474,12 +477,12 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
     goal, gains = qd.tolist(), np.diagonal([model.k_gain, model.d_gain], 0, 1, 2).tolist()
 
-    def loop(grid, pose, vel, h, half, e0, pack_p, poses, pack_v, vels):
+    def loop(grid, pose, vel, h, half, e0, pack, rows):
         # per step vec(q* (x) q_d), the gain drive and normalize(q (x) exp(half w)),
         # with the operations of _quat_error, the drive and _product in their order
         (gw, gx, gy, gz), ((k0, k1, k2), (d0, d1, d2)), (c0, c1, c2) = goal, gains, e0
         (qw, qx, qy, qz), (w0, w1, w2) = pose, vel
-        for op, ov, x, f0, f1, f2 in grid:
+        for o, x, f0, f1, f2 in grid:
             w0 += h * (k0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - d0 * w0)
             w1 += h * (k1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - d1 * w1)
             w2 += h * (k2 * (qw * gz - gw * qz - qx * gy + qy * gx - c2 * x + f2) - d2 * w2)
@@ -490,8 +493,7 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
             rz = qw * sz + sw * qz + qx * sy - qy * sx
             inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
             qw, qx, qy, qz = rw * inv, rx * inv, ry * inv, rz * inv
-            pack_p(poses, op, qw, qx, qy, qz)
-            pack_v(vels, ov, w0, w1, w2)
+            pack(rows, o, qw, qx, qy, qz, w0, w1, w2)
 
     ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
                                        lambda p: _quat_error(p, goal), loop)
@@ -642,14 +644,14 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     goal_floats = _goal_floats(goal)
     gains = np.diagonal([model.k_rot, model.d_rot, model.k_pos, model.d_pos], 0, 1, 2).tolist()
 
-    def loop(grid, pose, vel, h, half, e0, pack_p, poses, pack_v, vels):
+    def loop(grid, pose, vel, h, half, e0, pack, rows):
         # per step the error of _pose_error, the gain drive and the screw step with
         # their operations in their order; the turn is normalize(q (x) s) as in _product
         (gw, gx, gy, gz), (ox, oy, oz), ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8)) = goal_floats
         (kr0, kr1, kr2), (dr0, dr1, dr2), (kp0, kp1, kp2), (dp0, dp1, dp2) = gains
         (qw, qx, qy, qz, px, py, pz), (v0, v1, v2, v3, v4, v5) = pose, vel
         c0, c1, c2, c3, c4, c5 = e0
-        for op, ov, x, f0, f1, f2, f3, f4, f5 in grid:
+        for o, x, f0, f1, f2, f3, f4, f5 in grid:
             ex, ey, ez = ox - px, oy - py, oz - pz
             v0 += h * (kr0 * (qw * gx - gw * qx - qy * gz + qz * gy - c0 * x + f0) - dr0 * v0)
             v1 += h * (kr1 * (qw * gy - gw * qy - qz * gx + qx * gz - c1 * x + f1) - dr1 * v1)
@@ -667,8 +669,7 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             inv = 1.0 / (rw * rw + rx * rx + ry * ry + rz * rz) ** 0.5
             qw, qx, qy, qz = rw * inv, rx * inv, ry * inv, rz * inv
             px, py, pz = px + ux, py + uy, pz + uz
-            pack_p(poses, op, qw, qx, qy, qz, px, py, pz)
-            pack_v(vels, ov, v0, v1, v2, v3, v4, v5)
+            pack(rows, o, qw, qx, qy, qz, px, py, pz, v0, v1, v2, v3, v4, v5)
 
     ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start,
                                           _pose_anchor(model.dq0), _pose_anchor(start),
@@ -704,8 +705,10 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     alpha_z = float(d_pos)
     beta_z = float(k_pos) / float(d_pos)
     _check_scalar_gains(alpha_z, beta_z)  # the quotient can overflow or underflow
-    vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
-    acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
+        acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
+    _check_rates(traj.t, vel, acc)
     # the three axes as one (n, 3) scalar demo: one design matrix for all
     y0, g = traj.positions[0], traj.positions[-1]
     fd = classical_target_forcing(ScalarDemo(traj.t, traj.positions, vel, acc),

@@ -175,17 +175,30 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
     linear part is R(q)^T pdot, the inertial velocity rotated into body
     axes, so it does not depend on where the world origin sits.  Keeps the
     twist (its angular part is the body rate) and its rate; needs four
-    samples or more.
+    samples or more, and refuses a demo whose twist or rate overflows.
     """
     if len(traj) < 4:
         raise ValueError("trajectory too short to differentiate (need >= 4 samples)")
     q, dt = traj.quaternions, traj.dt
-    qdot = np.gradient(q, dt, axis=0, edge_order=2)
-    # vec() discards the O(dt^2) scalar part left by differencing unit data
-    omega_b = 2.0 * quat_vec(quat_product(quat_conjugate(q), qdot))
-    v_b = quat_rotate_inverse(q, np.gradient(traj.positions, dt, axis=0, edge_order=2))
-    xi = np.concatenate([omega_b, v_b], axis=1)
-    return DerivedChannels(xi, np.gradient(xi, dt, axis=0, edge_order=2))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        qdot = np.gradient(q, dt, axis=0, edge_order=2)
+        # vec() discards the O(dt^2) scalar part left by differencing unit data
+        omega_b = 2.0 * quat_vec(quat_product(quat_conjugate(q), qdot))
+        v_b = quat_rotate_inverse(q, np.gradient(traj.positions, dt, axis=0, edge_order=2))
+        xi = np.concatenate([omega_b, v_b], axis=1)
+        xi_dot = np.gradient(xi, dt, axis=0, edge_order=2)
+    _check_rates(traj.t, xi, xi_dot)
+    return DerivedChannels(xi, xi_dot)
+
+
+def _check_rates(t: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> None:
+    """Refuse a demo whose differenced velocity or acceleration is not finite,
+    naming the first such sample."""
+    if not (np.isfinite(vel).all() and np.isfinite(acc).all()):
+        ok_v, ok_a = np.isfinite(vel).all(axis=1), np.isfinite(acc).all(axis=1)
+        k = int(np.argmin(ok_v & ok_a))
+        raise ValueError(f"the demo's {'acceleration' if ok_v[k] else 'velocity'} overflows at "
+                         f"sample {k} (t = {t[k]:g}): its positions are too large for its step")
 
 
 # -- file round trip -------------------------------------------------------

@@ -33,7 +33,7 @@ from dqdmp import (
     save_model,
 )
 from dqdmp.cli import compare_on_demo, load_scalar_demo, main
-from dqdmp.traj import ScalarDemo, gen_somersault, save_trajectory
+from dqdmp.traj import ScalarDemo, Trajectory, gen_somersault, save_trajectory
 
 from conftest import trajectory_to_csv
 
@@ -490,14 +490,20 @@ def test_rollout_rejects_infinite_tau(tmp_path, dq_model_file, capsys):
 def boundary_inputs():
     traj, demo = gen_somersault(5.0, 2.0, 0.01), gen_min_jerk(0.0, 1.0, 1.0, 0.01)
     basis = basis_scheme_a(10, 0.05)
-    return dict(traj=traj, demo=demo, basis=basis,
+    # a line at 1e306 m/s turned 45 degrees about z: its body twist and twist rate
+    # are finite, the inertial acceleration that pose_train differences is not
+    t = np.arange(101) * 0.01
+    fast = Trajectory(t, np.outer(t - 0.5, [1e306, 0.0, 0.0]),
+                      np.tile([np.cos(np.pi / 8), 0.0, 0.0, np.sin(np.pi / 8)], (101, 1)))
+    return dict(traj=traj, demo=demo, basis=basis, fast=fast,
+                huge=Trajectory(traj.t, traj.positions * 1e306, traj.quaternions),
                 quat=quat_train(traj, 2.0, 1.0, 10.0, basis),
                 dq=dq_train(traj, 2.0, 1.0, 1.0, 10.0, 10.0, basis),
                 classical=classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis))
 
 
 BOUNDARY = {
-    # case: (call on boundary_inputs, or the CLI rollout flags; what the error names)
+    # case: (call on boundary_inputs, or the CLI command and flags; what the error names)
     "quat_rollout tau_override": (
         lambda i: quat_rollout(i["quat"], duration=1.0, tau_override=1e-320), "tau "),
     "dq_rollout tau_override": (
@@ -516,23 +522,47 @@ BOUNDARY = {
         lambda i: dq_train(i["traj"], 2.0, 1e-320, 1.0, 10.0, 10.0, i["basis"]), "k_rot "),
     "classical_train g": (
         lambda i: classical_train(i["demo"], 1e308, 1.0, 25.0, 6.25, i["basis"]), "goal 1e+308"),
-    "cli rollout --tau": (["--tau", "1e-320"], "tau "),
-    "cli rollout --tau --duration": (["--tau", "1e-320", "--duration", "1"], "tau "),
+    "quat_train tiny tau": (
+        lambda i: quat_train(i["traj"], 1e-320, 1.0, 10.0, i["basis"]), "tau 9.99989e-321"),
+    "dq_train tiny tau": (
+        lambda i: dq_train(i["traj"], 1e-320, 1.0, 1.0, 10.0, 10.0, i["basis"]),
+        "tau 9.99989e-321"),
+    "classical_train tiny tau": (
+        lambda i: classical_train(i["demo"], 1.0, 1e-320, 25.0, 6.25, i["basis"]),
+        "tau 9.99989e-321"),
+    "dq_train huge demo": (
+        lambda i: dq_train(i["huge"], 2.0, 1.0, 1.0, 10.0, 10.0, i["basis"]),
+        "the demo's acceleration overflows at sample 68"),
+    "pose_train huge demo": (
+        lambda i: pose_train(i["huge"], 2.0, 0.05, 10, 1.0, 10.0, 10, 1.0, 10.0),
+        "the demo's acceleration overflows at sample 68"),
+    "pose_train fast demo": (
+        lambda i: pose_train(i["fast"], 1.0, 0.05, 10, 1.0, 10.0, 10, 1.0, 10.0),
+        "the demo's acceleration overflows at sample 0"),
+    "dq_train d_pos": (
+        lambda i: dq_train(i["traj"], 1e150, 1.0, 1.0, 10.0, 1e200, i["basis"]),
+        "D [1e+200, 1e+200, 1e+200]"),
+    "cli rollout --tau": (["rollout", "--tau", "1e-320"], "tau "),
+    "cli rollout --tau --duration": (["rollout", "--tau", "1e-320", "--duration", "1"], "tau "),
+    "cli train --tau": (["train", "--tau", "1e-320"], "tau 9.99989e-321"),
 }
 
 
 @pytest.mark.parametrize("case", BOUNDARY)
 def test_an_overflowing_input_is_refused_by_name_without_a_warning(
-        tmp_path, capsys, boundary_inputs, dq_model_file, case):
+        tmp_path, capsys, boundary_inputs, dq_model_file, demo_file, case):
     # each one showed a numpy RuntimeWarning (overflow in divide, exp, power or
-    # multiply) where the caller now sees a ValueError naming the argument
+    # multiply) or, for the d_pos case, named only tau, where the caller now
+    # sees a ValueError naming the argument; CLI train wrote a model no rollout took
     call, name = BOUNDARY[case]
-    out = tmp_path / "roll.csv"
+    out = tmp_path / "product"
     capsys.readouterr()  # the fixture's training report
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if case.startswith("cli"):
-            assert run(["rollout", "--model", dq_model_file, *call, "-o", str(out)]) == 1
+            command, *flags = call
+            source = ["--model", dq_model_file] if command == "rollout" else ["--demo", demo_file]
+            assert run([command, *source, *flags, "-o", str(out)]) == 1
             assert_one_error_line(capsys, name)
             assert not out.exists()
         else:

@@ -355,13 +355,14 @@ def test_quat_exp_of_an_overflowing_angle_is_nan():
 # -- the loop over time calls only its kernels ------------------------------------
 
 
-def _python_calls(run) -> Counter:
-    """Python functions the profiler sees called while run runs, by name."""
+def _profiled_calls(run, event="call") -> Counter:
+    """Functions the profiler sees called while run runs, by name: Python
+    functions for event "call", built-in ones (a Struct's pack_into) for "c_call"."""
     calls = Counter()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_name] += 1
+    def profile(frame, what, arg):
+        if what == event:
+            calls[arg.__name__ if what == "c_call" else frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
@@ -378,7 +379,18 @@ def test_a_rollout_step_calls_only_its_kernels(rng):
     dq, quat, _ = _models(rng)
     for rollout, model, kernels in ((dq_rollout, dq, ("_screw", "_rotate")),
                                     (quat_rollout, quat, ("_exp",))):
-        short, long = (_python_calls(lambda: rollout(model, dt=0.005, duration=d))
+        short, long = (_profiled_calls(lambda: rollout(model, dt=0.005, duration=d))
                        for d in (1.0, 2.0))
         assert long - short == Counter(dict.fromkeys(kernels, 200)), rollout.__name__
         assert short[kernels[0]] == 200, rollout.__name__
+
+
+def test_a_rollout_step_stores_its_state_with_one_pack(rng):
+    # 200 and 400 steps: each step of a dq, quat or classical rollout stores its
+    # whole state, pose and velocity, as one row with one pack_into
+    dq, quat, classical = _models(rng)
+    for name, rollout in (("dq", lambda d: dq_rollout(dq, dt=0.005, duration=d)),
+                          ("quat", lambda d: quat_rollout(quat, dt=0.005, duration=d)),
+                          ("classical", lambda d: classical_rollout(classical, 0.3, 0.005, d))):
+        packs = [_profiled_calls(lambda: rollout(d), "c_call")["pack_into"] for d in (1.0, 2.0)]
+        assert packs == [200, 400], name
