@@ -168,5 +168,13 @@ def _solve(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for i, t in enumerate(tau):             # depend on the others
             qtb[i:] -= (t * (h[i, i:] @ qtb[i:])) * h[i, i:]
         weights[j] = vt[:r].T @ (u[:, :r].T @ qtb[:len(s)] / s[:r])
-        residuals[j] = np.linalg.norm(A @ weights[j] - cols[:, j])
+        residuals[j] = _norm(A @ weights[j] - cols[:, j])
     return weights, residuals
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v), or where its square sum overflows, with no warning,
+    s times the norm of v / s, s = max |v|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, s = np.linalg.norm(v), np.abs(v).max()
+        return float(s * np.linalg.norm(v / s) if np.isinf(n) and s < np.inf else n)

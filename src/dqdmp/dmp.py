@@ -1,38 +1,31 @@
 """Dynamic motion primitives: scalar, quaternion and dual-quaternion variants.
 
-All three share the same structure: a goal attractor (spring-damper on a
-pose error), a phase-gated learned forcing term, and the clock
-x = exp(-alpha_x t / tau); orientation is in the body frame only.  The
-internal velocity states are the tau-scaled ones of the governing dynamics
-(z = tau ydot, omega_state = tau omega, xi_state = tau xi), which makes
-every rollout exactly covariant under time rescaling: doubling tau and dt
-reproduces the same discrete path on a stretched clock.
+All three run one formulation: the per-axis drive v += h (K (e - e0 x + f) - D v)
+on a pose error e, with e0 the error at the trained start, a phase-gated
+learned forcing f and the clock x = exp(-alpha_x t / tau); orientation is in
+the body frame only.  The scalar primitive is the dq translation row at R = I,
+with K = alpha_z beta_z and D = alpha_z.  The velocity states are tau-scaled
+(z = tau ydot, omega_state = tau omega, xi_state = tau xi), so doubling tau and
+dt reproduces the same discrete path on a stretched clock.
 
-Integration is semi-implicit Euler: the velocity state steps first, then
-the pose advances by the exact exponential step with the new velocity.  The
-rotation is renormalized each step, and the discrete step inherits the
-monotonically decreasing rotational energy of the continuous dynamics.  The
-quaternion and dual-quaternion rollouts run on one driver, ``_integrate``;
-each variant's loop function runs the whole time loop over its grid with the
-state in local floats.  Per step the rotation error vec(q* (x) q_d) (and, for
-dq, R(q_d)^T (p_d - p)), the per-axis drive v_i + h (k_i u_i - d_i v_i) and
-the renormalized turn normalize(q (x) s) are float arithmetic with the IEEE
-operations of ``_quat_error``, ``_pose_error`` and ``quat._product`` in
-their order, so a step keeps their bits.  A quat step calls only
-``quat._exp``, a dq step only ``dualquat._screw`` and ``quat._rotate``.
-Every gain is per-axis, a positive, finite scalar or diagonal 3x3 matrix.
-A model checks every field when it is built, so any model that builds can
-be saved and loaded again.  The dq loop state is (q, p), rotation and
-inertial position, stepped by the screw exponential ``dualquat._screw``;
-``DqRollout.dq`` is encoded after the loop.  Its pose error, ``_pose_error``,
-is also the one training inverts, on the demonstration's (q, p) stack.  The
-loop over time makes no numpy call (sin and cos come from ``math``): plain
-floats, one pack per step of the whole state as one row of one buffer, the
-forcing grid before the loop and the finiteness check, error rows and
-energies after.  The energies exist only as rollout columns (``QuatRollout.v1``,
-``DqRollout.lyap``, ``ClassicalRollout.energy``, ``PoseRollout.energy``).  The
-scalar primitive keeps its own short float loop, storing (y, z) the same way:
-its position step is Euler, its forcing unscaled and it has no start-error term.
+Integration is semi-implicit Euler: the velocity steps first, then the pose
+by the exact exponential step with the new velocity, the rotation
+renormalized; the step inherits the decreasing rotational energy of the
+continuous dynamics.  The quaternion and dual-quaternion rollouts run on one
+driver, ``_integrate``; each variant's loop function runs the whole time loop
+over its grid on local floats, with no numpy call (sin and cos come from
+``math``) and one pack of the whole state per step as one row of one buffer.
+Per step the rotation error vec(q* (x) q_d) (and, for dq, R(q_d)^T (p_d - p)),
+the drive and the turn normalize(q (x) s) repeat the IEEE operations of
+``_quat_error``, ``_pose_error`` and ``quat._product`` in their order, so a
+step keeps their bits; a quat step calls only ``quat._exp``, a dq step only
+``dualquat._screw`` and ``quat._rotate``.  The dq state is (q, p), rotation
+and inertial position; ``DqRollout.dq`` is encoded after the loop, and
+``_pose_error`` is also the error training inverts.  The forcing grid comes
+before the loop, the finiteness check, error rows and energies after; the
+energies exist only as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
+``ClassicalRollout.energy``, ``PoseRollout.energy``).  The scalar primitive
+keeps its own short float loop, storing (y, z) the same way.
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -52,6 +45,7 @@ import numpy as np
 
 from .canonical import (
     GaussianBasis,
+    _norm,
     basis_scheme_a,
     fit_weights,
     forcing_rows,
@@ -206,29 +200,34 @@ class PoseDecoupledDmp:
 # classical variant
 
 
-def classical_target_forcing(demo: ScalarDemo, g: float, tau: float,
-                             alpha_z: float, beta_z: float) -> np.ndarray:
-    """Forcing targets tau^2 ydd - alpha_z (beta_z (g - y) - tau yd); refused,
-    naming the arguments, where one overflows."""
+def classical_target_forcing(demo: ScalarDemo, g: float | np.ndarray, xs: np.ndarray,
+                             tau: float, alpha_z: float, beta_z: float) -> np.ndarray:
+    """_target_block's targets for the scalar primitive, K = alpha_z beta_z, D = alpha_z
+    and e0 = g - y0, on the demo's (n,) channels or (n, dims) axes, one goal each;
+    refused, naming them, on bad gains or where 0.5 (g - y)^2 overflows."""
+    _check_scalar_gains(alpha_z, beta_z)
+    y = np.asarray(demo.y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        fd = (np.float64(tau) ** 2 * demo.ydd
-              - alpha_z * (beta_z * (g - demo.y) - tau * demo.yd))
-    if not np.isfinite(fd).all():
-        raise ValueError(f"the forcing targets overflow: goal {g}, tau {tau:g}, alpha_z "
-                         f"{alpha_z:g} or beta_z {beta_z:g} too large for the demo")
-    return fd
+        e = (g - y).reshape(len(y), -1)
+        if not np.isfinite(0.5 * e * e).all():
+            raise ValueError(f"goal {np.asarray(g).tolist()}: the energy 0.5 (g - y)^2 overflows")
+    k, d = alpha_z * beta_z * np.eye(e.shape[1]), alpha_z * np.eye(e.shape[1])
+    fd = _target_block(demo.ydd.reshape(e.shape), demo.yd.reshape(e.shape), e, e[0], xs, tau, k, d)
+    return fd.reshape(y.shape)
 
 
 def _check_scalar_gains(alpha_z: float, beta_z: float) -> None:
     if not (0.0 < alpha_z < np.inf and 0.0 < beta_z < np.inf):
         raise ValueError("classical alpha_z and beta_z must be positive and finite")
+    if not np.finfo(float).tiny <= float(alpha_z) * float(beta_z) < np.inf:
+        raise ValueError(f"classical alpha_z {alpha_z:g} and beta_z {beta_z:g}: their "
+                         f"product K or its reciprocal overflows")
 
 
 def classical_train(demo: ScalarDemo, g: float, tau: float, alpha_z: float,
                     beta_z: float, basis: GaussianBasis) -> ClassicalDmp:
-    _check_scalar_gains(alpha_z, beta_z)
-    fd = classical_target_forcing(demo, g, tau, alpha_z, beta_z)
-    w, res = _fit(phase(demo.t, basis.alpha_x, tau), fd, basis)
+    xs = phase(demo.t, basis.alpha_x, tau)
+    w, res = _fit(xs, classical_target_forcing(demo, g, xs, tau, alpha_z, beta_z), basis)
     return ClassicalDmp(alpha_z, beta_z, basis, w,
                         float(demo.y[0]), float(g), float(tau), res)
 
@@ -237,9 +236,8 @@ def _fit(xs: np.ndarray, fd: np.ndarray, basis: GaussianBasis):
     """fit_weights of the targets fd, and its residual norms per target
     column: absolute and over the column's norm, one (2,) row per column."""
     weights, res = fit_weights(xs, fd, basis)
-    scale = [max(np.linalg.norm(col), 1e-300) for col in fd.reshape(len(fd), -1).T]
-    res = np.atleast_1d(res)
-    return weights, np.column_stack([res, res / scale])
+    scale = [max(_norm(col), 1e-300) for col in fd.reshape(len(fd), -1).T]
+    return weights, np.column_stack([res, np.divide(res, scale)])
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ class ClassicalRollout:
     """Row k holds the state at t[k]; z is the tau-scaled velocity.
 
     energy is 0.5 (g - y)^2 + 0.5 z^2 / (alpha_z beta_z); it does not rise
-    along unforced rollouts at a stable step size.
+    along zero-weight rollouts from rest at the trained y0 at a stable step size.
     """
 
     t: np.ndarray
@@ -262,26 +260,27 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
                       duration: float | None = None, z0: float = 0.0,
                       t_start: float = 0.0, goal_override: float | None = None,
                       tau_override: float | None = None) -> ClassicalRollout:
-    """Integrate the scalar primitive: semi-implicit Euler on plain floats;
-    goal_override and tau_override act as in quat_rollout."""
+    """Integrate the scalar primitive on plain floats, the dq translation row at
+    R = I: z += h (K (g - y - e0 x + f) - D z), y += h z, h = dt / tau, e0 = g - y0
+    at the trained y0; goal_override and tau_override act as in quat_rollout."""
     tau = float(tau_override if tau_override is not None else model.tau)
     g = float(goal_override if goal_override is not None else model.goal)
     if not np.isfinite([y0, z0, g]).all():
         raise ValueError("classical rollout: y0, z0 and goal must be finite")
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
     f = forcing_rows(xs, model.basis, model.weights[None, :])[:, 0]
-    az, bz = float(model.alpha_z), float(model.beta_z)
+    k, d, h, c = model.alpha_z * model.beta_z, model.alpha_z, dt / tau, g - model.y0
     buf, pack = bytearray(16 * len(xs)), Struct("2d").pack_into  # rows (y, z), as in _integrate
     rows = np.frombuffer(buf).reshape(-1, 2)
     yk, zk = rows[0] = float(y0), float(z0)
-    for o, fk in zip(range(16, len(buf), 16), f.tolist()):  # byte offsets of rows 1..n-1
-        zk += dt * (az * (bz * (g - yk) - zk) + fk) / tau
-        yk += dt * zk / tau
+    for o, x, fk in zip(range(16, len(buf), 16), memoryview(xs), f.tolist()):  # rows 1..n-1
+        zk += h * (k * (g - yk - c * x + fk) - d * zk)
+        yk += h * zk
         pack(buf, o, yk, zk)
     _check_finite(ts, rows)
     y, z = rows.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / (az * bz)
+        energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / k
     if not np.isfinite(energy).all():
         raise ValueError(f"classical rollout: the energy overflows (start {y0:g}, goal {g:g})")
     return ClassicalRollout(ts, xs, y, z, f, energy)
@@ -323,12 +322,10 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     a stack's columns): its rotation's scalar part, then the goal error.
     loop(grid, pose, vel, dt / tau, dt / (2 tau), e0, pack, rows) runs
     ``for o, x, f0, f1, ... in grid`` on local floats from the start pose and
-    velocity lists: v_i += h (k_i u_i - d_i v_i) per axis with u = e - e0 x + f,
-    e0 the error of the trained start pose (anchor), then the pose moves by
-    dt / (2 tau) times the new velocity (half-angle), and pack(rows, o, *pose,
-    *vel) stores the whole state as one row at byte offset o.  A ValueError
-    from the loop, a kernel out of its domain, is re-raised naming the sample
-    it stepped from, read off how far grid got.
+    velocity lists: the drive, e0 the error at the trained start (anchor), the
+    half-angle pose step, and pack(rows, o, *pose, *vel) of the state as one row
+    at byte offset o.  A ValueError from the loop, a kernel out of its domain,
+    is re-raised naming the sample it stepped from, read off how far grid got.
     Returns (t, x, poses, velocities, forcing, errors), one row per sample.
     """
     if start.shape != anchor.shape:
@@ -701,24 +698,22 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
             raise ValueError(f"{name} must be positive and finite")
     k_rot, d_rot = _gain_matrix(k_rot, "k_rot"), _gain_matrix(d_rot, "d_rot")
     pos_basis = basis_scheme_a(n_pos_kernels, alpha_x)
-    rot_basis = basis_scheme_a(n_rot_kernels, alpha_x)
-    alpha_z = float(d_pos)
-    beta_z = float(k_pos) / float(d_pos)
-    _check_scalar_gains(alpha_z, beta_z)  # the quotient can overflow or underflow
+    alpha_z, beta_z = float(d_pos), float(k_pos) / float(d_pos)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
         acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
     _check_rates(traj.t, vel, acc)
     # the three axes as one (n, 3) scalar demo: one design matrix for all
     y0, g = traj.positions[0], traj.positions[-1]
+    xs = phase(traj.t, pos_basis.alpha_x, tau)
     fd = classical_target_forcing(ScalarDemo(traj.t, traj.positions, vel, acc),
-                                  g, tau, alpha_z, beta_z)
-    weights, res = _fit(phase(traj.t, pos_basis.alpha_x, tau), fd, pos_basis)
+                                  g, xs, tau, alpha_z, beta_z)
+    weights, res = _fit(xs, fd, pos_basis)
     axes = tuple(ClassicalDmp(alpha_z, beta_z, pos_basis, weights[dim],
                               float(y0[dim]), float(g[dim]), float(tau), res[dim:dim + 1])
                  for dim in range(3))
-    orientation = quat_train(traj, tau, k_rot, d_rot, rot_basis)
-    return PoseDecoupledDmp(axes, orientation)
+    return PoseDecoupledDmp(axes, quat_train(traj, tau, k_rot, d_rot,
+                                             basis_scheme_a(n_rot_kernels, alpha_x)))
 
 
 @dataclass(frozen=True)
@@ -759,19 +754,14 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = No
 # ---------------------------------------------------------------------------
 # model files
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 # the one frame a file of each variant may name
 _FRAMES = {"classical": "inertial", "quaternion": BODY, "dual_quaternion": BODY}
 
 
 def _basis_doc(basis: GaussianBasis) -> dict:
-    return {
-        "scheme": "a",
-        "alpha_x": basis.alpha_x,
-        "n_kernels": basis.n_kernels,
-        "centers": basis.centers.tolist(),
-        "widths": basis.widths.tolist(),
-    }
+    return {"scheme": "a", "alpha_x": basis.alpha_x, "n_kernels": basis.n_kernels,
+            "centers": basis.centers.tolist(), "widths": basis.widths.tolist()}
 
 
 def _basis_from_doc(doc: dict) -> GaussianBasis:
@@ -810,9 +800,11 @@ def _model_from_doc(doc: dict):
     checked here (format version, variant, frame, basis); the model refuses
     bad fields when it is built."""
     version = doc.get("format_version")
-    if version != _FORMAT_VERSION:
+    if version not in (1, _FORMAT_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
     variant = doc["variant"]
+    if version == 1 and variant in ("classical", "pose_decoupled"):  # quat, dq: as in 2
+        raise ValueError(f"model format version 1: {variant} weights are of the old formulation")
     if variant == "pose_decoupled":
         return PoseDecoupledDmp(
             tuple(_model_from_doc(d) for d in doc["position"]),

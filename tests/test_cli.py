@@ -94,7 +94,7 @@ def test_train_dq_writes_model_and_residuals(tmp_path, demo_file, capsys):
     assert err.count("fit residual dim") == 6
     doc = json.loads(out.read_text())
     assert doc["variant"] == "dual_quaternion"
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert len(doc["weights"]) == 6
 
 
@@ -131,7 +131,8 @@ def test_train_prints_the_residuals_of_the_fit(tmp_path, demo_file, capsys, vari
         expected = []
         for dim, m in enumerate(model.position):
             demo = ScalarDemo(traj.t, traj.positions[:, dim], vel[:, dim], acc[:, dim])
-            f = classical_target_forcing(demo, m.goal, m.tau, m.alpha_z, m.beta_z)
+            xs = phase(traj.t, m.basis.alpha_x, m.tau)
+            f = classical_target_forcing(demo, m.goal, xs, m.tau, m.alpha_z, m.beta_z)
             expected += residual_lines(m, demo, f[:, None], "(scalar)")
         q, der = model.orientation, traj.derived()
         f = quat_target_forcing(traj.quaternions, der.xi[:, :3], der.xi_dot[:, :3],
@@ -497,6 +498,7 @@ def boundary_inputs():
                       np.tile([np.cos(np.pi / 8), 0.0, 0.0, np.sin(np.pi / 8)], (101, 1)))
     return dict(traj=traj, demo=demo, basis=basis, fast=fast,
                 huge=Trajectory(traj.t, traj.positions * 1e306, traj.quaternions),
+                vast=Trajectory(traj.t, traj.positions * 1e200, traj.quaternions),
                 quat=quat_train(traj, 2.0, 1.0, 10.0, basis),
                 dq=dq_train(traj, 2.0, 1.0, 1.0, 10.0, 10.0, basis),
                 classical=classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis))
@@ -527,6 +529,11 @@ BOUNDARY = {
     "dq_train tiny tau": (
         lambda i: dq_train(i["traj"], 1e-320, 1.0, 1.0, 10.0, 10.0, i["basis"]),
         "tau 9.99989e-321"),
+    "classical_train vast g": (
+        lambda i: classical_train(i["demo"], 1e200, 1.0, 25.0, 6.25, i["basis"]), "goal 1e+200"),
+    "pose_train vast demo": (
+        lambda i: pose_train(i["vast"], 2.0, 0.05, 10, 1.0, 10.0, 10, 1.0, 10.0),
+        "the energy 0.5 (g - y)^2 overflows"),
     "classical_train tiny tau": (
         lambda i: classical_train(i["demo"], 1.0, 1e-320, 25.0, 6.25, i["basis"]),
         "tau 9.99989e-321"),
@@ -568,6 +575,17 @@ def test_an_overflowing_input_is_refused_by_name_without_a_warning(
         else:
             with pytest.raises(ValueError, match=re.escape(name)):
                 call(boundary_inputs)
+
+
+def test_a_vast_demo_trains_with_finite_residuals_and_no_warning(boundary_inputs):
+    # the residual norms squared the 1e200-scale targets: overflow in dot, and
+    # "inf (relative nan)"; scaled, the relative ones are the unscaled demo's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vast = dq_train(boundary_inputs["vast"], 2.0, 1.0, 1.0, 10.0, 10.0,
+                        boundary_inputs["basis"])
+    np.testing.assert_allclose(vast.fit_residuals[:, 1],
+                               boundary_inputs["dq"].fit_residuals[:, 1], rtol=1e-6)
 
 
 def test_rollout_refuses_a_step_no_time_grid_can_hold(tmp_path, dq_model_file, capsys):
@@ -702,8 +720,8 @@ def test_train_refuses_non_finite_forcing_targets(tmp_path, capsys):
     capsys.readouterr()
     assert run(["train", "--variant", "classical", "--alpha-z", "1e200", "--beta-z", "1e200",
                 "--demo", str(demo), "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "the forcing targets overflow: ",
-                          "alpha_z 1e+200 or beta_z 1e+200 too large for the demo")
+    assert_one_error_line(capsys, "classical alpha_z 1e+200 and beta_z 1e+200: "
+                                  "their product K or its reciprocal overflows")
     assert not out.exists()
 
 

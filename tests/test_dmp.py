@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from dqdmp import (
 )
 from dqdmp.traj import ScalarDemo, _minjerk_s
 
-from conftest import random_unit_quat
+from conftest import random_unit_dq, random_unit_quat
 
 BASIS = basis_scheme_a(30, 2.0)
 
@@ -74,20 +75,24 @@ def two_axis_attitude_demo(T=2.0, dt=0.01):
 def test_classical_forcing_zero_for_constant_demo():
     t = np.arange(100) * 0.01
     demo = ScalarDemo(t, np.full(100, 2.0), np.zeros(100), np.zeros(100))
-    fd = classical_target_forcing(demo, 2.0, 1.0, 25.0, 6.25)
+    fd = classical_target_forcing(demo, 2.0, phase(t, 2.0, 1.0), 1.0, 25.0, 6.25)
     np.testing.assert_allclose(fd, 0.0, atol=1e-12)
 
 
 def test_classical_forcing_zero_for_unforced_solution():
+    # the attractor reproduces the unforced solution, so the forcing only
+    # cancels the start-error term: the targets are e0 x, e0 = g - y0
     demo = critically_damped_demo(0.3, 1.0, 25.0, 2.0, 0.001)
-    fd = classical_target_forcing(demo, 1.0, 1.0, 25.0, 6.25)
-    assert np.max(np.abs(fd)) <= 1e-6
+    xs = phase(demo.t, 2.0, 1.0)
+    fd = classical_target_forcing(demo, 1.0, xs, 1.0, 25.0, 6.25)
+    assert np.max(np.abs(fd - 0.7 * xs)) <= 1e-6
 
 
 def test_classical_forcing_initial_value():
     demo = gen_min_jerk(0.0, 1.0, 1.0, 0.01)
-    fd = classical_target_forcing(demo, 1.0, 1.0, 25.0, 6.25)
-    assert abs(fd[0] - (-25.0 * 6.25 * (1.0 - 0.0))) <= 1e-12
+    fd = classical_target_forcing(demo, 1.0, phase(demo.t, 2.0, 1.0), 1.0, 25.0, 6.25)
+    # the demo starts at rest, and the start-error term cancels the goal error
+    assert abs(fd[0]) <= 1e-12
 
 
 def test_classical_rollout_equilibrium():
@@ -98,8 +103,9 @@ def test_classical_rollout_equilibrium():
 
 
 def test_classical_unforced_convergence_matches_analytic():
-    # critically damped: no overshoot, |y - g| below 1e-3 by ten time scales
-    m = ClassicalDmp(25.0, 6.25, BASIS, np.zeros(30), 0.0, 1.0, 1.0)
+    # critically damped: no overshoot, |y - g| below 1e-3 by ten time scales;
+    # weights all e0 = g - y0 give f = e0 x, which cancels the start-error term
+    m = ClassicalDmp(25.0, 6.25, BASIS, np.full(30, 1.0), 0.0, 1.0, 1.0)
     roll = classical_rollout(m, 0.0, 1e-4, 10.0)
     assert abs(roll.y[-1] - 1.0) < 1e-3
     err = np.abs(roll.y - 1.0)
@@ -124,6 +130,40 @@ def test_classical_goal_scaling_time_invariance():
     nominal = classical_rollout(m, 0.0, 0.01, 1.0)
     slowed = classical_rollout(replace(m, tau=2.0), 0.0, 0.02, 2.0)
     np.testing.assert_allclose(slowed.y, nominal.y, atol=1e-9)
+
+
+def criterion_3_classical_pairs():
+    """The (y0, g) pairs of acceptance criterion 3's classical variant, drawn
+    after its 100 dq and 100 quaternion pairs from the same generator."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        random_unit_dq(rng)
+    for _ in range(200):
+        random_unit_quat(rng)
+    return [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)]
+
+
+def test_classical_energy_does_not_rise_from_rest_at_the_trained_start():
+    # zero weights leave the start-error term, so tau dV/dt = -e0 x z - D z^2 / K:
+    # no rise while z keeps the sign of e0, as it does from rest at y0
+    for y0, g in criterion_3_classical_pairs():
+        m = ClassicalDmp(250.0, 2.5, BASIS, np.zeros(30), y0, g, 1.0)
+        energy = classical_rollout(m, y0, 0.0035, 10.0).energy
+        assert np.max(np.diff(energy)) <= 0.0
+
+
+@pytest.mark.parametrize("alpha_z, beta_z", [(1e200, 1e200), (1e-200, 1e-200), (1.0, 1e-310)])
+def test_classical_gains_refuse_a_stiffness_or_reciprocal_that_overflows(alpha_z, beta_z):
+    # K = alpha_z beta_z: with K = inf the targets were finite and training passed
+    msg = re.escape(f"classical alpha_z {alpha_z:g} and beta_z {beta_z:g}: their product K "
+                    f"or its reciprocal overflows")
+    with pytest.raises(ValueError, match=msg):
+        classical_train(gen_min_jerk(0.0, 1.0, 1.0, 0.01), 1.0, 1.0, alpha_z, beta_z, BASIS)
+    with pytest.raises(ValueError, match=msg):
+        ClassicalDmp(alpha_z, beta_z, BASIS, np.zeros(30), 0.0, 1.0, 1.0)
+    if alpha_z == 1.0:  # pose_train's alpha_z = d_pos, beta_z = k_pos / d_pos
+        with pytest.raises(ValueError, match=msg):
+            pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, beta_z, 1.0, 10, 1.0, 10.0)
 
 
 # -- quaternion ----------------------------------------------------------------
@@ -384,6 +424,24 @@ def test_pose_rollout_blames_a_bad_goal_quat_on_goal_quat(goal):
     m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
     with pytest.raises(ValueError, match=r"^goal_quat must be a unit quaternion \[w, x, y, z\]$"):
         pose_rollout(m, 0.01, 1.0, goal_quat=goal)
+
+
+def test_pose_train_positions_equal_dq_train_on_a_rotation_free_demo():
+    # one drive: with R = I the dq translation block is the scalar primitive, and
+    # both train on the same targets; Ijspeert's form of the scalar primitive
+    # left the dq positions by 2.48 m at 3 T, and by 4.84 m under the shift
+    T, dt = 10.0, 0.01
+    t = np.arange(1001) * dt
+    line = np.outer(_minjerk_s(t / T)[0], [30.0, 0.0, 0.0])
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    traj = Trajectory(t, line, np.tile(identity, (len(t), 1)))
+    dq = dq_train(traj, T, 1.0, 1.0, 10.0, 10.0, basis_scheme_a(30, 0.05))
+    pose = pose_train(traj, T, 0.05, 30, 1.0, 10.0, 30, 1.0, 10.0)
+    for goal in line[-1], line[-1] + [10.0, 0.0, 0.0]:
+        want = dq_rollout(dq, dt=dt, duration=3 * T,
+                          goal_override=dq_from_pose(Pose(goal, identity))).p
+        got = pose_rollout(pose, dt, 3 * T, goal_position=goal).positions
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_pose_rollout_goal_position_retargets_each_axis():

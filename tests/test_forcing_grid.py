@@ -94,13 +94,14 @@ def reference_classical_rollout(model, y0, dt, duration, t_start=0.0):
     y, z, f = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     yk, zk = float(y0), 0.0
     y[0], z[0] = yk, zk
-    az, bz, g, tau = model.alpha_z, model.beta_z, model.goal, model.tau
+    g, tau = model.goal, model.tau
+    K, D, c = model.alpha_z * model.beta_z, model.alpha_z, g - model.y0
     w = model.weights[None, :]
     for k in range(n):
         fk = float(reference_forcing(model.basis, w, xs[k])[0])
         f[k] = fk
-        zk += dt * (az * (bz * (g - yk) - zk) + fk) / tau
-        yk += dt * zk / tau
+        zk += dt / tau * (K * (g - yk - c * xs[k] + fk) - D * zk)
+        yk += dt / tau * zk
         y[k + 1], z[k + 1] = yk, zk
     f[n] = float(reference_forcing(model.basis, w, xs[n])[0])
     return ts, xs, y, z, f

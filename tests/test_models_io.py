@@ -147,6 +147,41 @@ def test_load_rejects_unknown_version():
         load_model(io.StringIO('{"format_version": 99, "variant": "classical"}'))
 
 
+def version_1(text: str) -> io.StringIO:
+    """A model file as format version 1 wrote it: the same document, with
+    every format_version 1."""
+    doc = json.loads(text)
+    for d in [doc, *doc.get("position", ()), *filter(None, [doc.get("orientation")])]:
+        d["format_version"] = 1
+    return io.StringIO(json.dumps(doc))
+
+
+@pytest.mark.parametrize("variant", ["classical", "pose_decoupled"])
+def test_load_refuses_a_version_1_scalar_model_by_its_old_formulation(variant):
+    # version 1 classical weights fit z += h (alpha_z (beta_z (g - y) - z) + f)
+    if variant == "classical":
+        m = classical_train(gen_min_jerk(0.0, 1.0, 1.0, 0.01), 1.0, 1.0, 25.0, 6.25,
+                            basis_scheme_a(20, 2.0))
+    else:
+        m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
+    with pytest.raises(ValueError, match=f"^model format version 1: {variant} weights "
+                                         f"are of the old formulation"):
+        load_model(version_1(roundtrip(m)[0]))
+
+
+@pytest.mark.parametrize("train", [
+    lambda traj: quat_train(traj, 3.0, 2.0, 9.0, basis_scheme_a(25, 1.0)),
+    lambda traj: dq_train(traj, 3.0, 1.0, 1.0, 10.0, 10.0, basis_scheme_a(30, 0.05))],
+    ids=["quaternion", "dual_quaternion"])
+def test_load_takes_a_version_1_quaternion_or_dq_model_unchanged(train):
+    # their drive did not change from version 1 to 2: the model loads, and
+    # saves as version 2 to the bytes of the model it was saved from
+    text = roundtrip(train(gen_somersault(5.0, 3.0, 0.01)))[0]
+    again = io.StringIO()
+    save_model(load_model(version_1(text)), again)
+    assert again.getvalue() == text
+
+
 def test_load_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         load_model(io.StringIO(

@@ -304,7 +304,7 @@ def test_pose_train_matches_per_sample_reference(rng):
     acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
     for dim, axis in enumerate(m.position):
         demo = ScalarDemo(traj.t, traj.positions[:, dim], vel[:, dim], acc[:, dim])
-        fd = classical_target_forcing(demo, float(traj.positions[-1, dim]), tau,
+        fd = classical_target_forcing(demo, float(traj.positions[-1, dim]), xs, tau,
                                       alpha_z, beta_z)
         assert np.array_equal(axis.weights, reference_fit(xs, fd[:, None], pos_basis)[0])
         assert axis.y0 == traj.positions[0, dim] and axis.goal == traj.positions[-1, dim]
