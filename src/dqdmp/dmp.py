@@ -11,21 +11,21 @@ dt reproduces the same discrete path on a stretched clock.
 Integration is semi-implicit Euler: the velocity steps first, then the pose
 by the exact exponential step with the new velocity, the rotation
 renormalized; the step inherits the decreasing rotational energy of the
-continuous dynamics.  The quaternion and dual-quaternion rollouts run on one
-driver, ``_integrate``; each variant's loop function runs the whole time loop
-over its grid on local floats, with no numpy call (sin and cos come from
-``math``) and one pack of the whole state per step as one row of one buffer.
-Per step the rotation error vec(q* (x) q_d) (and, for dq, R(q_d)^T (p_d - p)),
-the drive and the turn normalize(q (x) s) repeat the IEEE operations of
+continuous dynamics.  The scalar, quaternion and dual-quaternion rollouts run
+on one driver, ``_integrate``, around each variant's loop function, which runs
+the whole time loop on local floats with no numpy call (sin and cos come from
+``math``) and packs the whole state per step as one row of one buffer.  Per
+step the rotation error vec(q* (x) q_d) (and, for dq, R(q_d)^T (p_d - p)), the
+drive and the turn normalize(q (x) s) repeat the IEEE operations of
 ``_quat_error``, ``_pose_error`` and ``quat._product`` in their order, so a
 step keeps their bits; a quat step calls only ``quat._exp``, a dq step only
-``dualquat._screw`` and ``quat._rotate``.  The dq state is (q, p), rotation
-and inertial position; ``DqRollout.dq`` is encoded after the loop, and
-``_pose_error`` is also the error training inverts.  The forcing grid comes
-before the loop, the finiteness check, error rows and energies after; the
-energies exist only as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
-``ClassicalRollout.energy``, ``PoseRollout.energy``).  The scalar primitive
-keeps its own short float loop, storing (y, z) the same way.
+``dualquat._screw`` and ``quat._rotate``, a scalar step nothing.  The dq state
+is (q, p), rotation and inertial position; ``DqRollout.dq`` is encoded after
+the loop, and ``_pose_error`` is also the error training inverts.  Each
+variant takes e0 from its error function before the loop and its error rows
+and energies after it, refusing an energy that overflows; the energies exist
+only as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
+``ClassicalRollout.energy``, ``PoseRollout.energy``).
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -132,6 +132,9 @@ class ClassicalDmp:
         # float() refuses a nested list, which np.isfinite takes
         _check_model(self, "classical", 1, alpha_z=float(self.alpha_z),
                      beta_z=float(self.beta_z), y0=float(self.y0), goal=float(self.goal))
+        if not abs(self.goal - self.y0) < np.inf:
+            raise ValueError(f"classical y0 {self.y0:g} and goal {self.goal:g}: "
+                             f"goal - y0 overflows")
 
 
 @dataclass(frozen=True)
@@ -260,30 +263,31 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
                       duration: float | None = None, z0: float = 0.0,
                       t_start: float = 0.0, goal_override: float | None = None,
                       tau_override: float | None = None) -> ClassicalRollout:
-    """Integrate the scalar primitive on plain floats, the dq translation row at
-    R = I: z += h (K (g - y - e0 x + f) - D z), y += h z, h = dt / tau, e0 = g - y0
-    at the trained y0; goal_override and tau_override act as in quat_rollout."""
+    """Integrate the scalar primitive with the shared driver, the dq translation
+    row at R = I: z += h (K (g - y - e0 x + f) - D z), y += h z, h = dt / tau,
+    e0 = g - y0 at the trained y0; goal_override and tau_override act as in quat_rollout."""
     tau = float(tau_override if tau_override is not None else model.tau)
     g = float(goal_override if goal_override is not None else model.goal)
     if not np.isfinite([y0, z0, g]).all():
         raise ValueError("classical rollout: y0, z0 and goal must be finite")
-    ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
-    f = forcing_rows(xs, model.basis, model.weights[None, :])[:, 0]
-    k, d, h, c = model.alpha_z * model.beta_z, model.alpha_z, dt / tau, g - model.y0
-    buf, pack = bytearray(16 * len(xs)), Struct("2d").pack_into  # rows (y, z), as in _integrate
-    rows = np.frombuffer(buf).reshape(-1, 2)
-    yk, zk = rows[0] = float(y0), float(z0)
-    for o, x, fk in zip(range(16, len(buf), 16), memoryview(xs), f.tolist()):  # rows 1..n-1
-        zk += h * (k * (g - yk - c * x + fk) - d * zk)
-        yk += h * zk
-        pack(buf, o, yk, zk)
-    _check_finite(ts, rows)
-    y, z = rows.T.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = 0.5 * (g - y) ** 2 + 0.5 * z * z / k
-    if not np.isfinite(energy).all():
-        raise ValueError(f"classical rollout: the energy overflows (start {y0:g}, goal {g:g})")
-    return ClassicalRollout(ts, xs, y, z, f, energy)
+    if not max(abs(g - float(y0)), abs(g - model.y0)) < np.inf:
+        raise ValueError(f"classical rollout: start {y0:g} or trained start {model.y0:g} "
+                         f"too far from goal {g:g}: g - y0 overflows")
+    k, d = model.alpha_z * model.beta_z, model.alpha_z
+
+    def loop(grid, pose, vel, h, half, e0, pack, rows):
+        (yk,), (zk,), (c,) = pose, vel, e0
+        for o, x, fk in grid:
+            zk += h * (k * (g - yk - c * x + fk) - d * zk)
+            yk += h * zk
+            pack(rows, o, yk, zk)
+
+    ts, xs, y, z, f = _integrate(model, tau, dt, duration, t_start, [g - model.y0],
+                                 np.array([y0], dtype=float), np.array([z0], dtype=float), loop)
+    y, z = y[:, 0], z[:, 0]
+    energy = _checked_energy("classical", f"start {y0:g}, goal {g:g}",
+                             lambda: 0.5 * (g - y) ** 2 + 0.5 * z * z / k)
+    return ClassicalRollout(ts, xs, y, z, f[:, 0], energy)
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +317,28 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
 
 
 def _integrate(model, tau: float, dt: float, duration: float | None,
-               t_start: float, anchor: np.ndarray, start: np.ndarray,
-               vel: np.ndarray, error, loop):
-    """Semi-implicit Euler driver of the quaternion and dual-quaternion
+               t_start: float, e0, start: np.ndarray, vel: np.ndarray, loop):
+    """Semi-implicit Euler driver of the scalar, quaternion and dual-quaternion
     primitives around the variant's loop over time, which makes no numpy call.
 
-    error(pose) gives the goal-relative pose of a pose's float components (or
-    a stack's columns): its rotation's scalar part, then the goal error.
-    loop(grid, pose, vel, dt / tau, dt / (2 tau), e0, pack, rows) runs
-    ``for o, x, f0, f1, ... in grid`` on local floats from the start pose and
-    velocity lists: the drive, e0 the error at the trained start (anchor), the
-    half-angle pose step, and pack(rows, o, *pose, *vel) of the state as one row
-    at byte offset o.  A ValueError from the loop, a kernel out of its domain,
-    is re-raised naming the sample it stepped from, read off how far grid got.
-    Returns (t, x, poses, velocities, forcing, errors), one row per sample.
+    e0 holds the variant's error floats at the trained start, not at start: the
+    start-error term is part of the learned model, so resuming or restarting
+    elsewhere must not change the vector field.  loop(grid, pose, vel, dt / tau,
+    dt / (2 tau), e0, pack, rows) runs ``for o, x, f0, f1, ... in grid`` on local
+    floats from the start pose and velocity lists, one forcing float per row of
+    np.atleast_2d(model.weights): the drive, the pose step, and pack(rows, o,
+    *pose, *vel) of the state as one row at byte offset o.  A ValueError from the
+    loop, a kernel out of its domain, is re-raised naming the sample it stepped
+    from, read off how far grid got; so is a non-finite state row after it.
+    Returns (t, x, poses, velocities, forcing), one row per sample.
     """
-    if start.shape != anchor.shape:
-        raise ValueError(f"the start pose must have {len(anchor)} components")
-    if vel.shape != (len(model.weights),):
-        raise ValueError(f"the start velocity must have {len(model.weights)} components")
+    weights = np.atleast_2d(model.weights)
+    if vel.shape != (len(weights),):
+        raise ValueError(f"the start velocity must have {len(weights)} components")
     if not (np.isfinite(start).all() and np.isfinite(vel).all()):
         raise ValueError("the start pose and velocity must be finite")
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
-    forcing = forcing_rows(xs, model.basis, model.weights)
-    # start-error shaping anchored at the trained start pose: the term is
-    # part of the learned model, so resuming or restarting elsewhere must
-    # not change the vector field
-    e0 = error(anchor.tolist())[1:]
+    forcing = forcing_rows(xs, model.basis, weights)
     # one state row [pose, vel] per sample, in a bytearray: pack_into takes it faster than an array
     row = Struct(f"{len(start) + len(vel)}d")
     buf = bytearray(len(xs) * row.size)
@@ -353,9 +352,9 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
              row.pack_into, buf)
     except ValueError as exc:  # a step out of its kernel's domain, named by the sample
         raise _unstable(str(exc), ts, len(xs) - 2 - length_hint(offsets)) from exc
-    _check_finite(ts, rows)
-    poses, vels = rows[:, :len(start)].copy(), rows[:, len(start):].copy()
-    return ts, xs, poses, vels, forcing, np.array(error(poses.T)[1:]).T
+    if not np.isfinite(rows).all():
+        raise _unstable("non-finite state", ts, int(np.argmin(np.isfinite(rows).all(axis=1))))
+    return ts, xs, rows[:, :len(start)].copy(), rows[:, len(start):].copy(), forcing
 
 
 def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarray:
@@ -371,14 +370,17 @@ def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarr
     return fd
 
 
-def _check_finite(ts: np.ndarray, rows: np.ndarray) -> None:
-    """Raise on the first sample of a rollout whose state row is not finite."""
-    if not np.isfinite(rows).all():
-        raise _unstable("non-finite state", ts, int(np.argmin(np.isfinite(rows).all(axis=1))))
-
-
 def _unstable(what: str, ts: np.ndarray, k: int) -> ValueError:
     return ValueError(f"{what} at sample {k} (t = {ts[k]:g}): dt / tau too large?")
+
+
+def _checked_energy(variant: str, cause: str, energy) -> np.ndarray:
+    """energy() with no numpy warning; refused, naming the variant and cause, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        v = energy()
+    if not np.isfinite(v).all():
+        raise ValueError(f"{variant} rollout: the energy overflows ({cause})")
+    return v
 
 
 def _rotation_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
@@ -471,6 +473,8 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     tau = float(tau_override) if tau_override is not None else model.tau
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
+    if q.shape != (4,):
+        raise ValueError("the start pose must have 4 components")
     om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
     goal, gains = qd.tolist(), np.diagonal([model.k_gain, model.d_gain], 0, 1, 2).tolist()
 
@@ -492,10 +496,11 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
             qw, qx, qy, qz = rw * inv, rx * inv, ry * inv, rz * inv
             pack(rows, o, qw, qx, qy, qz, w0, w1, w2)
 
-    ts, xs, qs, oms, f, e = _integrate(model, tau, dt, duration, t_start, model.q0, q, om,
-                                       lambda p: _quat_error(p, goal), loop)
-    v1 = _rotation_energy(qs, qd, oms, 1.0 / np.diag(model.k_gain))
-    return QuatRollout(ts, xs, qs, oms, f, e, v1)
+    ts, xs, qs, oms, f = _integrate(model, tau, dt, duration, t_start,
+                                    _quat_error(model.q0.tolist(), goal)[1:], q, om, loop)
+    v1 = _checked_energy("quaternion", "a body rate too large for K",
+                         lambda: _rotation_energy(qs, qd, oms, 1.0 / np.diag(model.k_gain)))
+    return QuatRollout(ts, xs, qs, oms, f, np.array(_quat_error(qs.T, goal)[1:]).T, v1)
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +673,17 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             px, py, pz = px + ux, py + uy, pz + uz
             pack(rows, o, qw, qx, qy, qz, px, py, pz, v0, v1, v2, v3, v4, v5)
 
-    ts, xs, poses, xis, f, e = _integrate(model, tau, dt, duration, t_start,
-                                          _pose_anchor(model.dq0), _pose_anchor(start),
-                                          xi, _pose_error(goal), loop)
+    error = _pose_error(goal)
+    ts, xs, poses, xis, f = _integrate(model, tau, dt, duration, t_start,
+                                       error(_pose_anchor(model.dq0).tolist())[1:],
+                                       _pose_anchor(start), xi, loop)
     q, positions = poses[:, :4], poses[:, 4:].copy()
     dqs = dq_from_pose(Pose(positions, q)).as_array()
     dqs[0] = start.as_array()
-    lyap = _pose_energy(q, positions, xis, goal.real, dq_position(goal),
-                        1.0 / np.diag(model.k_rot), 1.0 / np.diag(model.k_pos))
-    return DqRollout(ts, xs, dqs, positions, xis, f, e, lyap)
+    lyap = _checked_energy("dq", "a position error or twist too large for K", lambda: _pose_energy(
+        q, positions, xis, goal.real, dq_position(goal), 1.0 / np.diag(model.k_rot),
+        1.0 / np.diag(model.k_pos)))
+    return DqRollout(ts, xs, dqs, positions, xis, f, np.array(error(poses.T)[1:]).T, lyap)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from dqdmp import (
     BODY,
+    ClassicalDmp,
     DualQuaternionDmp,
     Pose,
     QuaternionDmp,
@@ -549,6 +550,12 @@ BOUNDARY = {
     "dq_train d_pos": (
         lambda i: dq_train(i["traj"], 1e150, 1.0, 1.0, 10.0, 1e200, i["basis"]),
         "D [1e+200, 1e+200, 1e+200]"),
+    "dq_rollout vast model": (
+        lambda i: dq_rollout(dq_train(i["vast"], 2.0, 1.0, 1.0, 10.0, 10.0, i["basis"]),
+                             duration=1.0), "dq rollout: the energy overflows"),
+    "quat_rollout omega0": (
+        lambda i: quat_rollout(i["quat"], omega0=[1e160, 0.0, 0.0], duration=0.0),
+        "quaternion rollout: the energy overflows"),
     "cli rollout --tau": (["rollout", "--tau", "1e-320"], "tau "),
     "cli rollout --tau --duration": (["rollout", "--tau", "1e-320", "--duration", "1"], "tau "),
     "cli train --tau": (["train", "--tau", "1e-320"], "tau 9.99989e-321"),
@@ -586,6 +593,44 @@ def test_a_vast_demo_trains_with_finite_residuals_and_no_warning(boundary_inputs
                         boundary_inputs["basis"])
     np.testing.assert_allclose(vast.fit_residuals[:, 1],
                                boundary_inputs["dq"].fit_residuals[:, 1], rtol=1e-6)
+
+
+REFUSED_ROLLOUTS = {
+    # case: (the model file's document, from boundary_inputs; the rollout's flags;
+    # what the error names)
+    "dq energy": (
+        lambda i: _doc(dq_train(i["vast"], 2.0, 1.0, 1.0, 10.0, 10.0, i["basis"])), [],
+        "error: dq rollout: the energy overflows"),
+    "classical goal": (
+        lambda i: _doc(ClassicalDmp(25.0, 6.25, i["basis"], np.zeros(10), -1e308, 0.0, 1.0)),
+        ["--goal", "1e308,0,0"], "g - y0 overflows"),
+    "classical model": (
+        lambda i: dict(_doc(i["classical"]), boundary={"y0": -1e308, "goal": 1e308}), [],
+        "error: classical y0 -1e+308 and goal 1e+308: goal - y0 overflows"),
+}
+
+
+def _doc(model) -> dict:
+    buf = io.StringIO()
+    save_model(model, buf)
+    return json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize("case", REFUSED_ROLLOUTS)
+def test_rollout_of_a_model_whose_energy_or_goal_overflows_fails_with_one_error_line(
+        tmp_path, capsys, boundary_inputs, case):
+    # the dq model wrote a table of infinite energies under two numpy warnings;
+    # the classical ones failed as "non-finite state at sample 1", blaming the step
+    make, flags, name = REFUSED_ROLLOUTS[case]
+    path, out = tmp_path / "model.json", tmp_path / "roll.csv"
+    path.write_text(json.dumps(make(boundary_inputs)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["rollout", "--model", str(path), "--duration", "1", *flags,
+                    "-o", str(out)]) == 1
+    assert_one_error_line(capsys, name)
+    assert not out.exists()
 
 
 def test_rollout_refuses_a_step_no_time_grid_can_hold(tmp_path, dq_model_file, capsys):

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -399,6 +400,28 @@ def test_classical_rollout_refuses_an_energy_that_overflows(goal_override, z0):
     m = ClassicalDmp(25.0, 6.25, BASIS, np.zeros(30), 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="the energy overflows"):
         classical_rollout(m, 0.0, 0.01, 0.1, z0=z0, goal_override=goal_override)
+
+
+@pytest.mark.parametrize("y0, goal", [(-1e308, 1e308), (1e308, -1e308)])
+def test_classical_model_refuses_a_goal_minus_y0_that_overflows(y0, goal):
+    # it built and saved, and every rollout of it failed blaming the step:
+    # "non-finite state at sample 1 (t = 0.01): dt / tau too large?"
+    with pytest.raises(ValueError, match=r"^classical y0 \S+ and goal \S+: goal - y0 overflows$"):
+        ClassicalDmp(25.0, 6.25, BASIS, np.zeros(30), y0, goal, 1.0)
+
+
+@pytest.mark.parametrize("y0, trained_y0", [(-1e308, 0.0), (0.0, -1e308)],
+                         ids=["start", "trained start"])
+def test_classical_rollout_refuses_a_start_or_goal_whose_g_minus_y0_overflows(y0, trained_y0):
+    # g - y0 (or the start-error term g - model.y0) overflowed in the loop,
+    # which then blamed the step: "non-finite state at sample 1"
+    m = ClassicalDmp(25.0, 6.25, BASIS, np.zeros(30), trained_y0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"classical rollout: start {y0:g} or trained start {trained_y0:g} too far "
+                f"from goal 1e+308: g - y0 overflows")):
+            classical_rollout(m, y0, 0.01, 1.0, goal_override=1e308)
 
 
 def test_pose_rollout_refuses_non_finite_goal_position():

@@ -427,6 +427,19 @@ def test_a_model_refuses_a_bad_field_when_built_as_load_model_does(case):
                                  else f"malformed model file ({kind}: {built.value})")
 
 
+def test_a_classical_model_whose_goal_minus_y0_overflows_is_refused_as_load_model_does():
+    # y0 -1e308 and goal 1e308, each finite, built, saved and loaded; every
+    # rollout then failed blaming the step
+    model, doc = _models()["classical"], _docs()["classical"]
+    with pytest.raises(ValueError) as built:
+        replace(model, y0=-1e308, goal=1e308)
+    doc["boundary"].update(y0=-1e308, goal=1e308)
+    with pytest.raises(ValueError) as loaded:
+        load_model(io.StringIO(json.dumps(doc)))
+    assert str(loaded.value) == str(built.value) == ("classical y0 -1e+308 and goal 1e+308: "
+                                                     "goal - y0 overflows")
+
+
 def _same_fields(a, b, where="model"):
     """Every dataclass field of a and b equal, recursively; fit_residuals,
     which a file does not keep, excepted."""

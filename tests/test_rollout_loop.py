@@ -21,11 +21,13 @@ from dqdmp import (
     ClassicalDmp,
     DualQuaternionDmp,
     Pose,
+    PoseDecoupledDmp,
     QuaternionDmp,
     basis_scheme_a,
     classical_rollout,
     dq_from_pose,
     dq_rollout,
+    pose_rollout,
     quat_rollout,
 )
 from dqdmp.canonical import forcing_rows
@@ -374,15 +376,29 @@ def _profiled_calls(run, event="call") -> Counter:
 
 def test_a_rollout_step_calls_only_its_kernels(rng):
     # 200 and 400 steps: per step a dq rollout calls _screw and _rotate, a
-    # quat rollout _exp, and nothing else; the step closure the driver
-    # called once per step is gone
-    dq, quat, _ = _models(rng)
-    for rollout, model, kernels in ((dq_rollout, dq, ("_screw", "_rotate")),
-                                    (quat_rollout, quat, ("_exp",))):
-        short, long = (_profiled_calls(lambda: rollout(model, dt=0.005, duration=d))
-                       for d in (1.0, 2.0))
-        assert long - short == Counter(dict.fromkeys(kernels, 200)), rollout.__name__
-        assert short[kernels[0]] == 200, rollout.__name__
+    # quat rollout _exp, a classical rollout nothing; the step closure the
+    # driver called once per step is gone
+    dq, quat, classical = _models(rng)
+    for name, rollout, kernels in (
+            ("dq", lambda d: dq_rollout(dq, dt=0.005, duration=d), ("_screw", "_rotate")),
+            ("quat", lambda d: quat_rollout(quat, dt=0.005, duration=d), ("_exp",)),
+            ("classical", lambda d: classical_rollout(classical, 0.3, 0.005, d), ())):
+        short, long = (_profiled_calls(lambda: rollout(d)) for d in (1.0, 2.0))
+        assert long - short == Counter(dict.fromkeys(kernels, 200)), name
+        assert all(short[kernel] == 200 for kernel in kernels[:1]), name
+
+
+def test_every_rollout_runs_on_the_one_driver(rng):
+    # the scalar primitive had its own loop beside _integrate; the baseline
+    # drives three position axes and its orientation primitive on it
+    dq, quat, classical = _models(rng)
+    baseline = PoseDecoupledDmp((classical,) * 3, quat)
+    for name, run, drives in (
+            ("dq", lambda: dq_rollout(dq, dt=0.01, duration=1.0), 1),
+            ("quat", lambda: quat_rollout(quat, dt=0.01, duration=1.0), 1),
+            ("classical", lambda: classical_rollout(classical, 0.3, 0.01, 1.0), 1),
+            ("pose", lambda: pose_rollout(baseline, 0.01, 1.0), 4)):
+        assert _profiled_calls(run)["_integrate"] == drives, name
 
 
 def test_a_rollout_step_stores_its_state_with_one_pack(rng):
