@@ -47,7 +47,7 @@ from .dmp import (
     quat_train,
     save_model,
 )
-from .dualquat import Pose, dq_from_pose, dq_to_pose
+from .dualquat import Pose, dq_from_pose
 from .quat import quat_conjugate, quat_normalize, quat_product, quat_rotate, quat_rotate_inverse
 from .traj import (
     Trajectory,
@@ -159,8 +159,9 @@ def _print_fit_residuals(model) -> None:
 def _parse_goal(text: str, model):
     """--goal as the model's rollout takes its goal override: px, a unit
     quaternion, a unit dual quaternion or the baseline's (position, unit
-    quaternion or None).  Refused, by the flag's name, if it sets a component
-    the model has no state for or breaks the goal checks of the rollout."""
+    quaternion or None).  Checks the flag's own rules (finite numbers, 3 or 7,
+    none the model has no state for), then the goal with the model's own
+    rollout, run for zero duration; refused under the flag's name."""
     try:
         vals = [float(v) for v in text.split(",")]
         if not np.isfinite(vals).all():
@@ -174,15 +175,13 @@ def _parse_goal(text: str, model):
         if isinstance(model, ClassicalDmp) and (quat is not None or pos[1:].any()):
             raise ValueError("a classical model has only px: give 'px,0,0'")
         if isinstance(model, QuaternionDmp):
-            return quat
-        if isinstance(model, DualQuaternionDmp):
-            attitude = dq_to_pose(model.dqd).orientation if quat is None else quat
-            goal = dq_from_pose(Pose(pos, attitude))
-            dq_to_pose(goal)  # refuses a goal off the unit constraints
-            return goal
-        for m, g in zip([model] if isinstance(model, ClassicalDmp) else model.position, vals):
-            classical_rollout(m, m.y0, 1.0, 0.0, goal_override=g)  # refuses an overflowing energy
-        return vals[0] if isinstance(model, ClassicalDmp) else (pos, quat)
+            goal = quat
+        elif isinstance(model, DualQuaternionDmp):
+            goal = dq_from_pose(Pose(pos, model.dqd.real if quat is None else quat))
+        else:
+            goal = vals[0] if isinstance(model, ClassicalDmp) else (pos, quat)
+        _rollout_table(model, 1.0, 0.0, None, goal)
+        return goal
     except ValueError as exc:
         raise ValueError(f"--goal {text!r}: {exc}") from None
 
@@ -231,13 +230,11 @@ def _rollout_table(model, dt: float, duration: float | None,
         pos, quat = roll.poses()
         return np.column_stack([roll.t, roll.x, pos, quat, roll.xi / tau,
                                 roll.lyap])
-    if isinstance(model, PoseDecoupledDmp):
-        goal_pos, goal_quat = (None, None) if goal is None else goal
-        roll = pose_rollout(model, dt, duration, goal_position=goal_pos,
-                            goal_quat=goal_quat, tau_override=tau_override)
-        return np.column_stack([roll.t, roll.x, roll.positions, roll.q,
-                                roll.omega / tau, roll.velocities, roll.energy])
-    raise ValueError("unsupported model type")
+    goal_pos, goal_quat = (None, None) if goal is None else goal
+    roll = pose_rollout(model, dt, duration, goal_position=goal_pos,
+                        goal_quat=goal_quat, tau_override=tau_override)
+    return np.column_stack([roll.t, roll.x, roll.positions, roll.q,
+                            roll.omega / tau, roll.velocities, roll.energy])
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ step keeps their bits; a quat step calls only ``quat._exp``, a dq step only
 is (q, p), rotation and inertial position; ``DqRollout.dq`` is encoded after
 the loop, and ``_pose_error`` is also the error training inverts.  Each
 variant takes e0 from its error function before the loop and its error rows
-and energies after it, refusing an energy that overflows; the energies exist
-only as rollout columns (``QuatRollout.v1``, ``DqRollout.lyap``,
-``ClassicalRollout.energy``, ``PoseRollout.energy``).
+and energies after it, refusing an energy that overflows (``pose_rollout`` its
+sum too); the energies exist only as rollout columns (``QuatRollout.v1``,
+``DqRollout.lyap``, ``ClassicalRollout.energy``, ``PoseRollout.energy``).
 
 Training inverts the dynamics along a demonstration to per-sample forcing
 targets, one array expression per stage over the whole demonstration, and
@@ -266,7 +266,6 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
     """Integrate the scalar primitive with the shared driver, the dq translation
     row at R = I: z += h (K (g - y - e0 x + f) - D z), y += h z, h = dt / tau,
     e0 = g - y0 at the trained y0; goal_override and tau_override act as in quat_rollout."""
-    tau = float(tau_override if tau_override is not None else model.tau)
     g = float(goal_override if goal_override is not None else model.goal)
     if not np.isfinite([y0, z0, g]).all():
         raise ValueError("classical rollout: y0, z0 and goal must be finite")
@@ -282,7 +281,7 @@ def classical_rollout(model: ClassicalDmp, y0: float, dt: float,
             yk += h * zk
             pack(rows, o, yk, zk)
 
-    ts, xs, y, z, f = _integrate(model, tau, dt, duration, t_start, [g - model.y0],
+    ts, xs, y, z, f = _integrate(model, tau_override, dt, duration, t_start, [g - model.y0],
                                  np.array([y0], dtype=float), np.array([z0], dtype=float), loop)
     y, z = y[:, 0], z[:, 0]
     energy = _checked_energy("classical", f"start {y0:g}, goal {g:g}",
@@ -316,11 +315,13 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
     return ts, phase(ts, alpha_x, tau)
 
 
-def _integrate(model, tau: float, dt: float, duration: float | None,
-               t_start: float, e0, start: np.ndarray, vel: np.ndarray, loop):
+def _integrate(model, tau_override: float | None, dt: float, duration: float | None,
+               t_start: float, e0, start: np.ndarray, vel, loop):
     """Semi-implicit Euler driver of the scalar, quaternion and dual-quaternion
     primitives around the variant's loop over time, which makes no numpy call.
 
+    The clock and the step dt / tau run on tau_override, model.tau if None; vel
+    None is a zero start velocity, one component per row of np.atleast_2d(model.weights).
     e0 holds the variant's error floats at the trained start, not at start: the
     start-error term is part of the learned model, so resuming or restarting
     elsewhere must not change the vector field.  loop(grid, pose, vel, dt / tau,
@@ -332,7 +333,9 @@ def _integrate(model, tau: float, dt: float, duration: float | None,
     from, read off how far grid got; so is a non-finite state row after it.
     Returns (t, x, poses, velocities, forcing), one row per sample.
     """
+    tau = model.tau if tau_override is None else float(tau_override)
     weights = np.atleast_2d(model.weights)
+    vel = np.zeros(len(weights)) if vel is None else np.asarray(vel, dtype=float)
     if vel.shape != (len(weights),):
         raise ValueError(f"the start velocity must have {len(weights)} components")
     if not (np.isfinite(start).all() and np.isfinite(vel).all()):
@@ -470,12 +473,10 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
     qd rather than -qd.  A signed goal is part of the model: a loop
     demonstration ends at -q0, and its model must rotate all the way round.
     """
-    tau = float(tau_override) if tau_override is not None else model.tau
     qd = _unit_quat(goal_override, "goal_override") if goal_override is not None else model.qd
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0
     if q.shape != (4,):
         raise ValueError("the start pose must have 4 components")
-    om = np.asarray(omega0, dtype=float) if omega0 is not None else np.zeros(3)
     goal, gains = qd.tolist(), np.diagonal([model.k_gain, model.d_gain], 0, 1, 2).tolist()
 
     def loop(grid, pose, vel, h, half, e0, pack, rows):
@@ -496,8 +497,8 @@ def quat_rollout(model: QuaternionDmp, q0: np.ndarray | None = None,
             qw, qx, qy, qz = rw * inv, rx * inv, ry * inv, rz * inv
             pack(rows, o, qw, qx, qy, qz, w0, w1, w2)
 
-    ts, xs, qs, oms, f = _integrate(model, tau, dt, duration, t_start,
-                                    _quat_error(model.q0.tolist(), goal)[1:], q, om, loop)
+    ts, xs, qs, oms, f = _integrate(model, tau_override, dt, duration, t_start,
+                                    _quat_error(model.q0.tolist(), goal)[1:], q, omega0, loop)
     v1 = _checked_energy("quaternion", "a body rate too large for K",
                          lambda: _rotation_energy(qs, qd, oms, 1.0 / np.diag(model.k_gain)))
     return QuatRollout(ts, xs, qs, oms, f, np.array(_quat_error(qs.T, goal)[1:]).T, v1)
@@ -638,11 +639,9 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     for name, dq in ("dq0", dq0), ("goal_override", goal_override):
         if dq is not None and not isinstance(dq, DualQuaternion):
             raise ValueError(f"{name} must be a DualQuaternion, not {type(dq).__name__}")
-    tau = float(tau_override) if tau_override is not None else model.tau
     goal = (model.dqd if goal_override is None
             else _unit_dq(goal_override, "goal_override"))
     start = _unit_dq(dq0, "dq0") if dq0 is not None else model.dq0
-    xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float)
     goal_floats = _goal_floats(goal)
     gains = np.diagonal([model.k_rot, model.d_rot, model.k_pos, model.d_pos], 0, 1, 2).tolist()
 
@@ -674,9 +673,9 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
             pack(rows, o, qw, qx, qy, qz, px, py, pz, v0, v1, v2, v3, v4, v5)
 
     error = _pose_error(goal)
-    ts, xs, poses, xis, f = _integrate(model, tau, dt, duration, t_start,
+    ts, xs, poses, xis, f = _integrate(model, tau_override, dt, duration, t_start,
                                        error(_pose_anchor(model.dq0).tolist())[1:],
-                                       _pose_anchor(start), xi, loop)
+                                       _pose_anchor(start), xi0, loop)
     q, positions = poses[:, :4], poses[:, 4:].copy()
     dqs = dq_from_pose(Pose(positions, q)).as_array()
     dqs[0] = start.as_array()
@@ -752,10 +751,12 @@ def pose_rollout(model: PoseDecoupledDmp, dt: float, duration: float | None = No
                          goal_override=goal_quat, tau_override=tau)
     positions = np.stack([r.y for r in rolls], axis=1)
     velocities = np.stack([r.z for r in rolls], axis=1) / tau
-    v2 = rolls[0].energy + rolls[1].energy + rolls[2].energy
-    energy = np.stack([qroll.v1 + v2, qroll.v1, v2], axis=1)
-    return PoseRollout(rolls[0].t, rolls[0].x, positions, velocities,
-                       qroll.q, qroll.omega, energy)
+
+    def energy():  # (V, V1, V2), V2 the sum of the axes' energies
+        v2 = rolls[0].energy + rolls[1].energy + rolls[2].energy
+        return np.stack([qroll.v1 + v2, qroll.v1, v2], axis=1)
+    return PoseRollout(rolls[0].t, rolls[0].x, positions, velocities, qroll.q, qroll.omega,
+                       _checked_energy("pose-decoupled", "position errors too large", energy))
 
 
 # ---------------------------------------------------------------------------

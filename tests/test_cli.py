@@ -12,6 +12,7 @@ from dqdmp import (
     BODY,
     ClassicalDmp,
     DualQuaternionDmp,
+    GaussianBasis,
     Pose,
     QuaternionDmp,
     basis_scheme_a,
@@ -27,6 +28,7 @@ from dqdmp import (
     load_model,
     load_trajectory,
     phase,
+    pose_rollout,
     pose_train,
     quat_rollout,
     quat_target_forcing,
@@ -501,6 +503,7 @@ def boundary_inputs():
                 huge=Trajectory(traj.t, traj.positions * 1e306, traj.quaternions),
                 vast=Trajectory(traj.t, traj.positions * 1e200, traj.quaternions),
                 quat=quat_train(traj, 2.0, 1.0, 10.0, basis),
+                pose=pose_train(traj, 2.0, 0.05, 10, 1.0, 10.0, 10, 1.0, 10.0),
                 dq=dq_train(traj, 2.0, 1.0, 1.0, 10.0, 10.0, basis),
                 classical=classical_train(demo, 1.0, 1.0, 25.0, 6.25, basis))
 
@@ -556,6 +559,21 @@ BOUNDARY = {
     "quat_rollout omega0": (
         lambda i: quat_rollout(i["quat"], omega0=[1e160, 0.0, 0.0], duration=0.0),
         "quaternion rollout: the energy overflows"),
+    # each axis energy is 7.2e307, their sum inf
+    "pose_rollout goal_position": (
+        lambda i: pose_rollout(i["pose"], 0.01, 1.0, goal_position=[1.2e154] * 3),
+        "pose-decoupled rollout: the energy overflows"),
+    # refused cleanly before, but never run by a test
+    "Trajectory shapes": (
+        lambda i: Trajectory(i["traj"].t[:2], i["traj"].positions[:3], i["traj"].quaternions[:3]),
+        "inconsistent sample array shapes"),
+    "GaussianBasis widths": (
+        lambda i: GaussianBasis(0.05, np.array([1.0, 0.5]), np.array([1.0])),
+        "need at least two kernels with matching widths"),
+    "cli rollout --duration": (["rollout", "--duration", "-1"],
+                               "duration must be non-negative and finite"),
+    "cli rollout --goal": (["rollout", "--goal", "1,2"],
+                           "takes 'px,py,pz' or 'px,py,pz,qw,qx,qy,qz'"),
     "cli rollout --tau": (["rollout", "--tau", "1e-320"], "tau "),
     "cli rollout --tau --duration": (["rollout", "--tau", "1e-320", "--duration", "1"], "tau "),
     "cli train --tau": (["train", "--tau", "1e-320"], "tau 9.99989e-321"),
@@ -607,6 +625,12 @@ REFUSED_ROLLOUTS = {
     "classical model": (
         lambda i: dict(_doc(i["classical"]), boundary={"y0": -1e308, "goal": 1e308}), [],
         "error: classical y0 -1e+308 and goal 1e+308: goal - y0 overflows"),
+    # each axis energy 0.5 (goal - y0)^2 is 7.2e307, their sum inf
+    "pose energy": (
+        lambda i: dict(_doc(i["pose"]), position=[
+            dict(axis, boundary={"y0": -6e153, "goal": 6e153})
+            for axis in _doc(i["pose"])["position"]]), [],
+        "error: pose-decoupled rollout: the energy overflows"),
 }
 
 
@@ -820,6 +844,7 @@ def test_rollout_refuses_a_goal_component_the_model_has_no_state_for(
 
 
 @pytest.mark.parametrize("model, goal", [("pose_model_file", "1e300,1e300,1e300"),
+                                         ("pose_model_file", "1.2e154,1.2e154,1.2e154"),
                                          ("classical_model_file", "1e300,0,0"),
                                          ("dq_model_file", "1e50,1e50,1e50")])
 def test_rollout_blames_a_far_goal_on_the_flag(tmp_path, capsys, request, model, goal):
@@ -831,6 +856,26 @@ def test_rollout_blames_a_far_goal_on_the_flag(tmp_path, capsys, request, model,
                 "-o", str(out)]) == 1
     assert_one_error_line(capsys, f"error: --goal {goal!r}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", [None, 3.0])
+def test_rollout_table_of_a_pose_decoupled_model_holds_its_rollout_bit_for_bit(
+        tmp_path, pose_model_file, tau):
+    # the table's pose-decoupled columns: rates physical, energies (V, V1, V2)
+    out = tmp_path / "roll.csv"
+    flags = [] if tau is None else ["--tau", repr(tau)]
+    assert run(["rollout", "--model", pose_model_file, "--duration", "1", *flags,
+                "-o", str(out)]) == 0
+    header, data = load_rollout_table(out)
+    model = load_model(pose_model_file)
+    roll = pose_rollout(model, 0.01, 1.0, tau_override=tau)
+    assert header == ["t", "x", "px", "py", "pz", "qw", "qx", "qy", "qz",
+                      "wx", "wy", "wz", "vx", "vy", "vz", "V", "V1", "V2"]
+    assert data.shape == (101, 18)
+    rate = roll.omega / (model.orientation.tau if tau is None else tau)
+    assert np.array_equal(data, np.column_stack([roll.t, roll.x, roll.positions, roll.q, rate,
+                                                 roll.velocities, roll.energy]))
+    assert np.array_equal(data[:, 15], data[:, 16] + data[:, 17])
 
 
 @pytest.mark.parametrize("model", ["dq_model_file", "classical_model_file"])
