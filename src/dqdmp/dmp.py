@@ -83,9 +83,14 @@ def _gain_matrix(g, name: str) -> np.ndarray:
     k = np.diag(g) if g.shape == (3, 3) else np.zeros(3)
     if not (np.all((0.0 < k) & (k < np.inf)) and np.array_equal(g, np.diag(k))):
         raise ValueError(f"{name} must be a positive, finite scalar or diagonal 3x3 matrix")
-    if k.min() < np.finfo(float).tiny:
-        raise ValueError(f"{name} {k.min():g} is too small: its reciprocal overflows")
+    _check_normal(k.min(), name)
     return g
+
+
+def _check_normal(value: float, name: str) -> None:
+    """Refuse a positive value below the smallest normal float."""
+    if value < np.finfo(float).tiny:
+        raise ValueError(f"{name} {value:g} is too small: its reciprocal overflows")
 
 
 def _check_model(model, variant: str, dims: int, gains=(), **fields) -> None:
@@ -94,6 +99,7 @@ def _check_model(model, variant: str, dims: int, gains=(), **fields) -> None:
     primitive) and per-axis gains; sets them, as floats, and fields."""
     if not 0.0 < model.tau < np.inf:
         raise ValueError("tau must be positive and finite")
+    _check_normal(model.tau, "tau")
     given = np.asarray(model.weights, dtype=float)
     weights, shape = np.atleast_2d(given), (dims, model.basis.n_kernels)
     if weights.shape != shape:
@@ -341,6 +347,7 @@ def _integrate(model, tau_override: float | None, dt: float, duration: float | N
     if not (np.isfinite(start).all() and np.isfinite(vel).all()):
         raise ValueError("the start pose and velocity must be finite")
     ts, xs = _clock(model.basis.alpha_x, tau, dt, duration, t_start)
+    _check_normal(tau, "tau")  # after _clock, which names a tau whose phase overflows
     forcing = forcing_rows(xs, model.basis, weights)
     # one state row [pose, vel] per sample, in a bytearray: pack_into takes it faster than an array
     row = Struct(f"{len(start) + len(vel)}d")

@@ -310,11 +310,16 @@ def _parse_rows(rows: list[str], width: int) -> np.ndarray | None:
 
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:
-    """Sample times k dt, k = 0 .. round(duration / dt); refused if too many for an array."""
+    """Sample times k dt, k = 0 .. round(duration / dt); refused if too many for an
+    array or for the memory numpy can allocate."""
     if not duration / dt < _MAX_SAMPLES:
         raise ValueError(f"duration {duration:g} over dt {dt:g} is more samples "
                          f"than an array can hold")
-    return np.arange(int(round(duration / dt)) + 1) * dt
+    try:
+        return np.arange(int(round(duration / dt)) + 1) * dt
+    except MemoryError:
+        raise ValueError(f"duration {duration:g} over dt {dt:g} is more samples "
+                         f"than memory can hold") from None
 
 
 def _minjerk_s(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -577,6 +577,10 @@ BOUNDARY = {
     "cli rollout --tau": (["rollout", "--tau", "1e-320"], "tau "),
     "cli rollout --tau --duration": (["rollout", "--tau", "1e-320", "--duration", "1"], "tau "),
     "cli train --tau": (["train", "--tau", "1e-320"], "tau 9.99989e-321"),
+    # a subnormal tau whose grid is short enough for _clock: roll.xi / tau wrote inf rates
+    "cli rollout subnormal --tau": (
+        ["rollout", "--tau", "1e-310", "--dt", "1e-312", "--duration", "1e-311"],
+        "error: tau 1e-310 is too small: its reciprocal overflows"),
 }
 
 
@@ -631,6 +635,13 @@ REFUSED_ROLLOUTS = {
             dict(axis, boundary={"y0": -6e153, "goal": 6e153})
             for axis in _doc(i["pose"])["position"]]), [],
         "error: pose-decoupled rollout: the energy overflows"),
+    # the file loaded; its rollout wrote inf rates, and --goal was blamed for its tau
+    "dq subnormal tau": (
+        lambda i: dict(_doc(i["dq"]), tau=1e-310), ["--dt", "1e-312", "--duration", "1e-311"],
+        "error: tau 1e-310 is too small: its reciprocal overflows"),
+    "dq subnormal tau --goal": (
+        lambda i: dict(_doc(i["dq"]), tau=1e-310), ["--goal", "1,0,0"],
+        "error: tau 1e-310 is too small: its reciprocal overflows"),
 }
 
 
@@ -702,6 +713,31 @@ def test_gen_refuses_a_grid_no_array_can_hold_without_writing(tmp_path, capsys, 
     out = tmp_path / "demo.csv"
     assert run(argv + ["-o", str(out)]) == 1
     assert_one_error_line(capsys, "is more samples than an array can hold")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["gen", "minjerk"], ["gen", "somersault"],
+                                  ["rollout", "--model", "dq"]])
+def test_a_time_grid_numpy_cannot_allocate_is_refused_by_duration_and_dt(
+        tmp_path, capsys, monkeypatch, dq_model_file, argv):
+    # such a grid (gen minjerk --duration 1e9 --dt 1e-3) ended in numpy's
+    # _ArrayMemoryError traceback; here the grid's own allocation fails on
+    # purpose, so nothing large is allocated
+    real_arange = np.arange
+
+    def arange(n, *args, **kwargs):
+        if n == 12346:  # the grid's sample count
+            raise MemoryError("Unable to allocate 96.5 KiB for an array with shape (12346,)")
+        return real_arange(n, *args, **kwargs)
+    monkeypatch.setattr(np, "arange", arange)
+    argv = [dq_model_file if word == "dq" else word for word in argv]
+    out = tmp_path / "product.csv"
+    capsys.readouterr()  # the fixture's training report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--duration", "12.345", "--dt", "0.001", "-o", str(out)]) == 1
+    assert_one_error_line(capsys, "error: duration 12.345 over dt 0.001 is more samples "
+                                  "than memory can hold")
     assert not out.exists()
 
 
@@ -898,7 +934,8 @@ def test_rollout_takes_a_far_dq_goal_its_encoding_holds(tmp_path, dq_model_file)
 
 
 @pytest.mark.parametrize("model, goal", [("quat_model_file", "0,0,0,0,1,0,0"),
-                                         ("classical_model_file", "2,0,0")])
+                                         ("classical_model_file", "2,0,0"),
+                                         ("pose_model_file", "1,2,3,0,0,1,0")])
 def test_rollout_takes_a_goal_the_model_has_a_state_for(tmp_path, request, model, goal):
     path, a, b = request.getfixturevalue(model), tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["rollout", "--model", path, "--duration", "1", "-o", str(a)]) == 0

@@ -469,11 +469,17 @@ def test_pose_train_positions_equal_dq_train_on_a_rotation_free_demo():
 
 def test_pose_rollout_goal_position_retargets_each_axis():
     m = pose_train(gen_somersault(5.0, 1.0, 0.01), 1.0, 0.1, 10, 100.0, 20.0, 10, 1.0, 10.0)
-    roll = pose_rollout(m, 0.01, 1.0, goal_position=np.array([1.0, 2.0, 3.0]))
+    goal_quat = np.array([0.5, -0.5, 0.5, 0.5])
+    roll = pose_rollout(m, 0.01, 1.0, goal_position=np.array([1.0, 2.0, 3.0]),
+                        goal_quat=goal_quat)
     for dim, axis in enumerate(m.position):
         ref = classical_rollout(axis, axis.y0, 0.01, 1.0, goal_override=dim + 1.0,
                                 tau_override=m.orientation.tau)
         assert np.array_equal(roll.positions[:, dim], ref.y)
+    ref = quat_rollout(m.orientation, dt=0.01, duration=1.0, goal_override=goal_quat,
+                       tau_override=m.orientation.tau)
+    assert np.array_equal(roll.q, ref.q) and np.array_equal(roll.omega, ref.omega)
+    assert np.array_equal(roll.energy[:, 1], ref.v1)
 
 
 def test_quat_rollout_rejects_non_unit_goal(rng):

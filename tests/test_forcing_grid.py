@@ -13,6 +13,7 @@ import pytest
 
 from dqdmp import ClassicalDmp, basis_scheme_a, classical_rollout
 from dqdmp.canonical import design_matrix, forcing, forcing_rows, phase
+from reference_loop import reference_loop
 
 BASES = [basis_scheme_a(30, 2.0)]
 IDS = ["scheme_a"]
@@ -88,23 +89,12 @@ def test_design_matrix_equals_per_phase_formula(basis):
 
 def reference_classical_rollout(model, y0, dt, duration, t_start=0.0):
     """The scalar primitive's loop with the forcing taken one phase at a time."""
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, model.tau)
-    y, z, f = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    yk, zk = float(y0), 0.0
-    y[0], z[0] = yk, zk
-    g, tau = model.goal, model.tau
-    K, D, c = model.alpha_z * model.beta_z, model.alpha_z, g - model.y0
-    w = model.weights[None, :]
-    for k in range(n):
-        fk = float(reference_forcing(model.basis, w, xs[k])[0])
-        f[k] = fk
-        zk += dt / tau * (K * (g - yk - c * xs[k] + fk) - D * zk)
-        yk += dt / tau * zk
-        y[k + 1], z[k + 1] = yk, zk
-    f[n] = float(reference_forcing(model.basis, w, xs[n])[0])
-    return ts, xs, y, z, f
+    g, w = model.goal, model.weights[None, :]
+    out = reference_loop(model, None, dt, duration, t_start, g - model.y0, float(y0), None,
+                         (model.alpha_z * model.beta_z, model.alpha_z),
+                         error=lambda y: g - y, turn=lambda y, z, h: y + h * z,
+                         forcing=lambda x: float(reference_forcing(model.basis, w, x)[0]))
+    return out["t"], out["x"], np.array(out["poses"]), out["v"], out["forcing"]
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)

@@ -1,10 +1,11 @@
 """The shared rollout driver against the per-variant loops it replaced.
 
-The reference loops below are ``quat_rollout`` and ``dq_rollout`` written
-the way the earlier per-variant loops were: a diagonal-gain fast path, the
-error, step and energy formulas written out on floats, and the energies
-evaluated inside the loop.  The driver must reproduce their states bit for
-bit, for scalar gains (K = k I) and for distinct per-axis gains alike.
+The references below are ``quat_rollout`` and ``dq_rollout`` written the
+way the earlier per-variant loops were: a diagonal-gain fast path and the
+error, step and energy formulas written out on floats, each handed to the
+one reference loop (``reference_loop.py``), which records the energies at
+every sample.  The driver must reproduce their states bit for bit, for
+scalar gains (K = k I) and for distinct per-axis gains alike.
 
 The dq reference steps the rotation and the inertial position, as the
 driver does.  ``dual_quaternion_loop`` is the dq rollout as it ran on a
@@ -37,13 +38,14 @@ from dqdmp import (
     quat_to_rotmat,
     quat_vec,
 )
-from dqdmp.canonical import forcing_rows, phase
+from dqdmp.canonical import forcing_rows
+from reference_loop import reference_loop
 
 BASIS = basis_scheme_a(30, 2.0)
 ENERGY_TOL = dict(rtol=1e-12, atol=1e-15)
 
 
-# -- reference: the earlier loops -----------------------------------------------
+# -- reference: the earlier loops' formulas ---------------------------------------
 
 
 def _product(aw, ax, ay, az, bw, bx, by, bz):
@@ -102,43 +104,18 @@ def _rot_energy(q, qd, omega, kinv_diag):
 
 def reference_quat_rollout(model, q0=None, omega0=None, dt=0.01, duration=None,
                            goal_override=None, tau_override=None, t_start=0.0):
-    tau = float(tau_override) if tau_override is not None else model.tau
     qd = np.asarray(goal_override, dtype=float) if goal_override is not None else model.qd
-    if duration is None:
-        duration = 1.5 * tau
     q = quat_normalize(np.asarray(q0, dtype=float)) if q0 is not None else model.q0.copy()
-    om = np.asarray(omega0, dtype=float).copy() if omega0 is not None else np.zeros(3)
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, tau)
-    out_q = np.empty((n + 1, 4))
-    out_om = np.empty((n + 1, 3))
-    out_f = np.empty((n + 1, 3))
-    out_e = np.empty((n + 1, 3))
-    out_v1 = np.empty(n + 1)
     kinv_diag = tuple(np.diag(np.linalg.inv(model.k_gain)))
-    e0 = _quat_error(model.q0, qd)
-    W = model.weights
-    K3, D3 = _diag_gains(model.k_gain), _diag_gains(model.d_gain)
-    dt_tau = dt / tau
-    half = dt / (2.0 * tau)
-    forcing_active = bool(np.any(W))
-    zero3 = np.zeros(3)
-    out_q[0], out_om[0] = q, om
-    out_v1[0] = _rot_energy(q, qd, om, kinv_diag)
-    for k in range(n):
-        e = _quat_error_raw(q, qd)
-        f = forcing_rows(xs[k], model.basis, W) if forcing_active else zero3
-        out_e[k], out_f[k] = e, f
-        u = e - e0 * xs[k] + f
-        om = om + dt_tau * (K3 * u - D3 * om)
-        q = _quat_step_raw(q, half * om)
-        out_q[k + 1], out_om[k + 1] = q, om
-        out_v1[k + 1] = _rot_energy(q, qd, om, kinv_diag)
-    out_e[n] = _quat_error(q, qd)
-    out_f[n] = forcing_rows(xs[n], model.basis, W)
-    return dict(t=ts, x=xs, q=out_q, omega=out_om, forcing=out_f, error=out_e,
-                v1=out_v1)
+    out = reference_loop(
+        model, tau_override, dt, duration, t_start, _quat_error(model.q0, qd), q, omega0,
+        (_diag_gains(model.k_gain), _diag_gains(model.d_gain)),
+        error=lambda q: _quat_error_raw(q, qd),
+        turn=lambda q, om, h: _quat_step_raw(q, h / 2.0 * om),
+        forcing=lambda x: forcing_rows(x, model.basis, model.weights),
+        energy=lambda q, om: _rot_energy(q, qd, om, kinv_diag))
+    out["error"][-1] = _quat_error(out["poses"][-1], qd)
+    return dict(out, q=np.array(out["poses"]), omega=out["v"], v1=out["energy"])
 
 
 def _dq_step_raw(qr, qd_, zr, zv):
@@ -208,56 +185,30 @@ def _lyap_raw(qr, qd_, xi, gr, gp, kinv_r_diag, kinv_p_diag):
     return v1 + v2, v1, v2
 
 
+def _dq_case(model, dq0, goal_override):
+    """The start, the goal and its position, the (K, D) and the two K^-1 diagonals."""
+    goal = goal_override if goal_override is not None else model.dqd
+    return (dq0 if dq0 is not None else model.dq0, goal, dq_to_pose(goal).position,
+            (_diag_gains(model.k_rot, model.k_pos), _diag_gains(model.d_rot, model.d_pos)),
+            [tuple(np.diag(np.linalg.inv(k))) for k in (model.k_rot, model.k_pos)])
+
+
 def dual_quaternion_loop(model, dq0=None, xi0=None, dt=0.01, duration=None,
                          goal_override=None, tau_override=None, t_start=0.0):
     """dq_rollout on a unit dual quaternion state: the error from four
     products, the step q_hat (x) exp(z) with the constraints re-enforced."""
-    tau = float(tau_override) if tau_override is not None else model.tau
-    goal = goal_override if goal_override is not None else model.dqd
-    if duration is None:
-        duration = 1.5 * tau
-    start = dq0 if dq0 is not None else model.dq0
-    xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, tau)
-    out_dq = np.empty((n + 1, 8))
-    out_xi = np.empty((n + 1, 6))
-    out_f = np.empty((n + 1, 6))
-    out_e = np.empty((n + 1, 6))
-    out_l = np.empty((n + 1, 3))
-    qr = start.real.copy()
-    qd_ = start.dual.copy()
+    start, goal, gp, gains, kinv = _dq_case(model, dq0, goal_override)
     gr, gd = goal.real, goal.dual
-    gp = dq_to_pose(goal).position
-    K6 = _diag_gains(model.k_rot, model.k_pos)
-    D6 = _diag_gains(model.d_rot, model.d_pos)
-    kinv_r_diag = tuple(np.diag(np.linalg.inv(model.k_rot)))
-    kinv_p_diag = tuple(np.diag(np.linalg.inv(model.k_pos)))
-    W = model.weights
-    basis = model.basis
-    forcing_active = bool(np.any(W))
-    zero6 = np.zeros(6)
-    e0 = _dq_error_raw(model.dq0.real, model.dq0.dual, gr, gd)
-    half = dt / (2.0 * tau)
-    dt_tau = dt / tau
-    out_dq[0, :4], out_dq[0, 4:] = qr, qd_
-    out_xi[0] = xi
-    out_l[0] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r_diag, kinv_p_diag)
-    for k in range(n):
-        e = _dq_error_raw(qr, qd_, gr, gd)
-        f = forcing_rows(xs[k], basis, W) if forcing_active else zero6
-        out_e[k], out_f[k] = e, f
-        u = e - e0 * xs[k] + f
-        xi = xi + dt_tau * (K6 * u - D6 * xi)
-        qr, qd_ = _dq_step_raw(qr, qd_, half * xi[:3], half * xi[3:])
-        out_dq[k + 1, :4], out_dq[k + 1, 4:] = qr, qd_
-        out_xi[k + 1] = xi
-        out_l[k + 1] = _lyap_raw(qr, qd_, xi, gr, gp, kinv_r_diag, kinv_p_diag)
-    out_e[n] = _dq_error_raw(qr, qd_, gr, gd)
-    out_f[n] = forcing_rows(xs[n], basis, W)
-    return dict(t=ts, x=xs, dq=out_dq, xi=out_xi, forcing=out_f, error=out_e,
-                lyap=out_l)
+    out = reference_loop(
+        model, tau_override, dt, duration, t_start,
+        _dq_error_raw(model.dq0.real, model.dq0.dual, gr, gd),
+        (start.real.copy(), start.dual.copy()), xi0, gains,
+        error=lambda s: _dq_error_raw(*s, gr, gd),
+        turn=lambda s, xi, h: _dq_step_raw(*s, h / 2.0 * xi[:3], h / 2.0 * xi[3:]),
+        forcing=lambda x: forcing_rows(x, model.basis, model.weights),
+        energy=lambda s, xi: _lyap_raw(*s, xi, gr, gp, *kinv))
+    return dict(out, dq=np.array([np.concatenate(s) for s in out["poses"]]),
+                xi=out["v"], lyap=out["energy"])
 
 
 def _qp_error_raw(q, p, gr, gp, rt):
@@ -314,51 +265,18 @@ def _qp_lyap_raw(q, p, xi, gr, gp, kinv_r_diag, kinv_p_diag):
 
 def reference_dq_rollout(model, dq0=None, xi0=None, dt=0.01, duration=None,
                          goal_override=None, tau_override=None, t_start=0.0):
-    tau = float(tau_override) if tau_override is not None else model.tau
-    goal = goal_override if goal_override is not None else model.dqd
-    if duration is None:
-        duration = 1.5 * tau
-    start = dq0 if dq0 is not None else model.dq0
-    xi = np.zeros(6) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    n = int(round(duration / dt))
-    ts = t_start + np.arange(n + 1) * dt
-    xs = phase(ts, model.basis.alpha_x, tau)
-    out_dq = np.empty((n + 1, 8))
-    out_xi = np.empty((n + 1, 6))
-    out_f = np.empty((n + 1, 6))
-    out_e = np.empty((n + 1, 6))
-    out_l = np.empty((n + 1, 3))
-    q, p = start.real.copy(), dq_to_pose(start).position
-    gr, gp = goal.real, dq_to_pose(goal).position
-    rt = quat_to_rotmat(gr).T
-    K6 = _diag_gains(model.k_rot, model.k_pos)
-    D6 = _diag_gains(model.d_rot, model.d_pos)
-    kinv_r_diag = tuple(np.diag(np.linalg.inv(model.k_rot)))
-    kinv_p_diag = tuple(np.diag(np.linalg.inv(model.k_pos)))
-    W = model.weights
-    basis = model.basis
-    forcing_active = bool(np.any(W))
-    zero6 = np.zeros(6)
-    e0 = _qp_error_raw(model.dq0.real, dq_to_pose(model.dq0).position, gr, gp, rt)
-    half = dt / (2.0 * tau)
-    dt_tau = dt / tau
-    out_dq[0] = start.as_array()
-    out_xi[0] = xi
-    out_l[0] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r_diag, kinv_p_diag)
-    for k in range(n):
-        e = _qp_error_raw(q, p, gr, gp, rt)
-        f = forcing_rows(xs[k], basis, W) if forcing_active else zero6
-        out_e[k], out_f[k] = e, f
-        u = e - e0 * xs[k] + f
-        xi = xi + dt_tau * (K6 * u - D6 * xi)
-        q, p = _qp_step_raw(q, p, half * xi[:3], half * xi[3:])
-        out_dq[k + 1] = dq_from_pose(Pose(p, q)).as_array()
-        out_xi[k + 1] = xi
-        out_l[k + 1] = _qp_lyap_raw(q, p, xi, gr, gp, kinv_r_diag, kinv_p_diag)
-    out_e[n] = _qp_error_raw(q, p, gr, gp, rt)
-    out_f[n] = forcing_rows(xs[n], basis, W)
-    return dict(t=ts, x=xs, dq=out_dq, xi=out_xi, forcing=out_f, error=out_e,
-                lyap=out_l)
+    start, goal, gp, gains, kinv = _dq_case(model, dq0, goal_override)
+    gr, rt = goal.real, quat_to_rotmat(goal.real).T
+    out = reference_loop(
+        model, tau_override, dt, duration, t_start,
+        _qp_error_raw(model.dq0.real, dq_to_pose(model.dq0).position, gr, gp, rt),
+        (start.real.copy(), dq_to_pose(start).position), xi0, gains,
+        error=lambda s: _qp_error_raw(*s, gr, gp, rt),
+        turn=lambda s, xi, h: _qp_step_raw(*s, h / 2.0 * xi[:3], h / 2.0 * xi[3:]),
+        forcing=lambda x: forcing_rows(x, model.basis, model.weights),
+        energy=lambda s, xi: _qp_lyap_raw(*s, xi, gr, gp, *kinv))
+    dq = [start.as_array()] + [dq_from_pose(Pose(p, q)).as_array() for q, p in out["poses"][1:]]
+    return dict(out, dq=np.array(dq), xi=out["v"], lyap=out["energy"])
 
 
 # -- cases -----------------------------------------------------------------------
@@ -432,7 +350,6 @@ def test_dq_rollout_matches_reference(rng, scalar, forced):
     got, want = dq_rollout(m, **kw), reference_dq_rollout(m, **kw)
     assert_states(got, want, ("t", "x", "dq", "xi", "forcing", "error"))
     np.testing.assert_allclose(got.lyap, want["lyap"], **ENERGY_TOL)
-
 
 
 # -- the float loop against the reference: bit-exact cases --------------------------
