@@ -376,10 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes a value such as '-1,0,0', '-5e-1' or '-inf' for an option of
+    # its own: bind the next word to every option but --help, as '--flag=value'
     words, argv = iter(sys.argv[1:] if argv is None else argv), []
-    for word in words:  # argparse takes a goal such as '-1,0,0' for an option: bind it to --goal
-        value = next(words, None) if word == "--goal" else None
-        argv.append(word if value is None else f"--goal={value}")
+    for word in words:
+        takes_value = word.startswith("-") and "=" not in word and word not in ("-h", "--help")
+        value = next(words, None) if takes_value else None
+        argv.append(word if value is None else f"{word}={value}")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

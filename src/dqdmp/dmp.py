@@ -639,6 +639,12 @@ def dq_rollout(model: DualQuaternionDmp, dq0: DualQuaternion | None = None,
     tau_override rescales time.  t_start offsets the clock so a rollout
     can be resumed from a previous endpoint.
 
+    The start-error term e0 stays at the trained start model.dq0 whatever
+    dq0 is, as resumption needs (Pastor et al., ICRA 2009, take it at the new
+    start).  So a maneuver moved by a rigid motion g is the model with moved
+    boundary poses, dataclasses.replace(model, dq0=g dq0, dqd=g dqd), whose
+    rollout is g applied to this one's.
+
     As in quat_rollout, the goal's sign picks the direction of turn: a
     start whose real part lies in the opposite hemisphere of the goal's
     unwinds the long way, and converges more slowly for it.

@@ -1,18 +1,27 @@
+import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from dqdmp import (
+    BODY,
+    ClassicalDmp,
     DualQuaternion,
+    DualQuaternionDmp,
     Pose,
+    QuaternionDmp,
+    basis_scheme_a,
     dq_conjugate,
     dq_from_pose,
     dq_product,
+    gen_somersault,
     quat_conjugate,
     quat_product,
     save_trajectory,
 )
+from dqdmp.cli import main
 from dqdmp.dmp import _pose_error
 from dqdmp.dualquat import dq_position
 from dqdmp.quat import _product
@@ -99,3 +108,105 @@ def trajectory_to_csv(traj) -> str:
     buf = io.StringIO()
     save_trajectory(traj, buf)
     return buf.getvalue()
+
+
+def rollout_models(rng):
+    """A forced dq, quat and classical model with per-axis gains and tau 1.3."""
+    K, D = np.diag([4.0, 6.0, 9.0]), np.diag([5.0, 6.0, 7.0])
+    return (
+        DualQuaternionDmp(K, 2.0 * K, D, 1.5 * D, basis_scheme_a(30, 2.0),
+                          rng.normal(size=(6, 30)), random_unit_dq(rng), random_unit_dq(rng), 1.3),
+        QuaternionDmp(BODY, K, D, basis_scheme_a(30, 2.0), rng.normal(size=(3, 30)),
+                      random_unit_quat(rng), random_unit_quat(rng), 1.3),
+        ClassicalDmp(5.0, 1.2, basis_scheme_a(30, 2.0), rng.normal(size=30), 0.3, -0.4, 1.3),
+    )
+
+
+def stiff_dq_model() -> DualQuaternionDmp:
+    """K = 625, D = 250, tau = 1: at dt = 0.01 its screw step leaves the exp
+    domain at sample 25."""
+    return DualQuaternionDmp(625.0 * np.eye(3), 625.0 * np.eye(3), 250.0 * np.eye(3),
+                             250.0 * np.eye(3), basis_scheme_a(30, 2.0), np.zeros((6, 30)),
+                             dq_from_pose(Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))),
+                             dq_from_pose(Pose(np.array([1.0, 0.0, 0.0]),
+                                               np.array([0.0, 1.0, 0.0, 0.0]))), 1.0)
+
+
+# The command line, run in-process, and the files its tests share.
+
+
+def run(argv) -> int:
+    return main(argv)
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err[0]
+
+
+# The two refusal harnesses: the library's and the command line's.
+
+
+@contextlib.contextmanager
+def refused(match=None):
+    """The block raises a ValueError whose message match finds (re.search;
+    None takes any message), and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match) as exc:
+            yield exc
+
+
+def assert_refused(capsys, out, argv, *fragments):
+    """argv, writing to out, exits 1 with one 'error:' line that holds every
+    fragment; it writes no out and raises no warning."""
+    capsys.readouterr()  # what came before, a fixture's training report among it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "-o", str(out)]) == 1
+    assert not caught, [str(w.message) for w in caught]
+    assert_one_error_line(capsys, *fragments)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="session")
+def demo_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("demo") / "somersault.csv"
+    save_trajectory(gen_somersault(5.0, 5.0, 0.01), str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def reach_file(tmp_path_factory):
+    """gen minjerk's default demo: a 1 s reach from 0 to 1."""
+    path = tmp_path_factory.mktemp("demo") / "reach.csv"
+    assert run(["gen", "minjerk", "-o", str(path)]) == 0
+    return str(path)
+
+
+def _trained(tmp_path_factory, variant, demo):
+    path = tmp_path_factory.mktemp("model") / f"{variant}.json"
+    assert run(["train", "--variant", variant, "--demo", demo, "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def dq_model_file(tmp_path_factory, demo_file):
+    return _trained(tmp_path_factory, "dq", demo_file)
+
+
+@pytest.fixture(scope="session")
+def quat_model_file(tmp_path_factory, demo_file):
+    return _trained(tmp_path_factory, "quat", demo_file)
+
+
+@pytest.fixture(scope="session")
+def pose_model_file(tmp_path_factory, demo_file):
+    return _trained(tmp_path_factory, "pose-decoupled", demo_file)
+
+
+@pytest.fixture(scope="session")
+def classical_model_file(tmp_path_factory, reach_file):
+    return _trained(tmp_path_factory, "classical", reach_file)

@@ -10,6 +10,8 @@ from dqdmp import (
     phase,
 )
 
+from conftest import refused
+
 
 def test_phase_starts_at_one():
     assert phase(0.0, 2.0, 1.0) == 1.0
@@ -28,16 +30,16 @@ def test_phase_closed_form_slow_clock():
 
 
 def test_phase_rejects_bad_params():
-    with pytest.raises(ValueError):
+    with refused():
         phase(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with refused():
         phase(1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("alpha_x, tau", [(1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)])
 def test_phase_rejects_non_finite_params(alpha_x, tau):
     # an infinite tau froze the clock at x = 1 and trained nan weights
-    with pytest.raises(ValueError, match="positive and finite"):
+    with refused("positive and finite"):
         phase(np.arange(3) * 0.1, alpha_x, tau)
 
 
@@ -61,7 +63,7 @@ def test_scheme_a_widths_positive():
 
 
 def test_scheme_a_rejects_single_kernel():
-    with pytest.raises(ValueError):
+    with refused():
         basis_scheme_a(1, 1.0)
 
 
@@ -235,7 +237,7 @@ def test_fit_weights_refuses_non_finite_targets(bad):
     xs = phase(np.linspace(0.0, 1.0, 50), 2.0, 1.0)
     targets = np.ones((50, 3))
     targets[9, 1] = targets[7, 2] = bad
-    with pytest.raises(ValueError, match=f"target {bad} at sample 7, dimension 2"):
+    with refused(f"target {bad} at sample 7, dimension 2"):
         fit_weights(xs, targets, basis)
-    with pytest.raises(ValueError, match=f"target {bad} at sample 9, dimension 0"):
+    with refused(f"target {bad} at sample 9, dimension 0"):
         fit_weights(xs, targets[:, 1], basis)

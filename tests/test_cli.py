@@ -11,16 +11,13 @@ import pytest
 from dqdmp import (
     BODY,
     ClassicalDmp,
-    DualQuaternionDmp,
     GaussianBasis,
-    Pose,
     QuaternionDmp,
     basis_scheme_a,
     classical_rollout,
     classical_target_forcing,
     classical_train,
     design_matrix,
-    dq_from_pose,
     dq_rollout,
     dq_target_forcing,
     dq_train,
@@ -35,14 +32,16 @@ from dqdmp import (
     quat_train,
     save_model,
 )
-from dqdmp.cli import compare_on_demo, load_scalar_demo, main
+from dqdmp.cli import compare_on_demo, load_scalar_demo
 from dqdmp.traj import ScalarDemo, Trajectory, gen_somersault, save_trajectory
 
-from conftest import trajectory_to_csv
-
-
-def run(argv):
-    return main(argv)
+from conftest import (
+    assert_refused,
+    refused,
+    run,
+    stiff_dq_model,
+    trajectory_to_csv,
+)
 
 
 def test_gen_somersault_row_count(tmp_path, capsys):
@@ -66,10 +65,7 @@ def test_gen_minjerk_scalar_demo(tmp_path):
 
 
 def test_gen_rejects_bad_dt(tmp_path, capsys):
-    rc = run(["gen", "somersault", "--dt", "-0.01", "-o",
-              str(tmp_path / "x.csv")])
-    assert rc != 0
-    assert "error" in capsys.readouterr().err
+    assert_refused(capsys, tmp_path / "x.csv", ["gen", "somersault", "--dt", "-0.01"], "error")
 
 
 def test_gen_deterministic(tmp_path):
@@ -79,13 +75,6 @@ def test_gen_deterministic(tmp_path):
     run(args + ["-o", str(a)])
     run(args + ["-o", str(b)])
     assert a.read_text() == b.read_text()
-
-
-@pytest.fixture(scope="module")
-def demo_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("demo") / "somersault.csv"
-    save_trajectory(gen_somersault(5.0, 5.0, 0.01), str(path))
-    return str(path)
 
 
 def test_train_dq_writes_model_and_residuals(tmp_path, demo_file, capsys):
@@ -168,10 +157,8 @@ def test_train_rejects_too_short_demo(tmp_path, capsys):
                      "0,0,0,0,1,0,0,0\n"
                      "0.01,0,0,0,1,0,0,0\n"
                      "0.02,0,0,0,1,0,0,0\n")
-    rc = run(["train", "--variant", "dq", "--demo", str(short),
-              "-o", str(tmp_path / "m.json")])
-    assert rc != 0
-    assert "short" in capsys.readouterr().err
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "dq", "--demo", str(short)], "short")
 
 
 BAD_ROWS = {"nan_position": "0.02,nan,0,0,1,0,0,0",
@@ -191,11 +178,7 @@ def _bad_demo(path, case):
 def test_bad_demo_fails_with_exit_code_1(tmp_path, capsys, case, command):
     demo = tmp_path / "bad.csv"
     _bad_demo(demo, case)
-    out = tmp_path / "out"
-    assert run([command, "--demo", str(demo), "-o", str(out)]) == 1
-    assert "sample" in capsys.readouterr().err
-    if command == "train":
-        assert not out.exists()
+    assert_refused(capsys, tmp_path / "out", [command, "--demo", str(demo)], "sample")
 
 
 @pytest.mark.parametrize("case", ["nan_sample", "late_start"])
@@ -209,10 +192,9 @@ def test_bad_scalar_demo_fails_with_exit_code_1(tmp_path, capsys, case):
         lines[1:] = [",".join([repr(float(ln.split(",")[0]) + 0.5)] + ln.split(",")[1:])
                      for ln in lines[1:]]
     demo.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "m.json"
-    assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(out)]) == 1
-    assert ("sample 10" if case == "nan_sample" else "sample 0") in capsys.readouterr().err
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "classical", "--demo", str(demo)],
+                   "sample 10" if case == "nan_sample" else "sample 0")
 
 
 @pytest.mark.parametrize("case", ["garbled", "headerless"])
@@ -225,25 +207,14 @@ def test_unreadable_scalar_demo_names_its_line(tmp_path, capsys, case):
     else:
         del lines[0]
     demo.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "m.json"
-    assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert ("line 3: unparseable" if case == "garbled" else "line 1: expected header") in err
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "classical", "--demo", str(demo)],
+                   "line 3: unparseable" if case == "garbled" else "line 1: expected header")
 
 
 def test_train_missing_demo_fails(tmp_path, capsys):
-    rc = run(["train", "--variant", "dq", "--demo",
-              str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")])
-    assert rc != 0
-
-
-@pytest.fixture(scope="module")
-def dq_model_file(tmp_path_factory, demo_file):
-    path = tmp_path_factory.mktemp("model") / "dq.json"
-    assert run(["train", "--variant", "dq", "--demo", demo_file,
-                "-o", str(path)]) == 0
-    return str(path)
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "dq", "--demo", str(tmp_path / "nope.csv")])
 
 
 def load_rollout_table(path):
@@ -293,9 +264,7 @@ def test_rollout_goal_override_reaches_new_goal(tmp_path, dq_model_file):
 
 
 def test_rollout_missing_model_fails(tmp_path, capsys):
-    rc = run(["rollout", "--model", str(tmp_path / "nope.json"),
-              "-o", str(tmp_path / "r.csv")])
-    assert rc != 0
+    assert_refused(capsys, tmp_path / "r.csv", ["rollout", "--model", str(tmp_path / "nope.json")])
 
 
 def test_compare_reports_both_models(tmp_path, demo_file, capsys):
@@ -348,18 +317,15 @@ def test_compare_has_no_step_option(tmp_path, demo_file, capsys):
                                      ["train", "--variant", "pose-decoupled"],
                                      ["compare"]])
 def test_too_short_demo_fails_with_the_differentiate_error(tmp_path, capsys, samples, command):
-    demo, out = tmp_path / "short.csv", tmp_path / "out"
+    demo = tmp_path / "short.csv"
     lines = trajectory_to_csv(gen_somersault(5.0, 1.0, 0.01)).split("\n")
     demo.write_text("\n".join(lines[:2 + samples]) + "\n")  # source note, header, rows
-    assert run([*command, "--demo", str(demo), "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "trajectory too short to differentiate (need >= 4 samples)")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "out", [*command, "--demo", str(demo)],
+                   "trajectory too short to differentiate (need >= 4 samples)")
 
 
-def test_compare_missing_demo_fails(tmp_path):
-    rc = run(["compare", "--demo", str(tmp_path / "nope.csv"),
-              "-o", str(tmp_path / "cmp.csv")])
-    assert rc != 0
+def test_compare_missing_demo_fails(tmp_path, capsys):
+    assert_refused(capsys, tmp_path / "cmp.csv", ["compare", "--demo", str(tmp_path / "nope.csv")])
 
 
 def test_compare_pure_translation_tracks_agree(tmp_path):
@@ -424,38 +390,17 @@ def test_rollout_non_finite_state_fails_with_exit_code_1(tmp_path, capsys):
                           np.array([0.0, 1.0, 0.0, 0.0]), 1.0)
     path = tmp_path / "unstable.json"
     save_model(model, str(path))
-    out = tmp_path / "roll.csv"
-    with np.errstate(invalid="ignore"):
-        rc = run(["rollout", "--model", str(path), "--dt", "0.01",
-                  "--duration", "10", "-o", str(out)])
-    assert rc == 1
-    assert "non-finite state at sample" in capsys.readouterr().err
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", str(path), "--dt", "0.01", "--duration", "10"],
+                   "non-finite state at sample")
 
 
 def test_rollout_of_an_unstable_dq_model_fails_with_exit_code_1(tmp_path, capsys):
-    # K = 625, D = 250 at dt = 0.01, tau = 1: the screw step leaves the exp domain
-    q0, qd = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
-    model = DualQuaternionDmp(625.0 * np.eye(3), 625.0 * np.eye(3), 250.0 * np.eye(3),
-                              250.0 * np.eye(3), basis_scheme_a(30, 2.0), np.zeros((6, 30)),
-                              dq_from_pose(Pose(np.zeros(3), q0)),
-                              dq_from_pose(Pose(np.array([1.0, 0.0, 0.0]), qd)), 1.0)
     path = tmp_path / "unstable.json"
-    save_model(model, str(path))
-    out = tmp_path / "roll.csv"
-    rc = run(["rollout", "--model", str(path), "--dt", "0.01", "--duration", "10",
-              "-o", str(out)])
-    assert rc == 1
-    assert_one_error_line(capsys, "outside the exp domain at sample 25 (t = 0.25): "
-                                  "dt / tau too large?")
-    assert not out.exists()
-
-
-def assert_one_error_line(capsys, *fragments):
-    err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    for fragment in fragments:
-        assert fragment in err[0]
+    save_model(stiff_dq_model(), str(path))
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", str(path), "--dt", "0.01", "--duration", "10"],
+                   "outside the exp domain at sample 25 (t = 0.25): dt / tau too large?")
 
 
 @pytest.mark.parametrize("value", ["1", "0.5", "abc", "0", "nan", "inf", "1e-320"])
@@ -464,30 +409,23 @@ def test_train_rejects_bad_scale_metadata(tmp_path, capsys, value):
     demo = tmp_path / "demo.csv"
     lines = trajectory_to_csv(gen_somersault(5.0, 1.0, 0.05)).split("\n")
     demo.write_text("\n".join(["# source x", f"# scale {value}"] + lines))
-    out = tmp_path / "out"
     for argv in (["train", "--variant", "dq"], ["train", "--variant", "quat"],
                  ["train", "--variant", "pose-decoupled"], ["compare"]):
-        assert run(argv + ["--demo", str(demo), "-o", str(out)]) == 1
-        assert_one_error_line(capsys, "line 2: '# scale' is not supported; "
-                                      "positions must be meters")
-        assert not out.exists()
+        assert_refused(capsys, tmp_path / "out", argv + ["--demo", str(demo)],
+                       "line 2: '# scale' is not supported; positions must be meters")
 
 
 def test_train_rejects_infinite_tau(tmp_path, demo_file, capsys):
-    out = tmp_path / "m.json"
-    assert run(["train", "--variant", "dq", "--demo", demo_file, "--tau", "inf",
-                "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "tau must be positive and finite")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "dq", "--demo", demo_file, "--tau", "inf"],
+                   "tau must be positive and finite")
 
 
 def test_rollout_rejects_infinite_tau(tmp_path, dq_model_file, capsys):
     # the phase of an infinite tau never moves: a table that never moved
-    out = tmp_path / "roll.csv"
-    assert run(["rollout", "--model", dq_model_file, "--tau", "inf",
-                "--duration", "1", "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "tau must be positive and finite")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", dq_model_file, "--tau", "inf", "--duration", "1"],
+                   "tau must be positive and finite")
 
 
 @pytest.fixture(scope="module")
@@ -591,19 +529,13 @@ def test_an_overflowing_input_is_refused_by_name_without_a_warning(
     # multiply) or, for the d_pos case, named only tau, where the caller now
     # sees a ValueError naming the argument; CLI train wrote a model no rollout took
     call, name = BOUNDARY[case]
-    out = tmp_path / "product"
-    capsys.readouterr()  # the fixture's training report
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if case.startswith("cli"):
-            command, *flags = call
-            source = ["--model", dq_model_file] if command == "rollout" else ["--demo", demo_file]
-            assert run([command, *source, *flags, "-o", str(out)]) == 1
-            assert_one_error_line(capsys, name)
-            assert not out.exists()
-        else:
-            with pytest.raises(ValueError, match=re.escape(name)):
-                call(boundary_inputs)
+    if case.startswith("cli"):
+        command, *flags = call
+        source = ["--model", dq_model_file] if command == "rollout" else ["--demo", demo_file]
+        assert_refused(capsys, tmp_path / "product", [command, *source, *flags], name)
+    else:
+        with refused(re.escape(name)):
+            call(boundary_inputs)
 
 
 def test_a_vast_demo_trains_with_finite_residuals_and_no_warning(boundary_inputs):
@@ -657,36 +589,25 @@ def test_rollout_of_a_model_whose_energy_or_goal_overflows_fails_with_one_error_
     # the dq model wrote a table of infinite energies under two numpy warnings;
     # the classical ones failed as "non-finite state at sample 1", blaming the step
     make, flags, name = REFUSED_ROLLOUTS[case]
-    path, out = tmp_path / "model.json", tmp_path / "roll.csv"
+    path = tmp_path / "model.json"
     path.write_text(json.dumps(make(boundary_inputs)))
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["rollout", "--model", str(path), "--duration", "1", *flags,
-                    "-o", str(out)]) == 1
-    assert_one_error_line(capsys, name)
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", str(path), "--duration", "1", *flags], name)
 
 
 def test_rollout_refuses_a_step_no_time_grid_can_hold(tmp_path, dq_model_file, capsys):
     # it printed numpy's "error: Maximum allowed size exceeded"
-    out = tmp_path / "roll.csv"
-    capsys.readouterr()  # the fixture's training report
-    assert run(["rollout", "--model", dq_model_file, "--dt", "1e-300",
-                "--duration", "1", "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "error: duration 1 over dt 1e-300 is more samples "
-                                  "than an array can hold")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", dq_model_file, "--dt", "1e-300", "--duration", "1"],
+                   "error: duration 1 over dt 1e-300 is more samples than an array can hold")
 
 
 def test_rollout_blames_a_negative_tau_not_the_default_duration(tmp_path, dq_model_file,
                                                                 capsys):
     # the default duration 1.5 tau was checked first: "duration must be non-negative"
-    out = tmp_path / "roll.csv"
-    capsys.readouterr()  # the fixture's training report
-    assert run(["rollout", "--model", dq_model_file, "--tau", "-5", "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "error: alpha_x and tau must be positive and finite")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", dq_model_file, "--tau", "-5"],
+                   "error: alpha_x and tau must be positive and finite")
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -700,20 +621,14 @@ def test_rollout_blames_a_negative_tau_not_the_default_duration(tmp_path, dq_mod
     (["gen", "somersault", "--radius", "1e308"], "radius"),
 ])
 def test_gen_rejects_bad_flags_without_writing(tmp_path, capsys, argv, fragment):
-    out = tmp_path / "demo.csv"
-    assert run(argv + ["-o", str(out)]) == 1
-    assert_one_error_line(capsys, fragment)
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "demo.csv", argv, fragment)
 
 
 @pytest.mark.parametrize("argv", [["gen", "minjerk", "--dt", "1e-320"],
                                   ["gen", "somersault", "--duration", "1e308", "--dt", "0.1"]])
 def test_gen_refuses_a_grid_no_array_can_hold_without_writing(tmp_path, capsys, argv):
     # each ended in an OverflowError traceback
-    out = tmp_path / "demo.csv"
-    assert run(argv + ["-o", str(out)]) == 1
-    assert_one_error_line(capsys, "is more samples than an array can hold")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "demo.csv", argv, "is more samples than an array can hold")
 
 
 @pytest.mark.parametrize("argv", [["gen", "minjerk"], ["gen", "somersault"],
@@ -731,25 +646,17 @@ def test_a_time_grid_numpy_cannot_allocate_is_refused_by_duration_and_dt(
         return real_arange(n, *args, **kwargs)
     monkeypatch.setattr(np, "arange", arange)
     argv = [dq_model_file if word == "dq" else word for word in argv]
-    out = tmp_path / "product.csv"
-    capsys.readouterr()  # the fixture's training report
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(argv + ["--duration", "12.345", "--dt", "0.001", "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "error: duration 12.345 over dt 0.001 is more samples "
-                                  "than memory can hold")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "product.csv",
+                   argv + ["--duration", "12.345", "--dt", "0.001"],
+                   "error: duration 12.345 over dt 0.001 is more samples than memory can hold")
 
 
 @pytest.mark.parametrize("flags", [["--k-pos", "0"], ["--k-pos", "nan"],
                                    ["--k-rot", "inf"], ["--d-ratio", "0"],
                                    ["--k-pos", "1e300", "--d-ratio", "1e-160"]])
 def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, flags):
-    out = tmp_path / "m.json"
-    assert run(["train", "--variant", "pose-decoupled", "--demo", demo_file,
-                *flags, "-o", str(out)]) == 1
-    assert_one_error_line(capsys)
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "pose-decoupled", "--demo", demo_file, *flags])
 
 
 @pytest.mark.parametrize("flags, gain", [
@@ -766,18 +673,8 @@ def test_train_pose_decoupled_rejects_bad_gains(tmp_path, demo_file, capsys, fla
 def test_train_names_the_gain_it_refuses(tmp_path, demo_file, capsys, flags, gain):
     # each was refused as "gain matrices must be symmetric positive definite",
     # "k_gain must be" or "position stiffness and damping must be"
-    out = tmp_path / "m.json"
-    assert run(["train", "--demo", demo_file, *flags, "-o", str(out)]) == 1
-    assert_one_error_line(capsys, f"error: {gain} must be ")
-    assert not out.exists()
-
-
-@pytest.fixture(scope="module")
-def pose_model_file(tmp_path_factory, demo_file):
-    path = tmp_path_factory.mktemp("model") / "pose.json"
-    assert run(["train", "--variant", "pose-decoupled", "--demo", demo_file,
-                "-o", str(path)]) == 0
-    return str(path)
+    assert_refused(capsys, tmp_path / "m.json", ["train", "--demo", demo_file, *flags],
+                   f"error: {gain} must be ")
 
 
 @pytest.mark.parametrize("model, goal", [
@@ -791,73 +688,43 @@ def pose_model_file(tmp_path_factory, demo_file):
 ])
 def test_rollout_refuses_non_finite_goal(tmp_path, capsys, request, model, goal):
     # the error names the flag, not the unit constraint or state it would break
-    path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
-    capsys.readouterr()  # the fixture's training report
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
-                    "-o", str(out)]) == 1
-    assert not caught, [str(w.message) for w in caught]
-    assert_one_error_line(capsys, "--goal")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", request.getfixturevalue(model), "--goal", goal,
+                    "--duration", "1"], "--goal")
 
 
 @pytest.mark.parametrize("flags", [["--alpha-z", "-1"], ["--alpha-z", "0"],
                                    ["--beta-z", "0"], ["--alpha-z", "inf"]])
 def test_train_classical_refuses_gains_the_loader_refuses(tmp_path, capsys, flags):
-    demo, out = tmp_path / "reach.csv", tmp_path / "m.json"
+    demo = tmp_path / "reach.csv"
     assert run(["gen", "minjerk", "-o", str(demo)]) == 0
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(["train", "--variant", "classical", "--demo", str(demo), *flags,
-                    "-o", str(out)]) == 1
-    assert not caught, [str(w.message) for w in caught]
-    assert_one_error_line(capsys, "alpha_z and beta_z must be positive and finite")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "classical", "--demo", str(demo), *flags],
+                   "alpha_z and beta_z must be positive and finite")
 
 
 def test_train_refuses_non_finite_forcing_targets(tmp_path, capsys):
     # alpha_z beta_z overflows, so the targets are inf: the fit wrote NaN weights,
     # printed a numpy overflow warning and a nan residual, and exited 0
-    demo, out = tmp_path / "minjerk.csv", tmp_path / "m.json"
+    demo = tmp_path / "minjerk.csv"
     assert run(["gen", "minjerk", "-o", str(demo)]) == 0
-    capsys.readouterr()
-    assert run(["train", "--variant", "classical", "--alpha-z", "1e200", "--beta-z", "1e200",
-                "--demo", str(demo), "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "classical alpha_z 1e+200 and beta_z 1e+200: "
-                                  "their product K or its reciprocal overflows")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", "classical", "--alpha-z", "1e200", "--beta-z", "1e200",
+                    "--demo", str(demo)],
+                   "classical alpha_z 1e+200 and beta_z 1e+200: "
+                   "their product K or its reciprocal overflows")
 
 
 @pytest.mark.parametrize("variant", ["dq", "quat", "pose-decoupled", "classical"])
 def test_train_refuses_a_tau_whose_square_overflows(tmp_path, demo_file, capsys, variant):
     # squared as a Python float, tau = 1e160 raised OverflowError: a traceback, not an error line
-    demo, out = demo_file, tmp_path / "m.json"
+    demo = demo_file
     if variant == "classical":
         demo = str(tmp_path / "minjerk.csv")
         assert run(["gen", "minjerk", "-o", demo]) == 0
-        capsys.readouterr()
-    assert run(["train", "--variant", variant, "--tau", "1e160", "--demo", demo,
-                "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "the forcing targets overflow: ", "tau 1e+160")
-    assert not out.exists()
-
-
-@pytest.fixture(scope="module")
-def quat_model_file(tmp_path_factory, demo_file):
-    path = tmp_path_factory.mktemp("model") / "quat.json"
-    assert run(["train", "--variant", "quat", "--demo", demo_file, "-o", str(path)]) == 0
-    return str(path)
-
-
-@pytest.fixture(scope="module")
-def classical_model_file(tmp_path_factory):
-    demo = tmp_path_factory.mktemp("model") / "reach.csv"
-    path = demo.with_suffix(".json")
-    assert run(["gen", "minjerk", "-o", str(demo)]) == 0
-    assert run(["train", "--variant", "classical", "--demo", str(demo), "-o", str(path)]) == 0
-    return str(path)
+    assert_refused(capsys, tmp_path / "m.json",
+                   ["train", "--variant", variant, "--tau", "1e160", "--demo", demo],
+                   "the forcing targets overflow: ", "tau 1e+160")
 
 
 @pytest.mark.parametrize("model, goal", [
@@ -871,12 +738,9 @@ def classical_model_file(tmp_path_factory):
 def test_rollout_refuses_a_goal_component_the_model_has_no_state_for(
         tmp_path, capsys, request, model, goal):
     # each component was dropped: exit 0 and the table of the goal without it
-    path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
-    capsys.readouterr()  # the fixture's training report
-    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "1",
-                "-o", str(out)]) == 1
-    assert_one_error_line(capsys, f"error: --goal {goal!r}: ")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", request.getfixturevalue(model), "--goal", goal,
+                    "--duration", "1"], f"error: --goal {goal!r}: ")
 
 
 @pytest.mark.parametrize("model, goal", [("pose_model_file", "1e300,1e300,1e300"),
@@ -886,12 +750,9 @@ def test_rollout_refuses_a_goal_component_the_model_has_no_state_for(
 def test_rollout_blames_a_far_goal_on_the_flag(tmp_path, capsys, request, model, goal):
     # the pose model wrote inf energies under two numpy warnings and exited 0;
     # the dq model failed on its unit constraints and named no flag
-    path, out = request.getfixturevalue(model), tmp_path / "roll.csv"
-    capsys.readouterr()  # the fixture's training report
-    assert run(["rollout", "--model", path, "--goal", goal, "--duration", "0.1",
-                "-o", str(out)]) == 1
-    assert_one_error_line(capsys, f"error: --goal {goal!r}: ")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv",
+                   ["rollout", "--model", request.getfixturevalue(model), "--goal", goal,
+                    "--duration", "0.1"], f"error: --goal {goal!r}: ")
 
 
 @pytest.mark.parametrize("tau", [None, 3.0])
@@ -925,6 +786,18 @@ def test_rollout_takes_a_negative_goal_as_a_separate_word(tmp_path, request, mod
     assert tables[0] == tables[1] != tables[2]
 
 
+def test_every_option_takes_a_negative_value_as_a_separate_word(tmp_path, capsys):
+    # argparse read '-1.' and '-5e-1' after their options as options and exited 2
+    out = tmp_path / "reach.csv"
+    assert run(["gen", "minjerk", "--from", "-1.", "--to", "-5e-1", "-o", str(out)]) == 0
+    demo = load_scalar_demo(str(out))
+    assert demo.y[0] == -1.0 and demo.y[-1] == -0.5
+    # an option's help is not bound to the next word
+    with pytest.raises(SystemExit) as exc:
+        run(["rollout", "--help", "--dt", "1"])
+    assert exc.value.code == 0 and "--goal GOAL" in capsys.readouterr().out
+
+
 def test_rollout_takes_a_far_dq_goal_its_encoding_holds(tmp_path, dq_model_file):
     out = tmp_path / "roll.csv"
     assert run(["rollout", "--model", dq_model_file, "--goal", "1e12,1e12,1e12",
@@ -949,9 +822,7 @@ def test_rollout_refuses_an_inertial_quaternion_model(tmp_path, capsys, quat_mod
     with open(quat_model_file) as fh:
         doc = json.load(fh)
     doc["frame"] = "inertial"
-    path, out = tmp_path / "inertial.json", tmp_path / "roll.csv"
+    path = tmp_path / "inertial.json"
     path.write_text(json.dumps(doc))
-    capsys.readouterr()  # the fixture's training report
-    assert run(["rollout", "--model", str(path), "-o", str(out)]) == 1
-    assert_one_error_line(capsys, "error: unknown frame 'inertial'")
-    assert not out.exists()
+    assert_refused(capsys, tmp_path / "roll.csv", ["rollout", "--model", str(path)],
+                   "error: unknown frame 'inertial'")
