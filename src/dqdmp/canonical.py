@@ -29,12 +29,9 @@ def phase(t, alpha_x: float, tau: float):
     Refused, naming tau, where the exponent alpha_x t / tau overflows."""
     if not (0.0 < alpha_x < np.inf and 0.0 < tau < np.inf):
         raise ValueError("alpha_x and tau must be positive and finite")
-    with np.errstate(over="ignore"):  # refused below
-        s = -alpha_x * np.asarray(t, dtype=float) / tau
-    if not np.isfinite(s).all():
-        raise ValueError(f"tau {tau:g} too small for alpha_x {alpha_x:g}: "
-                         f"the phase exponent alpha_x t / tau overflows")
-    return np.exp(s)
+    return np.exp(_finite(lambda: -alpha_x * np.asarray(t, dtype=float) / tau,
+                          lambda _: f"tau {tau:g} too small for alpha_x {alpha_x:g}: "
+                                    f"the phase exponent alpha_x t / tau overflows"))
 
 
 @dataclass(frozen=True)
@@ -52,6 +49,12 @@ class GaussianBasis:
                 and np.all(np.isfinite(self.centers)) and 0.0 < self.alpha_x < np.inf):
             raise ValueError("kernel widths and alpha_x must be positive and finite, "
                              "centers finite")
+        # the phase of a rollout, which starts at t >= 0, lies in (0, 1]
+        outside = (self.centers < 0.0) | (self.centers > 1.0)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"kernel centers must lie in the phase range [0, 1]; "
+                             f"center {k} is {self.centers[k]:g}")
 
     @property
     def n_kernels(self) -> int:
@@ -76,14 +79,12 @@ def basis_scheme_a(n_kernels: int, alpha_x: float) -> GaussianBasis:
     if n_kernels < 2:
         raise ValueError("need at least two kernels")
     i = np.arange(1, n_kernels + 1)
-    h = np.empty(n_kernels)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
-        c = np.exp(-alpha_x * (i - 1) / (n_kernels - 1))
-        h[:-1] = 1.0 / np.diff(c) ** 2
-    h[-1] = h[-2]
-    if not np.isfinite(h).all():
-        raise ValueError(f"alpha_x {alpha_x:g} leaves {n_kernels} kernels no finite widths")
-    return GaussianBasis(float(alpha_x), c, h)
+
+    def refusal(_):
+        return f"alpha_x {alpha_x:g} leaves {n_kernels} kernels no finite widths"
+    c = _finite(lambda: np.exp(-alpha_x * (i - 1) / (n_kernels - 1)), refusal)
+    h = _finite(lambda: 1.0 / np.diff(c) ** 2, refusal)
+    return GaussianBasis(float(alpha_x), c, np.append(h, h[-1]))
 
 
 def forcing(x: float, basis: GaussianBasis, weights: np.ndarray) -> float:
@@ -170,6 +171,16 @@ def _solve(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weights[j] = vt[:r].T @ (u[:, :r].T @ qtb[:len(s)] / s[:r])
         residuals[j] = _norm(A @ weights[j] - cols[:, j])
     return weights, residuals
+
+
+def _finite(compute, refusal):
+    """compute() with no numpy warning; where any of its value is not finite,
+    refused as ValueError(refusal(value))."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = compute()
+    if not np.isfinite(value).all():
+        raise ValueError(refusal(value))
+    return value
 
 
 def _norm(v: np.ndarray) -> float:

@@ -45,6 +45,7 @@ import numpy as np
 
 from .canonical import (
     GaussianBasis,
+    _finite,
     _norm,
     basis_scheme_a,
     fit_weights,
@@ -69,7 +70,7 @@ from .quat import (
     quat_norm,
     quat_normalize,
 )
-from .traj import ScalarDemo, Trajectory, _check_rates, _time_grid, open_text
+from .traj import ScalarDemo, Trajectory, _rate_refusal, _time_grid, open_text
 
 # residual norms of the weight fit per output dimension, (dims, 2): absolute
 # and over the norm of the dimension's targets; set by training, not saved
@@ -216,10 +217,9 @@ def classical_target_forcing(demo: ScalarDemo, g: float | np.ndarray, xs: np.nda
     refused, naming them, on bad gains or where 0.5 (g - y)^2 overflows."""
     _check_scalar_gains(alpha_z, beta_z)
     y = np.asarray(demo.y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        e = (g - y).reshape(len(y), -1)
-        if not np.isfinite(0.5 * e * e).all():
-            raise ValueError(f"goal {np.asarray(g).tolist()}: the energy 0.5 (g - y)^2 overflows")
+    _finite(lambda: 0.5 * (g - y) ** 2,
+            lambda _: f"goal {np.asarray(g).tolist()}: the energy 0.5 (g - y)^2 overflows")
+    e = (g - y).reshape(len(y), -1)
     k, d = alpha_z * beta_z * np.eye(e.shape[1]), alpha_z * np.eye(e.shape[1])
     fd = _target_block(demo.ydd.reshape(e.shape), demo.yd.reshape(e.shape), e, e[0], xs, tau, k, d)
     return fd.reshape(y.shape)
@@ -311,11 +311,13 @@ def _clock(alpha_x: float, tau: float, dt: float, duration: float | None,
         raise ValueError("duration must be non-negative and finite")
     if not np.isfinite(t_start):
         raise ValueError("t_start must be finite")
-    # on floats, which overflow to inf with no warning: |t| <= |t_start| + duration + dt,
-    # exp(709.78) is near the largest float, and phase() below refuses a bad tau
+    if t_start < 0.0:
+        raise ValueError(f"t_start {t_start:g} must be at least 0: before 0 the phase is "
+                         f"above 1, past every kernel center")
+    # on floats, which overflow to inf with no warning: t <= t_start + duration + dt,
+    # and phase() below refuses a bad tau
     a, t0 = float(alpha_x), float(t_start)
-    if 0.0 < tau and not ((abs(t0) + float(duration) + float(dt)) * max(a, 1.0) / tau < np.inf
-                          and -a * t0 / tau < 709.78):
+    if 0.0 < tau and not (t0 + float(duration) + float(dt)) * max(a, 1.0) / tau < np.inf:
         raise ValueError(f"tau {tau:g} too small or t_start {t0:g} too far from 0: phase overflow")
     ts = t_start + _time_grid(duration, dt)
     return ts, phase(ts, alpha_x, tau)
@@ -371,13 +373,12 @@ def _target_block(acc, vel, e, e0, xs: np.ndarray, tau: float, k, d) -> np.ndarr
     """(tau^2 acc + tau D vel) / K - e + e0 x per sample and axis: the forcing
     that makes the rollout's gain drive reproduce a demonstration on one
     (K, D) block; refused, naming tau, K and D, where a target overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    def targets():
         drive = np.float64(tau) ** 2 * acc + vel * (tau * np.diag(d))
-        fd = drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
-    if not np.isfinite(fd).all():
-        raise ValueError(f"the forcing targets overflow: tau {tau:g}, K {np.diag(k).tolist()} "
-                         f"or D {np.diag(d).tolist()} too large for the demo")
-    return fd
+        return drive * (1.0 / np.diag(k)) - e + e0 * xs[:, None]
+    return _finite(targets, lambda _: f"the forcing targets overflow: tau {tau:g}, K "
+                                      f"{np.diag(k).tolist()} or D {np.diag(d).tolist()} "
+                                      f"too large for the demo")
 
 
 def _unstable(what: str, ts: np.ndarray, k: int) -> ValueError:
@@ -386,11 +387,7 @@ def _unstable(what: str, ts: np.ndarray, k: int) -> ValueError:
 
 def _checked_energy(variant: str, cause: str, energy) -> np.ndarray:
     """energy() with no numpy warning; refused, naming the variant and cause, where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        v = energy()
-    if not np.isfinite(v).all():
-        raise ValueError(f"{variant} rollout: the energy overflows ({cause})")
-    return v
+    return _finite(energy, lambda _: f"{variant} rollout: the energy overflows ({cause})")
 
 
 def _rotation_energy(q: np.ndarray, qd: np.ndarray, omega: np.ndarray,
@@ -718,10 +715,11 @@ def pose_train(traj: Trajectory, tau: float, alpha_x: float,
     k_rot, d_rot = _gain_matrix(k_rot, "k_rot"), _gain_matrix(d_rot, "d_rot")
     pos_basis = basis_scheme_a(n_pos_kernels, alpha_x)
     alpha_z, beta_z = float(d_pos), float(k_pos) / float(d_pos)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+
+    def rates():
         vel = np.gradient(traj.positions, traj.dt, axis=0, edge_order=2)
-        acc = np.gradient(vel, traj.dt, axis=0, edge_order=2)
-    _check_rates(traj.t, vel, acc)
+        return vel, np.gradient(vel, traj.dt, axis=0, edge_order=2)
+    vel, acc = _finite(rates, lambda r: _rate_refusal(traj.t, *r))
     # the three axes as one (n, 3) scalar demo: one design matrix for all
     y0, g = traj.positions[0], traj.positions[-1]
     xs = phase(traj.t, pos_basis.alpha_x, tau)
@@ -845,11 +843,14 @@ def _model_from_doc(doc: dict):
 
 
 def _unit_dq(dq, what: str) -> DualQuaternion:
-    """A DualQuaternion, or its 8 components, as one of (4,) parts; refused off unit."""
+    """A DualQuaternion, or its 8 components, as one of (4,) parts; refused unless
+    its position is finite (so are its components then) and it is on unit."""
     a = np.asarray(dq.as_array() if isinstance(dq, DualQuaternion) else dq, dtype=float)
     if a.shape != (8,):
         raise ValueError(f"{what} must be a dual quaternion [real, dual]")
     dq = DualQuaternion(a[:4], a[4:])
+    _finite(lambda: dq_position(dq),
+            lambda _: f"{what}: dual quaternion must be finite, with a finite position")
     _check_unit(dq, f"{what}: dual quaternion")
     return dq
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import _finite
 from .quat import quat_conjugate, quat_product, quat_rotate_inverse, quat_vec
 
 _HEADER = "t,px,py,pz,qw,qx,qy,qz"
@@ -180,25 +181,23 @@ def differentiate(traj: Trajectory) -> DerivedChannels:
     if len(traj) < 4:
         raise ValueError("trajectory too short to differentiate (need >= 4 samples)")
     q, dt = traj.quaternions, traj.dt
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+
+    def twists():
         qdot = np.gradient(q, dt, axis=0, edge_order=2)
         # vec() discards the O(dt^2) scalar part left by differencing unit data
         omega_b = 2.0 * quat_vec(quat_product(quat_conjugate(q), qdot))
         v_b = quat_rotate_inverse(q, np.gradient(traj.positions, dt, axis=0, edge_order=2))
         xi = np.concatenate([omega_b, v_b], axis=1)
-        xi_dot = np.gradient(xi, dt, axis=0, edge_order=2)
-    _check_rates(traj.t, xi, xi_dot)
-    return DerivedChannels(xi, xi_dot)
+        return xi, np.gradient(xi, dt, axis=0, edge_order=2)
+    return DerivedChannels(*_finite(twists, lambda rates: _rate_refusal(traj.t, *rates)))
 
 
-def _check_rates(t: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> None:
-    """Refuse a demo whose differenced velocity or acceleration is not finite,
-    naming the first such sample."""
-    if not (np.isfinite(vel).all() and np.isfinite(acc).all()):
-        ok_v, ok_a = np.isfinite(vel).all(axis=1), np.isfinite(acc).all(axis=1)
-        k = int(np.argmin(ok_v & ok_a))
-        raise ValueError(f"the demo's {'acceleration' if ok_v[k] else 'velocity'} overflows at "
-                         f"sample {k} (t = {t[k]:g}): its positions are too large for its step")
+def _rate_refusal(t: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> str:
+    """A demo's refusal, naming the first sample whose velocity or acceleration is not finite."""
+    ok_v, ok_a = np.isfinite(vel).all(axis=1), np.isfinite(acc).all(axis=1)
+    k = int(np.argmin(ok_v & ok_a))
+    return (f"the demo's {'acceleration' if ok_v[k] else 'velocity'} overflows at "
+            f"sample {k} (t = {t[k]:g}): its positions are too large for its step")
 
 
 # -- file round trip -------------------------------------------------------
@@ -342,12 +341,10 @@ def gen_min_jerk(y0: float, g: float, T: float, dt: float) -> ScalarDemo:
         raise ValueError("need duration > dt > 0, duration finite")
     t = _time_grid(T, dt)
     s, sd, sdd = _minjerk_s(t / T)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
-        a = g - y0
-        y, yd, ydd = y0 + a * s, a * sd / T, a * sdd / np.float64(T) ** 2
-    if not np.isfinite(ydd).all():
-        raise ValueError(f"duration {T:g} is too short to move from {y0:g} to {g:g}")
-    return ScalarDemo(t, y, yd, ydd)
+    a = float(g) - float(y0)  # on floats: inf, with no warning, where it overflows
+    channels = _finite(lambda: (y0 + a * s, a * sd / T, a * sdd / np.float64(T) ** 2),
+                       lambda _: f"duration {T:g} is too short to move from {y0:g} to {g:g}")
+    return ScalarDemo(t, *channels)
 
 
 def gen_somersault(radius: float, T: float, dt: float) -> Trajectory:

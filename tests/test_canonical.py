@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dqdmp
 from dqdmp import (
     basis_scheme_a,
     design_matrix,
@@ -241,3 +245,19 @@ def test_fit_weights_refuses_non_finite_targets(bad):
         fit_weights(xs, targets, basis)
     with refused(f"target {bad} at sample 9, dimension 0"):
         fit_weights(xs, targets[:, 1], basis)
+
+
+def test_np_errstate_is_entered_only_by_the_overflow_helper_and_three_value_functions():
+    # eight functions each wrapped their own computation in np.errstate, then
+    # refused a non-finite value by hand: canonical._finite is the one such guard
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, ast.Attribute) and node.attr == "errstate":
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, getattr(child, "name", function))
+    for path in sorted(Path(dqdmp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert sorted(found) == [("canonical", "_finite"), ("canonical", "_gate"),
+                             ("canonical", "_norm"), ("quat", "quat_norm")]

@@ -456,6 +456,14 @@ BOUNDARY = {
         lambda i: classical_rollout(i["classical"], 0.0, 0.01, 1.0, tau_override=1e-320), "tau "),
     "quat_rollout t_start": (
         lambda i: quat_rollout(i["quat"], duration=1.0, t_start=-1e308), "t_start -1e+308"),
+    # the phase reached e^700: kernel_values warned "overflow encountered in square"
+    "quat_rollout negative t_start": (
+        lambda i: quat_rollout(i["quat"], dt=0.01, duration=0.05, t_start=-2.8e4),
+        "t_start -28000 must be at least 0"),
+    # the phase passed 1, outside every kernel's range, with no word
+    "dq_rollout negative t_start": (
+        lambda i: dq_rollout(i["dq"], dt=0.01, duration=1.0, t_start=-1.0),
+        "t_start -1 must be at least 0"),
     "dq_train tau": (
         lambda i: dq_train(i["traj"], 1e308, 1.0, 1.0, 10.0, 10.0, i["basis"]), "tau 1e+308"),
     "quat_train tau": (
@@ -508,6 +516,12 @@ BOUNDARY = {
     "GaussianBasis widths": (
         lambda i: GaussianBasis(0.05, np.array([1.0, 0.5]), np.array([1.0])),
         "need at least two kernels with matching widths"),
+    "GaussianBasis centers": (
+        lambda i: GaussianBasis(0.05, np.array([1e300, 0.5]), np.array([1.0, 1.0])),
+        "kernel centers must lie in the phase range [0, 1]; center 0 is 1e+300"),
+    "GaussianBasis center below 0": (
+        lambda i: GaussianBasis(0.05, np.array([1.0, -1e-300]), np.array([1.0, 1.0])),
+        "kernel centers must lie in the phase range [0, 1]; center 1 is -1e-300"),
     "cli rollout --duration": (["rollout", "--duration", "-1"],
                                "duration must be non-negative and finite"),
     "cli rollout --goal": (["rollout", "--goal", "1,2"],
@@ -574,6 +588,22 @@ REFUSED_ROLLOUTS = {
     "dq subnormal tau --goal": (
         lambda i: dict(_doc(i["dq"]), tau=1e-310), ["--goal", "1,0,0"],
         "error: tau 1e-310 is too small: its reciprocal overflows"),
+    # the file loaded, and its rollout warned "overflow encountered in square"
+    "dq center": (
+        lambda i: _edited(_doc(i["dq"]), "basis", "centers", 0, 1e300), [],
+        "error: kernel centers must lie in the phase range [0, 1]; center 0 is 1e+300"),
+    # "invalid value encountered in matmul" came before the unit check's refusal
+    "dq0 not finite": (
+        lambda i: _edited(_doc(i["dq"]), "boundary", "dq0", 0, np.inf), [],
+        "error: dq0: dual quaternion must be finite, with a finite position"),
+    # the file loaded; its rollout warned twice, then blamed the start pose
+    "dq0 position": (
+        lambda i: _edited(_doc(i["dq"]), "boundary", "dq0", 5, 1e308), [],
+        "error: dq0: dual quaternion must be finite, with a finite position"),
+    # the file loaded; its rollout blamed the step: "dt / tau too large?"
+    "dqd position": (
+        lambda i: _edited(_doc(i["dq"]), "boundary", "dqd", 5, 1e308), [],
+        "error: dqd: dual quaternion must be finite, with a finite position"),
 }
 
 
@@ -581,6 +611,12 @@ def _doc(model) -> dict:
     buf = io.StringIO()
     save_model(model, buf)
     return json.loads(buf.getvalue())
+
+
+def _edited(doc: dict, part: str, key: str, index: int, value: float) -> dict:
+    """doc with entry index of doc[part][key] set to value."""
+    doc[part][key][index] = value
+    return doc
 
 
 @pytest.mark.parametrize("case", REFUSED_ROLLOUTS)

@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -388,3 +389,25 @@ def _saved(model) -> str:
     buf = io.StringIO()
     save_model(model, buf)
     return buf.getvalue()
+
+
+@pytest.mark.parametrize("name, keyword, index, value", [
+    ("dq0", "dq0", 0, np.inf), ("dq0", "dq0", 5, 1e308),
+    ("dqd", "goal_override", 5, 1e308), ("dqd", "goal_override", 2, np.nan)])
+def test_a_boundary_pose_not_finite_or_with_an_overflowing_position_is_named(
+        name, keyword, index, value):
+    # an inf component warned "invalid value encountered in matmul" before the unit
+    # check refused it; a 1e308 dual component held the unit constraints and loaded,
+    # and its rollout warned or blamed the step size
+    m = train_small(small_somersault())
+    bad = getattr(m, name).as_array()
+    bad[index] = value
+    message = "^{}: dual quaternion must be finite, with a finite position$"
+    with refused(message.format(name)):
+        replace(m, **{name: bad})
+    doc = json.loads(_saved(m))
+    doc["boundary"][name] = bad.tolist()
+    with refused(message.format(name)):
+        load_model(io.StringIO(json.dumps(doc)))
+    with refused(message.format(keyword)):
+        dq_rollout(m, dt=0.01, duration=1.0, **{keyword: DualQuaternion(bad[:4], bad[4:])})

@@ -255,6 +255,8 @@ BAD_FILES = {
     "tau not finite": ("dual_quaternion", lambda d: d.update(tau=np.inf)),
     "dqd not finite": ("dual_quaternion", lambda d: d["boundary"]["dqd"].__setitem__(5, np.nan)),
     "center not finite": ("quaternion", lambda d: d["basis"]["centers"].__setitem__(2, np.nan)),
+    "center outside the phase range": ("classical",
+                                       lambda d: d["basis"]["centers"].__setitem__(0, 1e300)),
     "scheme b": ("classical", lambda d: d["basis"].update(scheme="b", total_time=1.0, dt=0.01)),
     "alpha_x negative": ("classical", lambda d: d["basis"].update(alpha_x=-1.0)),
     "alpha_x zero": ("quaternion", lambda d: d["basis"].update(alpha_x=0.0)),
